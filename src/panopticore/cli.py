@@ -194,58 +194,27 @@ def _ap_payload(report: metrics.ApReport) -> dict:
     }
 
 
-def _semantic_view(panoptic: np.ndarray, spec: DatasetSpec) -> np.ndarray:
-    """Category part of a panoptic map (VOID maps to the ignore label)."""
-    return panoptic // spec.label_divisor
-
-
-def _detections_from_panoptic(
-    panoptic: np.ndarray, spec: DatasetSpec, scores: dict[int, float]
-) -> list[tuple[np.ndarray, int, float]]:
-    """Thing segments as scored detections; unscored instances get 1.0."""
-    out = []
-    for pid in np.unique(panoptic):
-        category, instance = int(pid) // spec.label_divisor, int(pid) % spec.label_divisor
-        if instance >= 1 and category in spec.thing_ids:
-            out.append((panoptic == pid, category, scores.get(instance, 1.0)))
-    return out
-
-
-def _gt_masks_from_panoptic(
-    panoptic: np.ndarray, spec: DatasetSpec
-) -> list[tuple[np.ndarray, int, bool]]:
-    """Thing segments as AP ground truth; instance part 0 marks crowd."""
-    out = []
-    for pid in np.unique(panoptic):
-        category, instance = int(pid) // spec.label_divisor, int(pid) % spec.label_divisor
-        if category in spec.thing_ids:
-            out.append((panoptic == pid, category, instance == 0))
-    return out
-
-
-def _eval_one(pred_path, gt_path, scores_path, spec, modes, max_dets=200):
-    pred = tensor_io.read_tensor(pred_path).astype(np.int64)
-    gt = tensor_io.read_tensor(gt_path).astype(np.int64)
+def _eval_one(pred_path, gt_path, scores_path, spec, modes):
+    pred, gt = tensor_io.read_tensor(pred_path), tensor_io.read_tensor(gt_path)
+    hist = metrics.joint_histogram(pred, gt)
     row: dict = {"pred": str(pred_path), "gt": str(gt_path)}
     outputs: dict = {}
     if "pq" in modes:
-        outputs["pq"] = metrics.panoptic_quality(pred, gt, spec)
+        outputs["pq"] = metrics.pq_from_histogram(hist, spec)
         row["pq"] = _pq_payload(outputs["pq"])
     if "miou" in modes:
-        outputs["miou"] = metrics.mean_iou(
-            _semantic_view(pred, spec), _semantic_view(gt, spec), spec
-        )
+        outputs["miou"] = metrics.miou_from_histogram(hist, spec)
         row["miou"] = _miou_payload(outputs["miou"])
     if "ap" in modes:
-        scores: dict[int, float] = {}
+        scores = None  # every instance scores 1.0 without a fuse report
         if scores_path:
             doc = json.loads(Path(scores_path).read_text())
-            scores = {
-                int(r["instance_index"]): float(r["score"]) for r in doc["instances"]
-            }
-        preds = _detections_from_panoptic(pred, spec, scores)
-        gts = _gt_masks_from_panoptic(gt, spec)
-        outputs["ap"] = metrics.match_detections(preds, gts, max_dets=max_dets)
+            scores = {int(r["instance_index"]): float(r["score"]) for r in doc["instances"]}
+        try:
+            outputs["ap"] = metrics.ap_matches_from_histogram(hist, spec, scores)
+        except KeyError as e:
+            message = f"{scores_path} has no score for instance index {e.args[0]}"
+            raise ValueError(message) from None
         row["ap"] = _ap_payload(metrics.ap_report_from_matches([outputs["ap"]]))
     return row, outputs
 

@@ -14,7 +14,7 @@ predictions in AP without counting as a miss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +34,11 @@ __all__ = [
     "combine_miou",
     "mask_ap",
     "DEFAULT_AP_THRESHOLDS",
+    "JointHistogram",
+    "joint_histogram",
+    "pq_from_histogram",
+    "miou_from_histogram",
+    "ap_matches_from_histogram",
 ]
 
 DEFAULT_AP_THRESHOLDS = tuple(np.arange(0.5, 1.0, 0.05).round(2))
@@ -70,82 +75,89 @@ class PqReport:
     stuff: PqAggregate
 
 
-def _segment_tables(panoptic: np.ndarray, spec: DatasetSpec):
-    """Unique segment ids, areas, and the crowd/VOID exclusion mask."""
-    flat = panoptic.reshape(-1).astype(np.int64)
-    ids, counts = np.unique(flat, return_counts=True)
-    categories = ids // spec.label_divisor
-    instances = ids % spec.label_divisor
-    if categories.size and (
-        categories.max() > spec.max_known_label or categories.min() < 0
-    ):
-        raise ValueError("panoptic map contains ids unknown to the dataset spec")
-    thing_lut = np.zeros(spec.max_known_label + 1, dtype=bool)
-    thing_lut[list(spec.thing_ids)] = True
-    is_void = categories == spec.ignore_label
-    is_crowd = thing_lut[categories] & (instances == 0)
-    return ids, counts, categories, is_void | is_crowd
+# A NamedTuple, not a dataclass: it costs less to build at import time.
+class JointHistogram(NamedTuple):
+    """Pixel counts of every (pred id, gt id) pair that meets in one image.
+
+    Segments are disjoint, so this one table holds every intersection area
+    that PQ, mIoU and AP need. ``pred_ids``/``gt_ids`` are each map's
+    ascending segment ids, ``pred_areas``/``gt_areas`` their pixel counts.
+    Pair ``k``, in ascending (pred id, gt id) order, covers ``counts[k]``
+    pixels of ``pred_ids[pred_index[k]]`` and ``gt_ids[gt_index[k]]``.
+    """
+
+    pred_ids: np.ndarray
+    pred_areas: np.ndarray
+    gt_ids: np.ndarray
+    gt_areas: np.ndarray
+    pred_index: np.ndarray
+    gt_index: np.ndarray
+    counts: np.ndarray
 
 
-def _intersections(pred: np.ndarray, gt: np.ndarray):
-    """Pairwise overlap areas between pred and gt segments."""
+def joint_histogram(pred: np.ndarray, gt: np.ndarray) -> JointHistogram:
+    """The joint histogram of two panoptic maps, from one pass over the pixels."""
+    if pred.shape != gt.shape:
+        raise ValueError(f"pred shape {pred.shape} != gt shape {gt.shape}")
     pred_flat = pred.reshape(-1).astype(np.int64)
     gt_flat = gt.reshape(-1).astype(np.int64)
     scale = int(gt_flat.max()) + 1
-    if int(pred_flat.max()) >= (2**63 - 1) // scale:
-        # Ids too large to pack into one int64 code; pair rows instead.
+    if min(pred_flat.min(), gt_flat.min()) < 0 or pred_flat.max() >= (2**63 - 1) // scale:
+        # Ids negative or too large to pack into one int64 code; pair rows instead.
         stacked = np.stack([pred_flat, gt_flat], axis=1)
         pairs, counts = np.unique(stacked, axis=0, return_counts=True)
-        return pairs[:, 0], pairs[:, 1], counts
-    code = pred_flat * scale + gt_flat
-    pairs, counts = np.unique(code, return_counts=True)
-    return pairs // scale, pairs % scale, counts
-
-
-def _matching_tables(pred: np.ndarray, gt: np.ndarray, spec: DatasetSpec):
-    if pred.shape != gt.shape:
-        raise ValueError(f"pred shape {pred.shape} != gt shape {gt.shape}")
-    pred_ids, pred_areas, pred_cats, pred_excl = _segment_tables(pred, spec)
-    gt_ids, gt_areas, gt_cats, gt_excl = _segment_tables(gt, spec)
-
-    pred_index = {int(i): k for k, i in enumerate(pred_ids)}
-    gt_index = {int(i): k for k, i in enumerate(gt_ids)}
-
-    inter_pred, inter_gt, inter_area = _intersections(pred, gt)
-
-    # Per-pred overlap with the excluded (VOID + crowd) part of the gt.
-    void_overlap = np.zeros(pred_ids.size, dtype=np.int64)
-    gt_excluded_ids = set(int(g) for g, e in zip(gt_ids, gt_excl) if e)
-    for p, g, a in zip(inter_pred, inter_gt, inter_area):
-        if int(g) in gt_excluded_ids:
-            void_overlap[pred_index[int(p)]] += a
-
-    # Predictions mostly over excluded gt leave the evaluation entirely.
-    pred_dropped = (2 * void_overlap > pred_areas) | pred_excl
-
-    matches = []
-    for p, g, a in zip(inter_pred, inter_gt, inter_area):
-        pk, gk = pred_index[int(p)], gt_index[int(g)]
-        if gt_excl[gk] or pred_dropped[pk]:
-            continue
-        if pred_cats[pk] != gt_cats[gk]:
-            continue
-        union = int(pred_areas[pk]) + int(gt_areas[gk]) - int(a) - int(void_overlap[pk])
-        iou = int(a) / union
-        if iou > 0.5:
-            matches.append((int(p), int(g), float(iou)))
-
-    matched_preds = [m[0] for m in matches]
-    matched_gts = [m[1] for m in matches]
-    assert len(set(matched_preds)) == len(matched_preds) and len(set(matched_gts)) == len(
-        matched_gts
-    ), "IoU > 0.5 matching produced a duplicate segment; implementation bug"
-
-    return (
-        matches,
-        (pred_ids, pred_cats, pred_dropped, pred_index),
-        (gt_ids, gt_cats, gt_excl, gt_index),
+        inter_pred, inter_gt = pairs[:, 0], pairs[:, 1]
+    else:
+        pairs, counts = np.unique(pred_flat * scale + gt_flat, return_counts=True)
+        inter_pred, inter_gt = pairs // scale, pairs % scale
+    pred_ids, pred_index = np.unique(inter_pred, return_inverse=True)
+    gt_ids, gt_index = np.unique(inter_gt, return_inverse=True)
+    pred_areas = _sums(pred_index, counts, pred_ids.size)
+    gt_areas = _sums(gt_index, counts, gt_ids.size)
+    return JointHistogram(
+        pred_ids, pred_areas, gt_ids, gt_areas, pred_index, gt_index, counts
     )
+
+
+def _sums(index: np.ndarray, weights, size: int) -> np.ndarray:
+    # float64 sums of pixel counts (all below 2**53) are exact.
+    return np.bincount(index, weights=weights, minlength=size).astype(np.int64)
+
+
+def _segment_classes(ids: np.ndarray, spec: DatasetSpec):
+    """Category, instance part and thing flag of segment ids, and the
+    crowd/VOID exclusion mask. Categories unknown to the spec are no things."""
+    categories, instances = np.divmod(ids, spec.label_divisor)
+    is_thing = np.isin(categories, list(spec.thing_ids))
+    excluded = (categories == spec.ignore_label) | (is_thing & (instances == 0))
+    return categories, instances, is_thing, excluded
+
+
+def _pq_matches(hist: JointHistogram, spec: DatasetSpec):
+    """Matched (pred index, gt index, IoU) arrays in pair order, plus the
+    (categories, dropped) pred table and (categories, excluded) gt table."""
+    pred_cats, _, _, pred_excl = _segment_classes(hist.pred_ids, spec)
+    gt_cats, _, _, gt_excl = _segment_classes(hist.gt_ids, spec)
+    for cats in (pred_cats, gt_cats):
+        if cats.size and (cats.max() > spec.max_known_label or cats.min() < 0):
+            raise ValueError("panoptic map contains ids unknown to the dataset spec")
+    p, g, area = hist.pred_index, hist.gt_index, hist.counts
+    # Per-pred overlap with the excluded (VOID + crowd) part of the gt.
+    over_excl = gt_excl[g]
+    void_overlap = _sums(p[over_excl], area[over_excl], hist.pred_ids.size)
+    # Predictions mostly over excluded gt leave the evaluation entirely.
+    pred_dropped = (2 * void_overlap > hist.pred_areas) | pred_excl
+
+    k = np.flatnonzero(~over_excl & ~pred_dropped[p] & (pred_cats[p] == gt_cats[g]))
+    p, g = p[k], g[k]
+    union = hist.pred_areas[p] + hist.gt_areas[g] - area[k] - void_overlap[p]
+    iou = area[k] / union
+    hit = iou > 0.5
+    p, g, iou = p[hit], g[hit], iou[hit]
+    if np.unique(p).size != p.size or np.unique(g).size != g.size:
+        message = "IoU > 0.5 matching produced a duplicate segment; implementation bug"
+        raise RuntimeError(message)
+    return (p, g, iou), (pred_cats, pred_dropped), (gt_cats, gt_excl)
 
 
 def match_segments(
@@ -153,11 +165,12 @@ def match_segments(
 ) -> list[tuple[int, int, float]]:
     """All same-category (pred id, gt id, IoU) pairs with IoU > 0.5.
 
-    The > 0.5 rule makes the pairing unique; uniqueness is asserted on
+    The > 0.5 rule makes the pairing unique; uniqueness is checked on
     every call.
     """
-    matches, _, _ = _matching_tables(pred, gt, spec)
-    return matches
+    hist = joint_histogram(pred, gt)
+    (p, g, iou), _, _ = _pq_matches(hist, spec)
+    return list(zip(hist.pred_ids[p].tolist(), hist.gt_ids[g].tolist(), iou.tolist()))
 
 
 def panoptic_quality(
@@ -169,35 +182,23 @@ def panoptic_quality(
     and crowd pixels excluded; predictions with more than half their area
     over excluded gt are neither matched nor false positives.
     """
-    matches, pred_tab, gt_tab = _matching_tables(pred, gt, spec)
-    pred_ids, pred_cats, pred_dropped, pred_index = pred_tab
-    gt_ids, gt_cats, gt_excl, gt_index = gt_tab
+    return pq_from_histogram(joint_histogram(pred, gt), spec)
 
-    counts: dict[int, list] = {}  # category -> [tp, fp, fn, iou_sum]
 
-    def bucket(category: int) -> list:
-        return counts.setdefault(category, [0, 0, 0, 0.0])
-
-    matched_pred = set(m[0] for m in matches)
-    matched_gt = set(m[1] for m in matches)
-    for p, g, iou in matches:
-        b = bucket(int(pred_cats[pred_index[p]]))
-        b[0] += 1
-        b[3] += iou
-    for k, pid in enumerate(pred_ids):
-        if pred_dropped[k] or int(pid) in matched_pred:
-            continue
-        if pred_cats[k] == spec.ignore_label:
-            continue
-        bucket(int(pred_cats[k]))[1] += 1
-    for k, gid in enumerate(gt_ids):
-        if gt_excl[k] or int(gid) in matched_gt:
-            continue
-        bucket(int(gt_cats[k]))[2] += 1
-
-    return pq_report_from_counts(
-        {c: (v[0], v[1], v[2], v[3]) for c, v in counts.items()}, spec
-    )
+def pq_from_histogram(hist: JointHistogram, spec: DatasetSpec) -> PqReport:
+    """:func:`panoptic_quality` from the joint histogram of one image."""
+    (p, g, iou), (pred_cats, pred_dropped), (gt_cats, gt_excl) = _pq_matches(hist, spec)
+    unmatched_pred, unmatched_gt = ~pred_dropped, ~gt_excl
+    unmatched_pred[p] = unmatched_gt[g] = False
+    n = spec.max_known_label + 1
+    tp = np.bincount(pred_cats[p], minlength=n)
+    fp = np.bincount(pred_cats[unmatched_pred], minlength=n)
+    fn = np.bincount(gt_cats[unmatched_gt], minlength=n)
+    # bincount adds the IoUs one by one in pair order, like a running sum.
+    iou_sum = np.bincount(pred_cats[p], weights=iou, minlength=n)
+    categories = np.flatnonzero(tp + fp + fn).tolist()
+    counts = {c: (int(tp[c]), int(fp[c]), int(fn[c]), float(iou_sum[c])) for c in categories}
+    return pq_report_from_counts(counts, spec)
 
 
 def pq_report_from_counts(
@@ -262,6 +263,24 @@ class IoUReport:
     confusion: np.ndarray = field(repr=False, compare=False, default=None)
 
 
+def _confusion(
+    gt: np.ndarray, pred: np.ndarray, spec: DatasetSpec, weights=None
+) -> np.ndarray:
+    """(num, num + 1) gt-by-pred category counts, without gt ignore pixels;
+    the sink column ``num`` absorbs pred pixels carrying the ignore label."""
+    if gt.min() < 0 or gt.max() > spec.max_known_label:
+        raise ValueError("gt map contains ids unknown to the dataset spec")
+    if pred.min() < 0 or pred.max() > spec.max_known_label:
+        raise ValueError("pred map contains ids unknown to the dataset spec")
+    num = spec.num_categories
+    channel_lut = np.full(spec.max_known_label + 1, num, dtype=np.int64)
+    channel_lut[np.asarray(spec.category_ids, dtype=np.int64)] = np.arange(num)
+    valid = gt != spec.ignore_label
+    code = channel_lut[gt[valid]] * (num + 1) + channel_lut[pred[valid]]
+    weights = None if weights is None else weights[valid]
+    return _sums(code, weights, num * (num + 1)).reshape(num, num + 1)
+
+
 def mean_iou(
     pred: np.ndarray,
     gt: np.ndarray,
@@ -278,24 +297,16 @@ def mean_iou(
         raise ValueError(f"pred shape {pred.shape} != gt shape {gt.shape}")
     if average_over not in ("present", "all"):
         raise ValueError(f"average_over must be 'present' or 'all', got {average_over!r}")
-    num = spec.num_categories
-    channel_lut = np.full(spec.max_known_label + 1, num, dtype=np.int64)
-    channel_lut[np.asarray(spec.category_ids, dtype=np.int64)] = np.arange(num)
-
-    gt_flat = gt.reshape(-1).astype(np.int64)
-    pred_flat = pred.reshape(-1).astype(np.int64)
-    if gt_flat.min() < 0 or gt_flat.max() > spec.max_known_label:
-        raise ValueError("gt map contains ids unknown to the dataset spec")
-    if pred_flat.min() < 0 or pred_flat.max() > spec.max_known_label:
-        raise ValueError("pred map contains ids unknown to the dataset spec")
-    valid = gt_flat != spec.ignore_label
-    gt_chan = channel_lut[gt_flat[valid]]
-    pred_chan = channel_lut[pred_flat[valid]]
-    # Sink channel `num` absorbs pred pixels carrying the ignore label.
-    confusion = np.bincount(
-        gt_chan * (num + 1) + pred_chan, minlength=num * (num + 1)
-    ).reshape(num, num + 1)
+    confusion = _confusion(*(m.reshape(-1).astype(np.int64) for m in (gt, pred)), spec)
     return _iou_report_from_confusion(confusion, spec, average_over)
+
+
+def miou_from_histogram(hist: JointHistogram, spec: DatasetSpec) -> IoUReport:
+    """:func:`mean_iou` of the category parts of a panoptic pair, from its
+    joint histogram."""
+    gt = hist.gt_ids[hist.gt_index] // spec.label_divisor
+    pred = hist.pred_ids[hist.pred_index] // spec.label_divisor
+    return _iou_report_from_confusion(_confusion(gt, pred, spec, hist.counts), spec)
 
 
 def _iou_report_from_confusion(
@@ -344,24 +355,48 @@ class ApReport:
     per_category: dict[int, float]
 
 
-def _mask_iou_matrix(
-    dt_masks: list[np.ndarray], gt_masks: list[np.ndarray], gt_crowd: list[bool]
-) -> np.ndarray:
-    ious = np.zeros((len(dt_masks), len(gt_masks)))
-    dt_areas = [int(m.sum()) for m in dt_masks]
-    gt_areas = [int(m.sum()) for m in gt_masks]
-    for j, gm in enumerate(gt_masks):
-        for i, dm in enumerate(dt_masks):
-            inter = int((dm & gm).sum())
-            if inter == 0:
-                ious[i, j] = 0.0
-            elif gt_crowd[j]:
-                # Crowd regions score against the detection area alone.
-                ious[i, j] = inter / dt_areas[i]
-            else:
-                union = dt_areas[i] + gt_areas[j] - inter
-                ious[i, j] = inter / union
-    return ious
+def _greedy_matches(
+    dt_cats, dt_scores, dt_area, gt_cats, gt_crowd, gt_area, inter_of, thresholds, max_dets
+) -> dict[int, dict]:
+    """Greedy per-category matching of one image's detections.
+
+    ``inter_of(i, j)`` is the pixel overlap of detection i and gt j; areas
+    are integer arrays. Per category, detections rank by descending score
+    and only the first ``max_dets`` count; regular gts go before crowds;
+    ties keep input order. At each threshold a detection takes the free
+    regular gt of highest IoU >= the threshold (the first on ties); failing
+    that, a crowd gt with IoU >= the threshold absorbs it as ignored.
+    """
+    out: dict[int, dict] = {}
+    for category in sorted(set(dt_cats) | set(gt_cats)):
+        dts = [i for i, c in enumerate(dt_cats) if c == category]
+        dts = sorted(dts, key=lambda i: -dt_scores[i])[:max_dets]
+        gts = [j for j, c in enumerate(gt_cats) if c == category]
+        gts = sorted(gts, key=lambda j: gt_crowd[j])
+        inter = np.array([[inter_of(i, j) for j in gts] for i in dts], dtype=np.int64)
+        inter = inter.reshape(len(dts), len(gts))
+        crowd, area = gt_crowd[gts], dt_area[dts][:, None]
+        # Crowd regions score against the detection area alone.
+        union = np.where(crowd, area, area + gt_area[gts] - inter)
+        ious = np.divide(inter, union, out=np.zeros(inter.shape), where=inter > 0)
+        # All thresholds at once: row t of ``free`` is the gt state at threshold t.
+        thresh = np.asarray(thresholds, dtype=np.float64)[:, None]
+        free = np.repeat(~crowd[None, :], thresh.shape[0], axis=0)
+        tp = np.zeros((thresh.shape[0], len(dts)), dtype=bool)
+        ignored = np.zeros_like(tp)
+        for di in range(len(dts) if gts else 0):  # argmax needs at least one gt
+            hits = ious[di] >= thresh
+            candidate = hits & free
+            tp[:, di] = candidate.any(axis=1)
+            best = np.where(candidate, ious[di], -1.0).argmax(axis=1)
+            free[tp[:, di], best[tp[:, di]]] = False
+            ignored[:, di] = ~tp[:, di] & (hits & crowd).any(axis=1)
+        scores = np.array([dt_scores[i] for i in dts], dtype=np.float64)
+        n_positive = int(np.count_nonzero(~crowd))
+        out[category] = {
+            "scores": scores, "tp": tp, "ignored": ignored, "n_positive": n_positive
+        }
+    return out
 
 
 def match_detections(
@@ -370,60 +405,49 @@ def match_detections(
     thresholds: Sequence[float] = DEFAULT_AP_THRESHOLDS,
     max_dets: int = 200,
 ) -> dict[int, dict]:
-    """Greedy per-category matching for one image.
+    """Greedy per-category matching for one image, on arbitrary masks.
 
     Returns, per category: detection scores in rank order, per-threshold tp
     flags and ignore flags (crowd absorptions), and the non-crowd gt count.
     The output is poolable across images before computing AP.
     """
-    categories = sorted(
-        set(int(c) for _, c, _ in preds) | set(int(c) for _, c, _ in gts)
+    dt_area = np.array([int(m.sum()) for m, _, _ in preds], dtype=np.int64)
+    gt_area = np.array([int(m.sum()) for m, _, _ in gts], dtype=np.int64)
+    crowd = np.array([bool(c) for _, _, c in gts], dtype=bool)
+    return _greedy_matches(
+        [int(c) for _, c, _ in preds], [float(s) for _, _, s in preds], dt_area,
+        [int(c) for _, c, _ in gts], crowd, gt_area,
+        lambda i, j: int((preds[i][0] & gts[j][0]).sum()), thresholds, max_dets,
     )
-    out: dict[int, dict] = {}
-    for category in categories:
-        dts = [(m, float(s)) for m, c, s in preds if int(c) == category]
-        order = sorted(range(len(dts)), key=lambda i: -dts[i][1])[:max_dets]
-        dts = [dts[i] for i in order]
-        cat_gts = [(m, bool(crowd)) for m, c, crowd in gts if int(c) == category]
-        # Regular gts take priority; crowds go last and only absorb.
-        cat_gts.sort(key=lambda g: g[1])
-        n_positive = sum(1 for _, crowd in cat_gts if not crowd)
 
-        ious = _mask_iou_matrix(
-            [m for m, _ in dts], [m for m, _ in cat_gts], [c for _, c in cat_gts]
-        )
-        n_thr = len(thresholds)
-        tp = np.zeros((n_thr, len(dts)), dtype=bool)
-        ignored = np.zeros((n_thr, len(dts)), dtype=bool)
-        for ti, t in enumerate(thresholds):
-            gt_taken = [False] * len(cat_gts)
-            for di in range(len(dts)):
-                best_iou = float(t)
-                best_gt = -1
-                for gi, (_, crowd) in enumerate(cat_gts):
-                    if gt_taken[gi] and not crowd:
-                        continue
-                    if best_gt >= 0 and not cat_gts[best_gt][1] and crowd:
-                        break  # already holding a regular match; crowds cannot displace it
-                    if ious[di, gi] < best_iou:
-                        continue
-                    if ious[di, gi] == best_iou and best_gt >= 0:
-                        continue  # ties keep the earliest gt
-                    best_iou = ious[di, gi]
-                    best_gt = gi
-                if best_gt >= 0:
-                    if cat_gts[best_gt][1]:
-                        ignored[ti, di] = True
-                    else:
-                        tp[ti, di] = True
-                        gt_taken[best_gt] = True
-        out[category] = {
-            "scores": np.array([s for _, s in dts], dtype=np.float64),
-            "tp": tp,
-            "ignored": ignored,
-            "n_positive": n_positive,
-        }
-    return out
+
+def ap_matches_from_histogram(
+    hist: JointHistogram,
+    spec: DatasetSpec,
+    scores: Mapping[int, float] | None = None,
+    max_dets: int = 200,
+) -> dict[int, dict]:
+    """:func:`match_detections` on the thing segments of a panoptic pair.
+
+    Detections are the pred thing segments with instance part >= 1, in
+    ascending id order; gts are the gt thing segments, instance part 0
+    marking crowd. ``scores`` maps instance index to confidence and must
+    hold every detection (``KeyError`` otherwise); without it every
+    detection scores 1.0.
+    """
+    pred_cats, pred_inst, pred_thing, _ = _segment_classes(hist.pred_ids, spec)
+    gt_cats, gt_inst, gt_thing, _ = _segment_classes(hist.gt_ids, spec)
+    dt, gt = np.flatnonzero(pred_thing & (pred_inst >= 1)), np.flatnonzero(gt_thing)
+    dt_scores = [1.0 if scores is None else float(scores[i]) for i in pred_inst[dt].tolist()]
+    pairs = zip(hist.pred_index.tolist(), hist.gt_index.tolist())
+    overlap = dict(zip(pairs, hist.counts.tolist()))
+    dt_list, gt_list = dt.tolist(), gt.tolist()
+    return _greedy_matches(
+        pred_cats[dt].tolist(), dt_scores, hist.pred_areas[dt],
+        gt_cats[gt].tolist(), gt_inst[gt] == 0, hist.gt_areas[gt],
+        lambda i, j: overlap.get((dt_list[i], gt_list[j]), 0),
+        DEFAULT_AP_THRESHOLDS, max_dets,
+    )
 
 
 def _average_precision(scores, tp, ignored, n_positive) -> float:
@@ -442,8 +466,7 @@ def _average_precision(scores, tp, ignored, n_positive) -> float:
     recall = tp_cum / n_positive
     precision = tp_cum / (tp_cum + fp_cum)
     # Precision envelope: best precision at any recall >= r.
-    for i in range(precision.size - 1, 0, -1):
-        precision[i - 1] = max(precision[i - 1], precision[i])
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
     recall_points = np.linspace(0.0, 1.0, 101)
     indices = np.searchsorted(recall, recall_points, side="left")
     sampled = np.zeros(101)

@@ -25,6 +25,7 @@ __all__ = [
     "round_trip_pq",
     "random_valid_map",
     "relative_error",
+    "histogram_mismatch",
 ]
 
 
@@ -148,6 +149,39 @@ def random_valid_map(
     blocks = rng.integers(0, len(choices), size=(height // 4 + 1, width // 4 + 1))
     grown = np.kron(blocks, np.ones((4, 4), dtype=np.int64))[:height, :width]
     return choices[grown]
+
+
+def histogram_mismatch(pred, gt, spec, scores=None, max_dets=200) -> str:
+    """Which joint-histogram result differs from its dense reference: the
+    mIoU report and confusion from ``mean_iou`` on the category maps, the AP
+    match tables (hence AP reports) from ``match_detections`` on
+    full-resolution masks ("" when both agree)."""
+    hist, div = metrics.joint_histogram(pred, gt), spec.label_divisor
+    got = metrics.miou_from_histogram(hist, spec)
+    want = metrics.mean_iou(pred // div, gt // div, spec)
+    if got != want or not _same_array(got.confusion, want.confusion):
+        return "mIoU differs from mean_iou"
+    dts, gts = [], []  # thing segments as full-resolution masks
+    for i in np.unique(pred).tolist():
+        if i // div in spec.thing_ids and i % div:
+            dts.append((pred == i, i // div, 1.0 if scores is None else scores[i % div]))
+    for i in np.unique(gt).tolist():
+        if i // div in spec.thing_ids:
+            gts.append((gt == i, i // div, i % div == 0))
+    got = metrics.ap_matches_from_histogram(hist, spec, scores, max_dets=max_dets)
+    want = metrics.match_detections(dts, gts, max_dets=max_dets)
+    if got.keys() != want.keys():
+        return "AP categories differ from match_detections on full-resolution masks"
+    for category, row in got.items():
+        if row["n_positive"] != want[category]["n_positive"] or not all(
+            _same_array(row[k], want[category][k]) for k in ("scores", "tp", "ignored")
+        ):
+            return f"AP match table of category {category} differs from match_detections"
+    return ""
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +376,21 @@ def _check_pq_identity(seed: int = 0, pairs: int = 100) -> str:
     return ""
 
 
+def _check_histogram_metrics(seed: int = 0, pairs: int = 100) -> str:
+    """Crowd, VOID, wrong categories, tied or absent scores, small max_dets."""
+    spec = make_spec(num_stuff=2, num_things=3)
+    rng = np.random.default_rng(seed)
+    for i in range(pairs):
+        gt, pred = random_valid_map(rng, spec), random_valid_map(rng, spec)
+        if i % 2:  # mostly the gt, so that IoUs spread over the thresholds
+            pred = np.where(rng.random(gt.shape) < 0.2, pred, gt)
+        scores = None if i % 3 == 0 else {k: 0.3 * rng.integers(1, 3) for k in (1, 2, 3)}
+        message = histogram_mismatch(pred, gt, spec, scores, max_dets=(1, 2, 200)[i % 3])
+        if message:
+            return f"pair {i}: {message}"
+    return ""
+
+
 def _check_score_modes(seed: int = 0, scenes: int = 5) -> str:
     for i in range(scenes):
         scene = random_scene(seed * 1000 + i, max_size=128)
@@ -373,6 +422,7 @@ PROPERTIES = (
     ("pq_formula", _check_pq_formula),
     ("pq_identity_and_uniqueness", _check_pq_identity),
     ("score_mode_invariance", _check_score_modes),
+    ("histogram_metrics", _check_histogram_metrics),
 )
 
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion. Tolerances are fixed here and nowhere else.
 """
 
+import json
 import math
 import time
 
@@ -208,6 +209,32 @@ def test_performance_budget():
     )
     assert total_s < 1.0, f"end-to-end {total_s:.3f}s exceeds 1.0s"
     assert merge_ms < 100.0, f"merge {merge_ms:.1f}ms exceeds 100ms"
+
+
+def test_eval_budget(tmp_path):
+    """eval --mode all --pred-scores on one 1025x2049 pair < 1.0 s."""
+    semantic, heatmap, offsets, spec = bench_inputs(1025, 2049, 200)
+    result = postprocess.panoptic_inference(semantic, heatmap, offsets, spec)
+    gt = result.panoptic.astype(np.uint32)
+    write_spec(spec, tmp_path / "spec.json")
+    write_tensor(gt, tmp_path / "gt.pdlt")
+    write_tensor(np.roll(gt, (3, -5), axis=(0, 1)), tmp_path / "pred.pdlt")
+    rows = [{"instance_index": r.instance_index, "score": r.score} for r in result.instances]
+    (tmp_path / "scores.json").write_text(json.dumps({"instances": rows}))
+    argv = ["eval", "--pred", str(tmp_path / "pred.pdlt"), "--gt", str(tmp_path / "gt.pdlt"),
+            "--spec", str(tmp_path / "spec.json"), "--mode", "all",
+            "--pred-scores", str(tmp_path / "scores.json"), "--report", str(tmp_path / "r.json")]
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert main(argv) == 0
+        times.append(time.perf_counter() - t0)
+    eval_s = sorted(times)[1]
+    print(
+        f"ACCEPTANCE eval_budget: {eval_s*1000:.0f} ms (budget 1000), "
+        f"{len(result.instances)} instances"
+    )
+    assert eval_s < 1.0, f"eval {eval_s:.3f}s exceeds 1.0s"
 
 
 def test_determinism_across_runs_and_threads(tmp_path):

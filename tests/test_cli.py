@@ -396,3 +396,27 @@ def test_eval_ap_uses_fuse_scores(scene_files):
     assert code == 0
     doc = json.loads(eval_path.read_text())
     assert "mean_ap" in doc["aggregate"]["ap"]
+
+
+def test_eval_pred_scores_missing_instance_exit_1(scene_files, capsys):
+    scene, gt_path, spec_path, tmp = scene_files
+    div = scene.spec.label_divisor
+    instances = sorted(
+        int(i) % div
+        for i in np.unique(scene.panoptic)
+        if int(i) // div in scene.spec.thing_ids and int(i) % div
+    )
+    missing = instances[-1]
+    scores_path = tmp / "partial_scores.json"
+    rows = [{"instance_index": k, "score": 0.5} for k in instances if k != missing]
+    scores_path.write_text(json.dumps({"instances": rows}))
+    argv = ["eval", "--pred", str(gt_path), "--gt", str(gt_path), "--spec", str(spec_path),
+            "--pred-scores", str(scores_path), "--report", str(tmp / "eval.json")]
+    for mode in ("ap", "all"):
+        assert main(argv + ["--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert f"instance index {missing}" in err
+        assert str(scores_path) in err
+    # PQ and mIoU never read the scores; without --pred-scores AP scores 1.0.
+    assert main(argv + ["--mode", "pq"]) == 0
+    assert main(argv[:7] + ["--mode", "ap", "--report", str(tmp / "eval.json")]) == 0

@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panopticore.metrics import (
+    DEFAULT_AP_THRESHOLDS,
+    _average_precision,
+    ap_matches_from_histogram,
     ap_report_from_matches,
     combine_miou,
     combine_pq,
+    joint_histogram,
     mask_ap,
     match_detections,
     match_segments,
     mean_iou,
     panoptic_quality,
+    pq_from_histogram,
+    pq_report_from_counts,
 )
-from panopticore.selftest import random_valid_map
+from panopticore.selftest import histogram_mismatch, random_valid_map
 from panopticore.synth import make_spec, random_scene
 
 SPEC = make_spec(num_stuff=2, num_things=2)
@@ -401,3 +408,220 @@ def test_metrics_independent_of_segment_enumeration():
     before = panoptic_quality(scene_a.panoptic, scene_a.panoptic, scene_a.spec)
     after = panoptic_quality(relabeled, scene_a.panoptic, scene_a.spec)
     assert before.all.pq == after.all.pq == 1.0
+
+
+# ---------------------------------------------------------------------------
+# joint histogram: one table feeds PQ, mIoU and AP
+
+
+def _reference_panoptic_quality(pred, gt, spec):
+    """PQ as computed before the joint histogram: a segment table per map, a
+    Python loop over the packed intersection codes, dict tallies."""
+    div = spec.label_divisor
+
+    def table(m):
+        ids, areas = np.unique(m.astype(np.int64), return_counts=True)
+        cats, inst = ids // div, ids % div
+        excl = (cats == spec.ignore_label) | (np.isin(cats, list(spec.thing_ids)) & (inst == 0))
+        return {int(i): (int(a), int(c), bool(e)) for i, a, c, e in zip(ids, areas, cats, excl)}
+
+    pred_tab, gt_tab = table(pred), table(gt)
+    scale = int(gt.max()) + 1
+    codes, counts = np.unique(pred.astype(np.int64) * scale + gt, return_counts=True)
+    inter = [(int(c) // scale, int(c) % scale, int(n)) for c, n in zip(codes, counts)]
+    void_overlap = dict.fromkeys(pred_tab, 0)
+    for p, g, a in inter:
+        if gt_tab[g][2]:
+            void_overlap[p] += a
+    dropped = {p for p, (area, _, e) in pred_tab.items() if e or 2 * void_overlap[p] > area}
+    matches = []
+    for p, g, a in inter:
+        (p_area, p_cat, _), (g_area, g_cat, g_excl) = pred_tab[p], gt_tab[g]
+        if g_excl or p in dropped or p_cat != g_cat:
+            continue
+        iou = a / (p_area + g_area - a - void_overlap[p])
+        if iou > 0.5:
+            matches.append((p, g, iou))
+    counts = {}
+    for p, _, iou in matches:
+        b = counts.setdefault(pred_tab[p][1], [0, 0, 0, 0.0])
+        b[0] += 1
+        b[3] += iou
+    for p, (_, cat, _) in pred_tab.items():
+        if p not in dropped and p not in {m[0] for m in matches}:
+            counts.setdefault(cat, [0, 0, 0, 0.0])[1] += 1
+    for g, (_, cat, excl) in gt_tab.items():
+        if not excl and g not in {m[1] for m in matches}:
+            counts.setdefault(cat, [0, 0, 0, 0.0])[2] += 1
+    return pq_report_from_counts({c: tuple(v) for c, v in counts.items()}, spec)
+
+
+HIST_SPEC = make_spec(num_stuff=2, num_things=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(4, 24), st.integers(4, 24)),
+    mix=st.sampled_from([0.0, 0.2, 1.0]),
+    score_values=st.sampled_from([None, (0.5,), (0.3, 0.6), (0.1, 0.4, 0.7, 0.9)]),
+    max_dets=st.sampled_from([1, 2, 200]),
+)
+def test_histogram_metrics_equal_dense_references(seed, shape, mix, score_values, max_dets):
+    """Crowd, VOID and wrong categories come from random_valid_map; ties from
+    few score values; no scores; max_dets below a category's detections."""
+    spec = HIST_SPEC
+    rng = np.random.default_rng(seed)
+    gt = random_valid_map(rng, spec, *shape)
+    pred = np.where(rng.random(shape) < mix, random_valid_map(rng, spec, *shape), gt)
+    scores = None
+    if score_values is not None:
+        scores = {k: float(rng.choice(score_values)) for k in range(1, 4)}
+    hist = joint_histogram(pred, gt)
+
+    for ids, areas, m in ((hist.pred_ids, hist.pred_areas, pred), (hist.gt_ids, hist.gt_areas, gt)):
+        want_ids, want_areas = np.unique(m, return_counts=True)
+        assert np.array_equal(ids, want_ids) and np.array_equal(areas, want_areas)
+
+    assert pq_from_histogram(hist, spec) == _reference_panoptic_quality(pred, gt, spec)
+    assert panoptic_quality(pred, gt, spec) == _reference_panoptic_quality(pred, gt, spec)
+    # mIoU report and confusion, AP match tables field for field.
+    assert histogram_mismatch(pred, gt, spec, scores, max_dets) == ""
+
+
+def test_histogram_ap_scores_required_for_every_detection():
+    gt = np.full((8, 8), STUFF[0] * DIV, dtype=np.int64)
+    gt[0:4, 0:4] = THING[0] * DIV + 1
+    pred = gt.copy()
+    pred[4:8, 4:8] = THING[1] * DIV + 2
+    hist = joint_histogram(pred, gt)
+    with pytest.raises(KeyError):
+        ap_matches_from_histogram(hist, SPEC, {1: 0.9})
+    unscored = ap_matches_from_histogram(hist, SPEC)
+    assert unscored[THING[0]]["scores"].tolist() == [1.0]
+
+
+@pytest.mark.parametrize(
+    "offset",
+    [-(2**40), 2**40],  # negative ids; ids too large to pack into one int64 code
+)
+def test_joint_histogram_pair_rows_fallback(offset):
+    rng = np.random.default_rng(11)
+    pred = rng.integers(0, 4, size=(6, 7)) + offset
+    gt = rng.integers(0, 5, size=(6, 7)) * (2**31)
+    hist = joint_histogram(pred, gt)
+    want = {}
+    for p, g in zip(pred.reshape(-1).tolist(), gt.reshape(-1).tolist()):
+        want[(p, g)] = want.get((p, g), 0) + 1
+    got = {
+        (int(hist.pred_ids[p]), int(hist.gt_ids[g])): int(n)
+        for p, g, n in zip(hist.pred_index, hist.gt_index, hist.counts)
+    }
+    assert got == want
+    assert list(got) == sorted(want)  # ascending (pred id, gt id) order
+
+
+def test_pq_duplicate_match_raises_runtime_error():
+    """The uniqueness invariant is an explicit check that survives python -O."""
+    gt = np.full((4, 4), STUFF[0] * DIV, dtype=np.int64)
+    hist = joint_histogram(gt.copy(), gt)
+    doubled = type(hist)(
+        hist.pred_ids, hist.pred_areas, hist.gt_ids, hist.gt_areas,
+        np.repeat(hist.pred_index, 2), np.repeat(hist.gt_index, 2), np.repeat(hist.counts, 2),
+    )
+    with pytest.raises(RuntimeError, match="duplicate segment"):
+        pq_from_histogram(doubled, SPEC)
+
+
+def _reference_match_detections(preds, gts, thresholds, max_dets):
+    """The per-threshold, per-detection, per-gt loop that the vectorized
+    greedy matching replaced."""
+    out = {}
+    for category in sorted({c for _, c, _ in preds} | {c for _, c, _ in gts}):
+        dts = [(m, float(s)) for m, c, s in preds if c == category]
+        dts = [dts[i] for i in sorted(range(len(dts)), key=lambda i: -dts[i][1])[:max_dets]]
+        cat_gts = sorted([(m, bool(k)) for m, c, k in gts if c == category], key=lambda g: g[1])
+        ious = np.zeros((len(dts), len(cat_gts)))
+        for i, (dm, _) in enumerate(dts):
+            for j, (gm, crowd) in enumerate(cat_gts):
+                inter = int((dm & gm).sum())
+                if inter:
+                    union = int(dm.sum()) if crowd else int(dm.sum()) + int(gm.sum()) - inter
+                    ious[i, j] = inter / union
+        tp = np.zeros((len(thresholds), len(dts)), dtype=bool)
+        ignored = np.zeros_like(tp)
+        for ti, t in enumerate(thresholds):
+            taken = [False] * len(cat_gts)
+            for di in range(len(dts)):
+                best_iou, best = float(t), -1
+                for gi, (_, crowd) in enumerate(cat_gts):
+                    if taken[gi] and not crowd:
+                        continue
+                    if best >= 0 and not cat_gts[best][1] and crowd:
+                        break
+                    if ious[di, gi] < best_iou or (ious[di, gi] == best_iou and best >= 0):
+                        continue
+                    best_iou, best = ious[di, gi], gi
+                if best >= 0 and cat_gts[best][1]:
+                    ignored[ti, di] = True
+                elif best >= 0:
+                    tp[ti, di] = taken[best] = True
+        out[category] = {
+            "scores": np.array([s for _, s in dts], dtype=np.float64),
+            "tp": tp,
+            "ignored": ignored,
+            "n_positive": sum(1 for _, crowd in cat_gts if not crowd),
+        }
+    return out
+
+
+def test_greedy_matching_equals_reference_loop():
+    """Tiny masks make IoU ties, crowd absorptions and truncation common."""
+    rng = np.random.default_rng(2024)
+    thresholds_sets = (DEFAULT_AP_THRESHOLDS, (0.0, 0.25, 0.5), (1 / 3, 2 / 3, 1.0))
+    for case in range(600):
+        preds = [
+            (rng.random((3, 3)) < rng.uniform(0.1, 0.9), int(rng.integers(0, 3)),
+             float(rng.choice([0.2, 0.5, 0.9])))
+            for _ in range(rng.integers(0, 7))
+        ]
+        gts = [
+            (rng.random((3, 3)) < rng.uniform(0.1, 0.9), int(rng.integers(0, 3)),
+             bool(rng.random() < 0.3))
+            for _ in range(rng.integers(0, 7))
+        ]
+        thresholds = thresholds_sets[case % 3]
+        max_dets = int(rng.choice([1, 2, 200]))
+        got = match_detections(preds, gts, thresholds, max_dets)
+        want = _reference_match_detections(preds, gts, thresholds, max_dets)
+        assert got.keys() == want.keys()
+        for category, row in got.items():
+            assert row["n_positive"] == want[category]["n_positive"]
+            for key in ("scores", "tp", "ignored"):
+                assert np.array_equal(row[key], want[category][key]), (case, category, key)
+
+
+def test_precision_envelope_equals_reference_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        scores = rng.choice([0.1, 0.5, 0.9], size=n)
+        tp = rng.random(n) < 0.5
+        ignored = rng.random(n) < 0.2
+        n_positive = int(rng.integers(1, 10))
+        # Reference: the explicit backward loop over the sorted detections.
+        keep = ~ignored
+        ranked = tp[keep][np.argsort(-scores[keep], kind="stable")]
+        if ranked.size:
+            tp_cum = np.cumsum(ranked)
+            recall = tp_cum / n_positive
+            precision = tp_cum / (tp_cum + np.cumsum(~ranked))
+            for i in range(precision.size - 1, 0, -1):
+                precision[i - 1] = max(precision[i - 1], precision[i])
+            idx = np.searchsorted(recall, np.linspace(0.0, 1.0, 101), side="left")
+            sampled = np.zeros(101)
+            sampled[idx < precision.size] = precision[idx[idx < precision.size]]
+            want = float(sampled.mean())
+        else:
+            want = 0.0
+        assert _average_precision(scores, tp, ignored, n_positive) == want
