@@ -125,9 +125,17 @@ def _postproc_params(args) -> postprocess.PostprocParams:
 
 def cmd_fuse(args) -> int:
     spec = _load_spec(args.spec)
+    if args.top_k >= spec.label_divisor:
+        raise ValueError(
+            f"--top-k {args.top_k} must be below the spec's label_divisor "
+            f"{spec.label_divisor}, which bounds the instance part of a panoptic id"
+        )
     semantic = tensor_io.read_tensor(args.semantic)
     heatmap = tensor_io.read_tensor(args.heatmap)
     offsets = tensor_io.read_tensor(args.offsets)
+    for name, grid in (("heatmap", heatmap), ("offsets", offsets)):
+        if not np.isfinite(grid).all():
+            raise ValueError(f"{name} contains non-finite values")
     if semantic.ndim == 2:
         semantic = semantic.astype(np.int64)
         _require_valid(semantic, spec, "semantic")
@@ -294,7 +302,7 @@ def cmd_bench(args) -> int:
         t4 = time.perf_counter()
         merged = postprocess.merge_panoptic(semantic, instance_ids, spec)
         t5 = time.perf_counter()
-        postprocess.filter_small_stuff(merged, spec, threshold=2048)
+        postprocess.filter_small_stuff(merged, spec, threshold=params.stuff_area_threshold)
         t6 = time.perf_counter()
         result = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params)
         t7 = time.perf_counter()
@@ -310,7 +318,6 @@ def cmd_bench(args) -> int:
         "dims": [args.height, args.width],
         "centers": args.centers,
         "repetitions": args.repetitions,
-        "threads": args.threads,
         "panoptic_sha256": digest,
         "stages_ms": {
             name: {
@@ -395,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=2049)
     p.add_argument("--centers", type=int, default=200)
     p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_bench)

@@ -37,8 +37,9 @@ __all__ = [
 
 SCORE_MODES = ("objectness", "class", "product")
 
-# Pixel-chunk size for the grouping scan; keeps the working set in cache.
-_GROUP_CHUNK = 65536
+# Side of the square source-pixel tiles whose candidate centers
+# group_pixels prunes together.
+_GROUP_TILE = 32
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,37 @@ def thing_mask_from_semantic(semantic: np.ndarray, spec: DatasetSpec) -> np.ndar
     return spec.thing_lookup(semantic)
 
 
+def _tile_candidates(
+    box_min: np.ndarray, box_max: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    """(tiles, centers) mask of the centers that can be nearest in each tile.
+
+    ``box_min`` and ``box_max`` are (2, tiles) corners of each tile's box of
+    landing points and ``centers`` is (2, K), rows first, then columns.
+    ``lo`` is the squared distance from a center to the box, ``hi`` the
+    squared distance to its far corner, both computed as
+    ``(r - c)**2 + (col - cc)**2`` exactly like the grouping loop. Rounding
+    is monotone, so for every landing point in the box a center's computed
+    distance lies in [lo, hi]. A center with ``lo`` above the smallest ``hi``
+    is strictly farther than that center from every point of the tile: it can
+    neither win nor tie, and dropping it leaves the output unchanged.
+    """
+    low, high, c = box_min[:, :, None], box_max[:, :, None], centers[:, None, :]
+    near = np.minimum(np.maximum(c, low), high) - c
+    far = np.maximum(np.abs(low - c), np.abs(high - c))
+    near *= near
+    far *= far
+    lo = near[0] + near[1]
+    hi = far[0] + far[1]
+    return lo <= hi.min(axis=1, keepdims=True)
+
+
+def _tile_major(band: np.ndarray, tile: int) -> np.ndarray:
+    """(h, tiles * tile) band -> (tiles, h * tile) copy, one row per tile."""
+    height = band.shape[0]
+    return band.reshape(height, -1, tile).transpose(1, 0, 2).reshape(-1, height * tile)
+
+
 def group_pixels(
     centers: Sequence[InstanceCenter],
     offsets: np.ndarray,
@@ -146,6 +178,12 @@ def group_pixels(
     the index of the center minimizing squared Euclidean distance to the
     landing point, ties going to the lowest center index. Non-thing pixels
     and pixels with no centers available get 0. Returns int32 (H, W).
+
+    The search is exact but pruned: pixels are taken in square tiles of the
+    source grid, and each tile is compared only with the centers that could
+    be nearest to some point of its landing-point box (see
+    :func:`_tile_candidates`). Raises ValueError if a landing point or a
+    center coordinate is not finite.
     """
     if offsets.ndim != 3 or offsets.shape[2] != 2:
         raise ValueError(f"offsets must be (H, W, 2), got shape {offsets.shape}")
@@ -157,37 +195,70 @@ def group_pixels(
     instance_ids = np.zeros((height, width), dtype=np.int32)
     if not centers:
         return instance_ids
-    flat = np.flatnonzero(thing_mask.reshape(-1))
-    if flat.size == 0:
-        return instance_ids
-    flat_offsets = offsets.reshape(-1, 2)
-    landing_row = flat // width + flat_offsets[flat, 0].astype(np.float64)
-    landing_col = flat % width + flat_offsets[flat, 1].astype(np.float64)
-    center_rows = np.array([c.row for c in centers], dtype=np.float64)
-    center_cols = np.array([c.col for c in centers], dtype=np.float64)
+    center_coords = np.array([(c.row, c.col) for c in centers], dtype=np.float64).T
+    if not np.isfinite(center_coords).all():
+        raise ValueError("center coordinates must be finite")
+    center_rows, center_cols = center_coords
+    tile = _GROUP_TILE
+    padded = -(-width // tile) * tile
+    col_index = np.arange(padded, dtype=np.float64)
+    # Per-tile scratch, allocated once.
+    dist = np.empty(tile * tile, dtype=np.float64)
+    tmp = np.empty(tile * tile, dtype=np.float64)
+    best = np.empty(tile * tile, dtype=np.float64)
+    closer = np.empty(tile * tile, dtype=bool)
 
-    best_index = np.empty(flat.size, dtype=np.int32)
-    dist = np.empty(_GROUP_CHUNK, dtype=np.float64)
-    tmp = np.empty(_GROUP_CHUNK, dtype=np.float64)
-    for start in range(0, flat.size, _GROUP_CHUNK):
-        end = min(start + _GROUP_CHUNK, flat.size)
-        n = end - start
-        rows_chunk = landing_row[start:end]
-        cols_chunk = landing_col[start:end]
-        best = np.full(n, np.inf)
-        index = np.zeros(n, dtype=np.int32)
-        d, t = dist[:n], tmp[:n]
-        for k in range(len(centers)):
-            np.subtract(rows_chunk, center_rows[k], out=d)
-            np.multiply(d, d, out=d)
-            np.subtract(cols_chunk, center_cols[k], out=t)
-            np.multiply(t, t, out=t)
-            np.add(d, t, out=d)
-            closer = d < best
-            best[closer] = d[closer]
-            index[closer] = k
-        best_index[start:end] = index
-    instance_ids.reshape(-1)[flat] = best_index + 1
+    # One band of tile rows at a time, padded to whole tiles and laid out
+    # tile-major. Every band's arrays have the same size; variable-size
+    # band arrays fragmented the heap and raised peak RSS.
+    for top in range(0, height, tile):
+        h = min(tile, height - top)
+        band_mask = np.zeros((h, padded), dtype=bool)
+        band_mask[:, :width] = thing_mask[top : top + h]
+        mask = _tile_major(band_mask, tile)
+        occupied = mask.any(axis=1)
+        if not occupied.any():
+            continue
+        # Landing points; cells off the thing mask get a zero offset.
+        rows = np.zeros((h, padded), dtype=np.float64)
+        cols = np.zeros((h, padded), dtype=np.float64)
+        on_mask = band_mask[:, :width]
+        np.copyto(rows[:, :width], offsets[top : top + h, :, 0], where=on_mask)
+        np.copyto(cols[:, :width], offsets[top : top + h, :, 1], where=on_mask)
+        rows += np.arange(top, top + h, dtype=np.float64)[:, None]
+        cols += col_index
+        rows, cols = _tile_major(rows, tile), _tile_major(cols, tile)
+        box = np.empty((2, 2, mask.shape[0]))
+        for axis, points in enumerate((rows, cols)):
+            box[0, axis] = np.where(mask, points, np.inf).min(axis=1)
+            box[1, axis] = np.where(mask, points, -np.inf).max(axis=1)
+        # min/max propagate NaN, so an occupied tile's box is finite iff
+        # every landing point in it is.
+        if not np.isfinite(box[:, :, occupied]).all():
+            raise ValueError("offsets give non-finite landing points")
+        keep = _tile_candidates(box[0], box[1], center_coords)
+
+        # Thing cells start at their tile's lowest kept center; tiles with
+        # more candidates run the distance loop over them in ascending order.
+        ids = (keep.argmax(axis=1).astype(np.int32) + 1)[:, None] * mask
+        n = h * tile
+        d, t, b, c = dist[:n], tmp[:n], best[:n], closer[:n]
+        for i in np.flatnonzero(occupied & (np.count_nonzero(keep, axis=1) > 1)).tolist():
+            tile_ids = ids[i]
+            b.fill(np.inf)
+            for k in np.flatnonzero(keep[i]).tolist():
+                np.subtract(rows[i], center_rows[k], out=d)
+                np.multiply(d, d, out=d)
+                np.subtract(cols[i], center_cols[k], out=t)
+                np.multiply(t, t, out=t)
+                np.add(d, t, out=d)
+                np.less(d, b, out=c)
+                np.copyto(b, d, where=c)
+                np.copyto(tile_ids, k + 1, where=c)
+            tile_ids *= mask[i]
+        instance_ids[top : top + h] = (
+            ids.reshape(-1, h, tile).transpose(1, 0, 2).reshape(h, padded)[:, :width]
+        )
     return instance_ids
 
 

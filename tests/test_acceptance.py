@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from panopticore import metrics, postprocess, targets
 from panopticore.cli import main
@@ -83,6 +84,13 @@ def test_grouping_oracle_exhaustive_and_random():
         mismatches += not np.array_equal(got, want)
     assert mismatches == 0, f"{mismatches} random mismatches"
     report("grouping_oracle", "65536 exhaustive + 1000 random cases, zero mismatches")
+
+
+@pytest.mark.parametrize("tile", [1, 2, 3])
+def test_grouping_oracle_with_small_tiles(monkeypatch, tile):
+    """The grouping oracle cases again, pruning centers over many tiny tiles."""
+    monkeypatch.setattr(postprocess, "_GROUP_TILE", tile)
+    test_grouping_oracle_exhaustive_and_random()
 
 
 def test_nms_oracle_1000_cases():
@@ -209,6 +217,22 @@ def test_performance_budget():
     )
     assert total_s < 1.0, f"end-to-end {total_s:.3f}s exceeds 1.0s"
     assert merge_ms < 100.0, f"merge {merge_ms:.1f}ms exceeds 100ms"
+
+
+def test_probability_input_budget():
+    """Full inference on a (1025, 2049, 19) f32 probability grid < 1.0 s."""
+    semantic, heatmap, offsets, spec = bench_inputs(1025, 2049, 200)
+    channel = np.searchsorted(np.asarray(spec.category_ids), semantic)
+    probs = np.zeros(semantic.shape + (spec.num_categories,), dtype=np.float32)
+    np.put_along_axis(probs, channel[..., None], np.float32(1.0), axis=2)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        postprocess.panoptic_inference(probs, heatmap, offsets, spec)
+        times.append(time.perf_counter() - t0)
+    total_s = sorted(times)[1]
+    print(f"ACCEPTANCE probability_budget: end_to_end {total_s*1000:.0f} ms (budget 1000)")
+    assert total_s < 1.0, f"probability-input inference {total_s:.3f}s exceeds 1.0s"
 
 
 def test_eval_budget(tmp_path):

@@ -194,6 +194,43 @@ def test_fuse_dim_mismatch_exit_1(scene_files):
     assert run_fuse(targets_dir, spec_path, tmp / "o.pdlt", tmp / "r.json") == 1
 
 
+@pytest.mark.parametrize(
+    "field, value", [("offsets", np.nan), ("offsets", np.inf), ("heatmap", np.nan)]
+)
+def test_fuse_non_finite_input_exit_1(scene_files, capsys, field, value):
+    scene, gt_path, spec_path, tmp = scene_files
+    targets_dir = tmp / "targets"
+    assert run_targets(gt_path, spec_path, targets_dir) == 0
+    thing_mask = read_tensor(targets_dir / TARGET_FILES["thing_mask"]).astype(bool)
+    row, col = np.argwhere(thing_mask)[0]
+    path = targets_dir / TARGET_FILES[field]
+    grid = read_tensor(path).copy()
+    grid[row, col] = value
+    write_tensor(grid, path)
+    capsys.readouterr()
+    assert run_fuse(targets_dir, spec_path, tmp / "o.pdlt", tmp / "r.json") == 1
+    assert f"{field} contains non-finite values" in capsys.readouterr().err
+
+
+def test_fuse_top_k_not_below_label_divisor_exit_1(scene_files, capsys):
+    scene, gt_path, spec_path, tmp = scene_files
+    divisor = scene.spec.label_divisor
+    absent = str(tmp / "absent.pdlt")
+    # Rejected before any tensor is read: the absent inputs would exit 2.
+    code = main(
+        ["fuse", "--semantic", absent, "--heatmap", absent, "--offsets", absent,
+         "--spec", str(spec_path), "--out", str(tmp / "o.pdlt"),
+         "--top-k", str(divisor)]
+    )
+    assert code == 1
+    assert f"--top-k {divisor}" in capsys.readouterr().err
+    targets_dir = tmp / "targets"
+    assert run_targets(gt_path, spec_path, targets_dir) == 0
+    assert run_fuse(
+        targets_dir, spec_path, tmp / "o.pdlt", tmp / "r.json", "--top-k", str(divisor - 1)
+    ) == 0
+
+
 def test_eval_identical_maps(scene_files, tmp_path):
     scene, gt_path, spec_path, tmp = scene_files
     report_path = tmp / "eval.json"

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from panopticore import postprocess
 from panopticore.core import InstanceCenter, decode_panoptic_id
 from panopticore.postprocess import (
     PanopticResult,
@@ -228,6 +231,73 @@ def test_group_permutation_invariant_partition():
         if len(dists) > 1 and dists[0] == dists[1]:
             untied[r, c] = False
     assert np.array_equal(base[untied], mapped[untied])
+
+
+@st.composite
+def adversarial_grouping(draw):
+    """Small grids whose geometry stresses the per-tile center pruning."""
+    tile = draw(st.sampled_from([1, 2, 3, 5, 32]))
+    height, width = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    mask = draw(hnp.arrays(np.bool_, (height, width)))
+    # Integer or half-integer steps keep every distance exact, so ties are
+    # common; the large scales land far outside the grid, beyond its size.
+    scale = draw(st.sampled_from([0.5, 1.0, 64.0, 1e4]))
+    steps = draw(hnp.arrays(np.int8, (height, width, 2), elements=st.integers(-4, 4)))
+    offsets = (steps * scale).astype(np.float32)
+    if draw(st.booleans()):
+        # Every center inside one tile.
+        coord = st.integers(0, tile - 1)
+    else:
+        coord = st.integers(-12, 22)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    centers = [InstanceCenter(float(r), float(c)) for r, c in points]
+    # Mirror a center around a pixel's landing point: an exact tie there.
+    for k, pixel in draw(
+        st.lists(
+            st.tuples(st.integers(0, len(centers) - 1), st.integers(0, height * width - 1)),
+            max_size=3,
+        )
+    ):
+        r, c = divmod(pixel, width)
+        landing_row = r + float(offsets[r, c, 0])
+        landing_col = c + float(offsets[r, c, 1])
+        centers.append(
+            InstanceCenter(2 * landing_row - centers[k].row, 2 * landing_col - centers[k].col)
+        )
+    duplicates = draw(st.lists(st.integers(0, len(centers) - 1), max_size=2))
+    centers += [centers[k] for k in duplicates]
+    order = draw(st.permutations(range(len(centers))))
+    return tile, [centers[k] for k in order], offsets, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=adversarial_grouping())
+def test_group_pruned_tiles_equal_oracle(case):
+    tile, centers, offsets, mask = case
+    with mock.patch.object(postprocess, "_GROUP_TILE", tile):
+        got = group_pixels(centers, offsets, mask)
+    assert np.array_equal(got, group_oracle(centers, offsets, mask))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_group_non_finite_landing_point_rejected(value):
+    mask = np.zeros((40, 40), dtype=bool)
+    mask[35, 38] = True
+    offsets = np.zeros((40, 40, 2), dtype=np.float32)
+    offsets[35, 38, 1] = value
+    with pytest.raises(ValueError, match="non-finite landing points"):
+        group_pixels([InstanceCenter(2, 2), InstanceCenter(30, 30)], offsets, mask)
+    # Offsets of non-thing pixels never land anywhere.
+    mask[35, 38] = False
+    mask[0, 0] = True
+    assert group_pixels([InstanceCenter(2, 2)], offsets, mask)[0, 0] == 1
+
+
+def test_group_non_finite_center_rejected():
+    offsets = np.zeros((4, 4, 2), dtype=np.float32)
+    with pytest.raises(ValueError, match="center coordinates"):
+        group_pixels([InstanceCenter(1, 1), InstanceCenter(np.nan, 2)], offsets,
+                     np.ones((4, 4), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
