@@ -45,9 +45,25 @@ class LossValue:
     gradient: np.ndarray | None = None
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+# Grid pixels per block of the per-pixel cross-entropy: a (4096, 19) float64
+# block stays in a core's L2 cache, and temporaries of one fixed size keep
+# peak RSS from depending on heap layout.
+_CE_BLOCK = 4096
+
+
+def _shifted_logits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 ``rows`` minus each row's max, and the log of each row's
+    softmax denominator. Raises on NaN/inf logits."""
+    x = rows.astype(np.float64)
+    peak = x[:, 0].copy()
+    for column in x.T[1:]:
+        np.maximum(peak, column, out=peak)  # exact, like the row max
+    if not np.isfinite(peak).all():  # NaN and +inf reach the max
+        raise ValueError("logits must be finite (no NaN or inf)")
+    x -= peak[:, None]
+    if x.min() == -np.inf:  # -inf, or a row wider than the float64 range
+        raise ValueError("logits must be finite, each pixel's range below the float64 max")
+    return x, np.log(np.exp(x).sum(axis=1))
 
 
 def weighted_bootstrapped_ce(
@@ -64,7 +80,7 @@ def weighted_bootstrapped_ce(
     ``ignore_label``. Per-pixel loss is weight * -log softmax(logits)[label];
     K = ceil(top_k_fraction * #valid), ties at the K-th largest loss resolved
     in row-major order. The gradient (w.r.t. logits) is nonzero only at
-    selected pixels.
+    selected pixels. NaN or inf anywhere in ``logits`` or ``weights`` raises.
     """
     if logits.ndim != 3:
         raise ValueError(f"logits must be (H, W, C), got shape {logits.shape}")
@@ -76,36 +92,56 @@ def weighted_bootstrapped_ce(
         raise ValueError(f"top_k_fraction must be in (0, 1], got {top_k_fraction}")
 
     num_classes = logits.shape[2]
-    flat_logits = logits.reshape(-1, num_classes).astype(np.float64)
+    flat_logits = logits.reshape(-1, num_classes)
     flat_labels = labels.reshape(-1).astype(np.int64)
     flat_weights = weights.reshape(-1).astype(np.float64)
+    if not np.isfinite(flat_weights).all():
+        raise ValueError("weights must be finite (no NaN or inf)")
     if (flat_weights < 0).any():
         raise ValueError("weights must be >= 0")
 
-    valid = np.flatnonzero(flat_labels != ignore_label)
-    if valid.size == 0:
+    ignored = flat_labels == ignore_label
+    num_valid = ignored.size - int(np.count_nonzero(ignored))
+    if num_valid == 0:
         raise ValueError("all pixels carry the ignore label; loss undefined")
-    valid_labels = flat_labels[valid]
-    if valid_labels.min() < 0 or valid_labels.max() >= num_classes:
+    picked = np.where(ignored, 0, flat_labels)
+    if picked.min() < 0 or picked.max() >= num_classes:
         raise ValueError("labels contain indices outside [0, num_classes)")
 
-    log_probs = _log_softmax(flat_logits[valid])
-    pixel_loss = -flat_weights[valid] * log_probs[np.arange(valid.size), valid_labels]
+    # Per-pixel loss, the same float64 steps per row as a whole-grid softmax.
+    pixel_loss = np.empty(flat_labels.size)
+    for start in range(0, flat_labels.size, _CE_BLOCK):
+        block = slice(start, start + _CE_BLOCK)
+        x, log_norm = _shifted_logits(flat_logits[block])
+        log_prob = x[np.arange(len(x)), picked[block]] - log_norm
+        pixel_loss[block] = -flat_weights[block] * log_prob
+    pixel_loss[ignored] = -np.inf  # below every valid loss, which is >= 0
 
-    k = max(1, int(np.ceil(top_k_fraction * valid.size)))
-    # Sort by descending loss; equal losses keep row-major order.
-    order = np.lexsort((valid, -pixel_loss))
-    selected = order[:k]
-    value = float(pixel_loss[selected].mean(dtype=np.float64))
+    k = max(1, int(np.ceil(top_k_fraction * num_valid)))
+    kth = pixel_loss.size - k
+    threshold = np.partition(pixel_loss, kth)[kth]  # K-th largest loss
+    selected = pixel_loss > threshold
+    ties = np.flatnonzero(pixel_loss == threshold)
+    selected[ties[: k - int(np.count_nonzero(selected))]] = True  # row-major
+    rows = np.flatnonzero(selected)
+    # A full sort by (-loss, row) orders equal losses by row. Equal losses
+    # are equal terms, apart from +0 and -0, which leave any sum they join
+    # unchanged; so the selected values in descending order give the same
+    # float64 mean.
+    descending = -np.sort(-pixel_loss[rows])
+    value = float(descending.mean(dtype=np.float64))
 
     gradient = None
     if with_gradient:
-        gradient = np.zeros_like(flat_logits)
-        sel_rows = valid[selected]
-        probs = np.exp(log_probs[selected])
-        probs[np.arange(selected.size), valid_labels[selected]] -= 1.0
-        probs *= (flat_weights[sel_rows] / k)[:, None]
-        gradient[sel_rows] = probs
+        gradient = np.zeros((flat_labels.size, num_classes))
+        for start in range(0, rows.size, _CE_BLOCK):
+            block = rows[start : start + _CE_BLOCK]
+            x, log_norm = _shifted_logits(flat_logits[block])
+            x -= log_norm[:, None]
+            probs = np.exp(x, out=x)
+            probs[np.arange(block.size), flat_labels[block]] -= 1.0
+            probs *= (flat_weights[block] / k)[:, None]
+            gradient[block] = probs
         gradient = gradient.reshape(logits.shape)
     return LossValue(value=value, gradient=gradient)
 

@@ -21,6 +21,7 @@ __all__ = [
     "run_selftest",
     "nms_oracle",
     "group_oracle",
+    "bootstrapped_ce_oracle",
     "exact_inputs",
     "round_trip_pq",
     "random_valid_map",
@@ -79,6 +80,73 @@ def topk_ce_oracle(per_pixel_losses: np.ndarray, fraction: float) -> float:
     k = max(1, int(np.ceil(fraction * per_pixel_losses.size)))
     ordered = np.sort(per_pixel_losses)[::-1]
     return float(ordered[:k].mean(dtype=np.float64))
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def bootstrapped_ce_oracle(
+    logits: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    ignore_label: int,
+    top_k_fraction: float = 0.15,
+    with_gradient: bool = True,
+) -> losses.LossValue:
+    """``losses.weighted_bootstrapped_ce`` as first written: whole-grid
+    float64 copies and a full (-loss, row) lexsort. Weighted cross-entropy
+    averaged over the hardest top-K pixels.
+
+    ``logits`` is (H, W, C); ``labels`` holds channel indices in [0, C) or
+    ``ignore_label``. Per-pixel loss is weight * -log softmax(logits)[label];
+    K = ceil(top_k_fraction * #valid), ties at the K-th largest loss resolved
+    in row-major order. The gradient (w.r.t. logits) is nonzero only at
+    selected pixels.
+    """
+    if logits.ndim != 3:
+        raise ValueError(f"logits must be (H, W, C), got shape {logits.shape}")
+    if labels.shape != logits.shape[:2]:
+        raise ValueError(f"labels shape {labels.shape} != logits grid {logits.shape[:2]}")
+    if weights.shape != labels.shape:
+        raise ValueError(f"weights shape {weights.shape} != labels shape {labels.shape}")
+    if not 0 < top_k_fraction <= 1:
+        raise ValueError(f"top_k_fraction must be in (0, 1], got {top_k_fraction}")
+
+    num_classes = logits.shape[2]
+    flat_logits = logits.reshape(-1, num_classes).astype(np.float64)
+    flat_labels = labels.reshape(-1).astype(np.int64)
+    flat_weights = weights.reshape(-1).astype(np.float64)
+    if (flat_weights < 0).any():
+        raise ValueError("weights must be >= 0")
+
+    valid = np.flatnonzero(flat_labels != ignore_label)
+    if valid.size == 0:
+        raise ValueError("all pixels carry the ignore label; loss undefined")
+    valid_labels = flat_labels[valid]
+    if valid_labels.min() < 0 or valid_labels.max() >= num_classes:
+        raise ValueError("labels contain indices outside [0, num_classes)")
+
+    log_probs = _log_softmax(flat_logits[valid])
+    pixel_loss = -flat_weights[valid] * log_probs[np.arange(valid.size), valid_labels]
+
+    k = max(1, int(np.ceil(top_k_fraction * valid.size)))
+    # Sort by descending loss; equal losses keep row-major order.
+    order = np.lexsort((valid, -pixel_loss))
+    selected = order[:k]
+    value = float(pixel_loss[selected].mean(dtype=np.float64))
+
+    gradient = None
+    if with_gradient:
+        gradient = np.zeros_like(flat_logits)
+        sel_rows = valid[selected]
+        probs = np.exp(log_probs[selected])
+        probs[np.arange(selected.size), valid_labels[selected]] -= 1.0
+        probs *= (flat_weights[sel_rows] / k)[:, None]
+        gradient[sel_rows] = probs
+        gradient = gradient.reshape(logits.shape)
+    return losses.LossValue(value=value, gradient=gradient)
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -344,6 +412,33 @@ def _check_gradients(seeds=(0, 1, 2)) -> str:
     return ""
 
 
+def _check_bootstrapped_ce(seed: int = 0, cases: int = 60) -> str:
+    """Blocked top-K CE == the full-sort oracle, value and gradient bytes;
+    integer logits and weights make exact ties at the K-th loss common."""
+    rng = np.random.default_rng(seed)
+    ignore = 99
+    for i in range(cases):
+        height, width = rng.integers(1, 24, size=2)
+        num_classes = int(rng.integers(1, 8))
+        logits = rng.integers(-2, 3, size=(height, width, num_classes)).astype(
+            (np.float32, np.float64)[i % 2]
+        )
+        if i % 3 == 0:
+            logits += rng.normal(0, 2, size=logits.shape).astype(logits.dtype)
+        labels = rng.integers(0, num_classes, size=(height, width))
+        labels[rng.random((height, width)) < 0.2] = ignore
+        labels[0, 0] = 0
+        weights = rng.integers(0, 4, size=(height, width)).astype(np.float64)
+        fraction = (1e-9, 0.15, 0.5, 1.0, float(rng.uniform(1e-9, 1)))[i % 5]
+        got = losses.weighted_bootstrapped_ce(logits, labels, weights, ignore, fraction)
+        want = bootstrapped_ce_oracle(logits, labels, weights, ignore, fraction)
+        if repr(got.value) != repr(want.value):
+            return f"case {i}: value {got.value!r} != oracle {want.value!r}"
+        if got.gradient.tobytes() != want.gradient.tobytes():
+            return f"case {i}: gradient differs from the full-sort oracle"
+    return ""
+
+
 def _check_pq_formula() -> str:
     spec = make_spec(num_stuff=1, num_things=1)
     thing = sorted(spec.thing_ids)[0]
@@ -419,6 +514,7 @@ PROPERTIES = (
     ("nms_bruteforce", _check_nms),
     ("grouping_bruteforce", _check_grouping),
     ("loss_gradients", _check_gradients),
+    ("bootstrapped_ce_oracle", _check_bootstrapped_ce),
     ("pq_formula", _check_pq_formula),
     ("pq_identity_and_uniqueness", _check_pq_identity),
     ("score_mode_invariance", _check_score_modes),

@@ -90,9 +90,14 @@ def compute_mass_centers(
     Centers are arithmetic means of pixel coordinates, kept real-valued;
     the score field is fixed at 1. Ordered by ascending panoptic id.
     """
-    width = panoptic.shape[1]
+    return _mass_centers(_thing_segments(panoptic, spec), panoptic.shape[1])
+
+
+def _mass_centers(
+    segments: list[tuple[int, np.ndarray]], width: int
+) -> list[tuple[int, InstanceCenter]]:
     out = []
-    for pid, flat in _thing_segments(panoptic, spec):
+    for pid, flat in segments:
         rows = flat // width
         cols = flat % width
         center = InstanceCenter(
@@ -148,12 +153,18 @@ def encode_offsets(
     Adding a pixel's offset to its own coordinates lands on the mass center
     of its segment, up to float32 rounding.
     """
-    height, width = panoptic.shape
+    return _offsets(_thing_segments(panoptic, spec), panoptic.shape)
+
+
+def _offsets(
+    segments: list[tuple[int, np.ndarray]], shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    height, width = shape
     offsets = np.zeros((height, width, 2), dtype=np.float32)
     thing_mask = np.zeros((height, width), dtype=bool)
     flat_off = offsets.reshape(-1, 2)
     flat_mask = thing_mask.reshape(-1)
-    for _, flat in _thing_segments(panoptic, spec):
+    for _, flat in segments:
         rows = flat // width
         cols = flat % width
         center_row = rows.mean(dtype=np.float64)
@@ -174,9 +185,18 @@ def semantic_weight_map(
     ``small_instance_weight`` at pixels of thing instances with area strictly
     below ``small_instance_area``, 1 elsewhere, 0 at ignore pixels. float32.
     """
+    return _weight_map(panoptic, _thing_segments(panoptic, spec), spec, params)
+
+
+def _weight_map(
+    panoptic: np.ndarray,
+    segments: list[tuple[int, np.ndarray]],
+    spec: DatasetSpec,
+    params: TargetParams,
+) -> np.ndarray:
     weights = np.ones(panoptic.shape, dtype=np.float32)
     flat = weights.reshape(-1)
-    for _, seg in _thing_segments(panoptic, spec):
+    for _, seg in segments:
         if seg.size < params.small_instance_area:
             flat[seg] = params.small_instance_weight
     category = panoptic.astype(np.int64) // spec.label_divisor
@@ -191,10 +211,11 @@ def encode_targets(
 ) -> TargetBundle:
     """Run all encoders over one ground-truth panoptic map."""
     dims = Dims.of(panoptic)
-    centers = compute_mass_centers(panoptic, spec)
+    segments = _thing_segments(panoptic, spec)  # one scan feeds all three
+    centers = _mass_centers(segments, dims.width)
     heatmap = encode_center_heatmap([c for _, c in centers], dims, params)
-    offsets, thing_mask = encode_offsets(panoptic, spec)
-    weights = semantic_weight_map(panoptic, spec, params)
+    offsets, thing_mask = _offsets(segments, dims.shape)
+    weights = _weight_map(panoptic, segments, spec, params)
     semantic = (panoptic.astype(np.int64) // spec.label_divisor).astype(np.int32)
     return TargetBundle(
         heatmap=heatmap,

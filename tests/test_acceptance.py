@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from panopticore import metrics, postprocess, targets
+from panopticore import losses, metrics, postprocess, targets
 from panopticore.cli import main
 from panopticore.core import Dims, InstanceCenter
 from panopticore.selftest import (
@@ -233,6 +233,24 @@ def test_probability_input_budget():
     total_s = sorted(times)[1]
     print(f"ACCEPTANCE probability_budget: end_to_end {total_s*1000:.0f} ms (budget 1000)")
     assert total_s < 1.0, f"probability-input inference {total_s:.3f}s exceeds 1.0s"
+
+
+def test_bootstrapped_ce_budget():
+    """Bootstrapped CE with gradient on (1025, 2049, 19) f32 logits < 1.5 s."""
+    rng = np.random.default_rng(1025)
+    logits = rng.normal(0, 3, size=(1025, 2049, 19)).astype(np.float32)
+    labels = rng.integers(0, 19, size=(1025, 2049)).astype(np.int32)
+    labels[:40, :80] = 255
+    weights = np.where(rng.random((1025, 2049)) < 0.1, 3.0, 1.0).astype(np.float32)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        loss = losses.weighted_bootstrapped_ce(logits, labels, weights, 255, 0.15)
+        times.append(time.perf_counter() - t0)
+        del loss
+    total_s = sorted(times)[1]
+    print(f"ACCEPTANCE bootstrapped_ce_budget: {total_s*1000:.0f} ms (budget 1500)")
+    assert total_s < 1.5, f"bootstrapped CE {total_s:.3f}s exceeds 1.5s"
 
 
 def test_eval_budget(tmp_path):

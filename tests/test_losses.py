@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from panopticore import losses
 from panopticore.losses import (
     LossValue,
     LossWeights,
@@ -11,7 +15,7 @@ from panopticore.losses import (
     total_loss,
     weighted_bootstrapped_ce,
 )
-from panopticore.selftest import relative_error, topk_ce_oracle
+from panopticore.selftest import bootstrapped_ce_oracle, relative_error, topk_ce_oracle
 
 IGNORE = 255
 
@@ -108,6 +112,97 @@ def test_ce_gradient_zero_outside_selection():
     loss = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.25)
     selected_pixels = (np.abs(loss.gradient).sum(axis=2) > 0).sum()
     assert selected_pixels == 4  # ceil(0.25 * 16)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ce_non_finite_logits_rejected(value, dtype):
+    rng = np.random.default_rng(4)
+    logits = rng.normal(size=(5, 7, 3)).astype(dtype)
+    labels = rng.integers(0, 3, size=(5, 7))
+    logits[4, 6, 1] = value  # the last pixel, off its label channel
+    labels[4, 6] = 0
+    with pytest.raises(ValueError, match="logits must be finite"):
+        weighted_bootstrapped_ce(logits, labels, np.ones((5, 7)), IGNORE, 0.15)
+    labels[4, 6] = IGNORE  # anywhere, ignore pixels included
+    with pytest.raises(ValueError, match="logits must be finite"):
+        weighted_bootstrapped_ce(logits, labels, np.ones((5, 7)), IGNORE, 0.15)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract")
+def test_ce_logit_range_beyond_float64_rejected():
+    # Finite, but max - min overflows: the softmax would see -inf.
+    logits = np.array([[[1e308, -1e308]]])
+    with pytest.raises(ValueError, match="logits must be finite, each pixel's range"):
+        weighted_bootstrapped_ce(logits, np.zeros((1, 1), dtype=int), np.ones((1, 1)), IGNORE)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ce_non_finite_weights_rejected(value):
+    logits, labels, weights = uniform_case()
+    weights[3, 1] = value
+    with pytest.raises(ValueError, match="weights must be finite"):
+        weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 1.0)
+
+
+@st.composite
+def ce_cases(draw):
+    """Small CE inputs rich in exact ties, zero losses and ignore pixels."""
+    height, width = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    num_classes = draw(st.integers(1, 6))
+    shape = (height, width, num_classes)
+    kind = draw(st.sampled_from(["uniform", "integer", "normal", "margin"]))
+    if kind == "uniform":  # every pixel's loss is weight * log C
+        logits = np.full(shape, draw(st.integers(-3, 3)), dtype=np.float64)
+    elif kind == "integer":
+        logits = draw(hnp.arrays(np.int8, shape, elements=st.integers(-2, 2))).astype(float)
+    elif kind == "normal":
+        seed = draw(st.integers(0, 2**32 - 1))
+        logits = np.random.default_rng(seed).normal(0, 4, size=shape)
+    else:  # margins past exp underflow: losses of exactly +-0
+        logits = draw(hnp.arrays(np.int8, shape, elements=st.integers(-1, 1))) * 60.0
+    logits = logits.astype(draw(st.sampled_from([np.float32, np.float64])))
+    labels = draw(hnp.arrays(np.int64, shape[:2], elements=st.integers(0, num_classes - 1)))
+    ignore = draw(hnp.arrays(np.bool_, shape[:2]))
+    ignore.flat[draw(st.integers(0, height * width - 1))] = False
+    labels[ignore] = IGNORE
+    if draw(st.booleans()):
+        weights = draw(hnp.arrays(np.int8, shape[:2], elements=st.integers(0, 3))).astype(float)
+    else:
+        weights = draw(hnp.arrays(np.float64, shape[:2], elements=st.floats(0, 5)))
+    fraction = draw(st.one_of(st.sampled_from([1e-9, 0.15, 0.5, 1.0]), st.floats(1e-9, 1.0)))
+    block = draw(st.sampled_from([1, 2, 3, 5, losses._CE_BLOCK]))
+    return logits, labels, weights, fraction, block, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=ce_cases())
+def test_ce_equals_full_sort_oracle(case):
+    logits, labels, weights, fraction, block, with_gradient = case
+    with mock.patch.object(losses, "_CE_BLOCK", block):
+        got = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, fraction, with_gradient)
+    want = bootstrapped_ce_oracle(logits, labels, weights, IGNORE, fraction, with_gradient)
+    assert got.value == want.value and repr(got.value) == repr(want.value)
+    if with_gradient:
+        assert got.gradient.dtype == want.gradient.dtype
+        assert got.gradient.shape == want.gradient.shape
+        assert got.gradient.tobytes() == want.gradient.tobytes()
+    else:
+        assert got.gradient is None and want.gradient is None
+
+
+def test_ce_blocks_not_dividing_the_grid_equal_oracle():
+    rng = np.random.default_rng(11)
+    logits = rng.normal(0, 3, size=(23, 29, 19)).astype(np.float32)
+    labels = rng.integers(0, 19, size=(23, 29))
+    labels[rng.random((23, 29)) < 0.05] = IGNORE
+    weights = rng.integers(0, 4, size=(23, 29)).astype(np.float32)
+    want = bootstrapped_ce_oracle(logits, labels, weights, IGNORE, 0.15)
+    for block in (1, 2, 3, 64, 23 * 29 - 1, 23 * 29, 10**6):  # 667 = 23 * 29
+        with mock.patch.object(losses, "_CE_BLOCK", block):
+            got = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.15)
+        assert repr(got.value) == repr(want.value), block
+        assert got.gradient.tobytes() == want.gradient.tobytes(), block
 
 
 def test_mse_zero_when_equal():

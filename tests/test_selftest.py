@@ -1,6 +1,6 @@
 import numpy as np
 
-from panopticore import postprocess
+from panopticore import losses, postprocess
 from panopticore.cli import main
 from panopticore.selftest import run_selftest
 
@@ -40,3 +40,20 @@ def test_injected_fault_nonzero_exit(monkeypatch, capsys):
     assert main(["selftest"]) == 3
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_injected_ce_tie_fault_named(monkeypatch):
+    real_ce = losses.weighted_bootstrapped_ce
+
+    def last_first_ce(logits, labels, weights, ignore_label, top_k_fraction=0.15,
+                      with_gradient=True):
+        # Reversed grid: ties at the K-th loss go to the last pixels instead.
+        flip = (slice(None, None, -1), slice(None, None, -1))
+        out = real_ce(logits[flip], labels[flip], weights[flip], ignore_label,
+                      top_k_fraction, with_gradient)
+        return losses.LossValue(out.value, out.gradient[flip])
+
+    monkeypatch.setattr(losses, "weighted_bootstrapped_ce", last_first_ce)
+    results = {r.name: r for r in run_selftest()}
+    assert not results["bootstrapped_ce_oracle"].passed
+    assert "gradient differs" in results["bootstrapped_ce_oracle"].detail

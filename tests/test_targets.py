@@ -181,3 +181,29 @@ def test_encode_targets_all_stuff_scene():
     assert (bundle.heatmap == 0).all()
     assert not bundle.thing_mask.any()
     assert (bundle.semantic_weights == 1.0).all()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_encode_targets_equals_its_parts(seed):
+    scene = random_scene(40 + seed, min_size=32, max_size=96)
+    spec, panoptic = scene.spec, scene.panoptic.copy()
+    height, width = panoptic.shape
+    rng = np.random.default_rng(seed)
+    r, c = rng.integers(0, height - 8), rng.integers(0, width - 8)
+    panoptic[r : r + 8, c : c + 8] = sorted(spec.thing_ids)[-1] * spec.label_divisor  # crowd
+    r, c = rng.integers(0, height - 5), rng.integers(0, width - 5)
+    panoptic[r : r + 5, c : c + 5] = spec.void_id
+    ids, areas = np.unique(panoptic, return_counts=True)
+    things = (ids % spec.label_divisor > 0) & np.isin(ids // spec.label_divisor, list(spec.thing_ids))
+    params = TargetParams(small_instance_area=int(np.median(areas[things])) + 1)
+    bundle = encode_targets(panoptic, spec, params)
+    offsets, thing_mask = encode_offsets(panoptic, spec)
+    assert bundle.offsets.tobytes() == offsets.tobytes()
+    assert bundle.thing_mask.tobytes() == thing_mask.tobytes()
+    weights = semantic_weight_map(panoptic, spec, params)
+    assert bundle.semantic_weights.tobytes() == weights.tobytes()
+    assert (weights == 0).any() and (weights == params.small_instance_weight).any()
+    centers = compute_mass_centers(panoptic, spec)
+    assert bundle.centers == tuple(centers) and centers
+    heatmap = encode_center_heatmap([c for _, c in centers], Dims.of(panoptic), params)
+    assert bundle.heatmap.tobytes() == heatmap.tobytes()
