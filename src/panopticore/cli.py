@@ -99,12 +99,10 @@ def cmd_targets(args) -> int:
     tensor_io.write_tensor(
         bundle.thing_mask.astype(np.uint16), out / TARGET_FILES["thing_mask"]
     )
-    ids, counts = np.unique(panoptic, return_counts=True)
-    areas = dict(zip(ids.tolist(), counts.tolist()))
-    for pid, center in bundle.centers:
+    for (pid, center), area in zip(bundle.centers, bundle.areas):
         print(
             f"instance {pid} center=({center.row:.3f},{center.col:.3f}) "
-            f"area={areas[pid]}"
+            f"area={area}"
         )
     return EXIT_OK
 
@@ -242,13 +240,14 @@ def cmd_eval(args) -> int:
         )
     modes = ("pq", "miou", "ap") if args.mode == "all" else (args.mode,)
 
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        rows = list(
-            pool.map(
-                lambda triple: _eval_one(triple[0], triple[1], triple[2], spec, modes),
-                zip(preds, gts, scores),
-            )
-        )
+    jobs = [(pred, gt, score, spec, modes) for pred, gt, score in zip(preds, gts, scores)]
+    # One thread runs in the caller: a worker thread would get its own malloc
+    # arena, which keeps freed full-resolution temporaries.
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            rows = list(pool.map(lambda job: _eval_one(*job), jobs))
+    else:
+        rows = [_eval_one(*job) for job in jobs]
 
     report: dict = {"mode": args.mode, "images": [r for r, _ in rows]}
     aggregate: dict = {}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,11 @@ __all__ = [
     "Dims",
     "CategorySpec",
     "DatasetSpec",
+    "CategoryTable",
     "InstanceCenter",
+    "SegmentTable",
+    "classify_segments",
+    "segment_table",
     "encode_panoptic_id",
     "decode_panoptic_id",
     "validate",
@@ -129,11 +134,6 @@ class DatasetSpec:
     def stuff_ids(self) -> frozenset[int]:
         return frozenset(c.id for c in self.categories if not c.is_thing)
 
-    @cached_property
-    def channel_of(self) -> dict[int, int]:
-        """Category id -> channel index in probability grids."""
-        return {cid: i for i, cid in enumerate(self.category_ids)}
-
     @property
     def num_categories(self) -> int:
         return len(self.categories)
@@ -148,26 +148,97 @@ class DatasetSpec:
         return max(max(self.category_ids), self.ignore_label)
 
     @cached_property
-    def _thing_lut(self) -> np.ndarray:
-        lut = np.zeros(self.max_known_label + 1, dtype=bool)
-        lut[list(self.thing_ids)] = True
-        return lut
+    def table(self) -> "CategoryTable":
+        """The category facts as arrays indexed by category id."""
+        ids = np.asarray(self.category_ids, dtype=np.int64)
+        channel = np.full(self.max_known_label + 1, ids.size, dtype=np.int64)
+        channel[ids] = np.arange(ids.size)
+        thing = np.zeros(channel.size, dtype=bool)
+        thing[sorted(self.thing_ids)] = True
+        known = channel < ids.size
+        stuff = known & ~thing
+        known[self.ignore_label] = True
+        return CategoryTable(ids, channel, known, thing, stuff)
 
-    @cached_property
-    def _known_lut(self) -> np.ndarray:
-        lut = np.zeros(self.max_known_label + 1, dtype=bool)
-        lut[list(self.category_ids)] = True
-        return lut
+    def lookup(self, flags: np.ndarray, categories: np.ndarray) -> np.ndarray:
+        """``flags[categories]`` for a boolean field of :attr:`table` and
+        integer ids of any value; ids outside [0, max_known_label] read
+        False."""
+        if categories.size == 0 or (
+            categories.min() >= 0 and categories.max() <= self.max_known_label
+        ):
+            return flags[categories]
+        inside = (categories >= 0) & (categories <= self.max_known_label)
+        return inside & flags[np.where(inside, categories, 0)]
+
+    def check_known(self, categories: np.ndarray, name: str) -> None:
+        """Raise ValueError naming ``name`` unless every id in ``categories``
+        is a spec category or the ignore label."""
+        if not self.lookup(self.table.known, categories).all():
+            raise ValueError(f"{name} contains ids unknown to the dataset spec")
 
     def thing_lookup(self, labels: np.ndarray) -> np.ndarray:
         """Boolean array, true where ``labels`` holds a thing category id.
 
-        Labels must lie in [0, max_known_label]; run :func:`validate` first
-        for untrusted inputs.
+        Raises ValueError if a label is neither a spec category nor the
+        ignore label.
         """
-        if labels.size and (labels.min() < 0 or labels.max() > self.max_known_label):
-            raise ValueError("label map contains ids unknown to the dataset spec")
-        return self._thing_lut[labels]
+        self.check_known(labels, "label map")
+        return self.table.thing[labels]
+
+
+class CategoryTable(NamedTuple):
+    """A spec's category facts; every field but ``ids`` is indexed by
+    category id in [0, max_known_label]."""
+
+    ids: np.ndarray  # (C,) the spec's category ids in channel order
+    channel: np.ndarray  # channel of each id; C at the ignore label and at gaps
+    known: np.ndarray  # bool: a spec category or the ignore label
+    thing: np.ndarray  # bool: a thing category
+    stuff: np.ndarray  # bool: a stuff category
+
+
+def classify_segments(ids: np.ndarray, spec: DatasetSpec, name: str) -> tuple:
+    """Category, instance part, and the thing-instance (instance part >= 1),
+    crowd (instance part 0) and VOID flags of panoptic ids. Raises
+    ValueError naming ``name``, the map of the ids, if a category is unknown
+    to the spec."""
+    category, instance = np.divmod(ids.astype(np.int64, copy=False), spec.label_divisor)
+    spec.check_known(category, name)
+    thing = spec.table.thing[category]
+    void = category == spec.ignore_label
+    return category, instance, thing & (instance >= 1), thing & (instance == 0), void
+
+
+class SegmentTable(NamedTuple):
+    """Every segment of one panoptic map, from a single pass over its
+    pixels; the last five fields are :func:`classify_segments`."""
+
+    ids: np.ndarray  # ascending segment ids
+    inverse: np.ndarray  # (H, W) index into ids of each pixel
+    areas: np.ndarray  # pixel counts
+    center_rows: np.ndarray  # mass centers: mean pixel coordinates
+    center_cols: np.ndarray
+    category: np.ndarray
+    instance: np.ndarray
+    thing_instance: np.ndarray
+    crowd: np.ndarray
+    void: np.ndarray
+
+
+def segment_table(panoptic: np.ndarray, spec: DatasetSpec) -> SegmentTable:
+    """The :class:`SegmentTable` of a 2-D panoptic map. Raises ValueError if
+    an id's category is unknown to the spec."""
+    height, width = panoptic.shape
+    ids, inverse, areas = np.unique(panoptic, return_inverse=True, return_counts=True)
+    classes = classify_segments(ids, spec, "panoptic map")
+    inverse = inverse.reshape(-1)
+    # Coordinate sums are integers below 2**53, so float64 accumulates them
+    # exactly and sum / count is numpy's mean bit for bit.
+    rows = np.bincount(inverse, np.repeat(np.arange(height, dtype=np.float64), width))
+    cols = np.bincount(inverse, np.tile(np.arange(width, dtype=np.float64), height))
+    inverse = inverse.reshape(height, width)
+    return SegmentTable(ids, inverse, areas, rows / areas, cols / areas, *classes)
 
 
 @dataclass(frozen=True)
@@ -246,19 +317,18 @@ def validate(
             return [f"{kind}: expected integer dtype, got {array.dtype}"]
         labels = flat[:, 0].astype(np.int64)
         if kind == "semantic":
-            known = np.isin(labels, spec.category_ids) | (labels == spec.ignore_label)
+            known = spec.lookup(spec.table.known, labels)
             _report(v, ~known, lambda i: f"{kind}: pixel {i}: unknown category id {int(labels[i])}")
         else:
             category = labels // spec.label_divisor
             instance = labels % spec.label_divisor
-            known = np.isin(category, spec.category_ids) | (category == spec.ignore_label)
+            known = spec.lookup(spec.table.known, category)
             _report(
                 v,
                 ~known,
                 lambda i: f"panoptic: pixel {i}: unknown category id {int(category[i])}",
             )
-            stuff_ids = np.fromiter(spec.stuff_ids, dtype=np.int64, count=len(spec.stuff_ids))
-            nonzero_stuff = np.isin(category, stuff_ids) & (instance != 0)
+            nonzero_stuff = spec.lookup(spec.table.stuff, category) & (instance != 0)
             _report(
                 v,
                 nonzero_stuff,

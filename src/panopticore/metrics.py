@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DatasetSpec
+from .core import DatasetSpec, classify_segments
 
 __all__ = [
     "PqCategory",
@@ -124,23 +124,12 @@ def _sums(index: np.ndarray, weights, size: int) -> np.ndarray:
     return np.bincount(index, weights=weights, minlength=size).astype(np.int64)
 
 
-def _segment_classes(ids: np.ndarray, spec: DatasetSpec):
-    """Category, instance part and thing flag of segment ids, and the
-    crowd/VOID exclusion mask. Categories unknown to the spec are no things."""
-    categories, instances = np.divmod(ids, spec.label_divisor)
-    is_thing = np.isin(categories, list(spec.thing_ids))
-    excluded = (categories == spec.ignore_label) | (is_thing & (instances == 0))
-    return categories, instances, is_thing, excluded
-
-
 def _pq_matches(hist: JointHistogram, spec: DatasetSpec):
     """Matched (pred index, gt index, IoU) arrays in pair order, plus the
     (categories, dropped) pred table and (categories, excluded) gt table."""
-    pred_cats, _, _, pred_excl = _segment_classes(hist.pred_ids, spec)
-    gt_cats, _, _, gt_excl = _segment_classes(hist.gt_ids, spec)
-    for cats in (pred_cats, gt_cats):
-        if cats.size and (cats.max() > spec.max_known_label or cats.min() < 0):
-            raise ValueError("panoptic map contains ids unknown to the dataset spec")
+    pred_cats, _, _, pred_crowd, pred_void = classify_segments(hist.pred_ids, spec, "pred map")
+    gt_cats, _, _, gt_crowd, gt_void = classify_segments(hist.gt_ids, spec, "gt map")
+    pred_excl, gt_excl = pred_crowd | pred_void, gt_crowd | gt_void
     p, g, area = hist.pred_index, hist.gt_index, hist.counts
     # Per-pred overlap with the excluded (VOID + crowd) part of the gt.
     over_excl = gt_excl[g]
@@ -268,15 +257,11 @@ def _confusion(
 ) -> np.ndarray:
     """(num, num + 1) gt-by-pred category counts, without gt ignore pixels;
     the sink column ``num`` absorbs pred pixels carrying the ignore label."""
-    if gt.min() < 0 or gt.max() > spec.max_known_label:
-        raise ValueError("gt map contains ids unknown to the dataset spec")
-    if pred.min() < 0 or pred.max() > spec.max_known_label:
-        raise ValueError("pred map contains ids unknown to the dataset spec")
-    num = spec.num_categories
-    channel_lut = np.full(spec.max_known_label + 1, num, dtype=np.int64)
-    channel_lut[np.asarray(spec.category_ids, dtype=np.int64)] = np.arange(num)
+    spec.check_known(gt, "gt map")
+    spec.check_known(pred, "pred map")
+    num, channel = spec.num_categories, spec.table.channel
     valid = gt != spec.ignore_label
-    code = channel_lut[gt[valid]] * (num + 1) + channel_lut[pred[valid]]
+    code = channel[gt[valid]] * (num + 1) + channel[pred[valid]]
     weights = None if weights is None else weights[valid]
     return _sums(code, weights, num * (num + 1)).reshape(num, num + 1)
 
@@ -435,16 +420,16 @@ def ap_matches_from_histogram(
     hold every detection (``KeyError`` otherwise); without it every
     detection scores 1.0.
     """
-    pred_cats, pred_inst, pred_thing, _ = _segment_classes(hist.pred_ids, spec)
-    gt_cats, gt_inst, gt_thing, _ = _segment_classes(hist.gt_ids, spec)
-    dt, gt = np.flatnonzero(pred_thing & (pred_inst >= 1)), np.flatnonzero(gt_thing)
+    pred_cats, pred_inst, pred_thing, _, _ = classify_segments(hist.pred_ids, spec, "pred map")
+    gt_cats, _, gt_thing, gt_crowd, _ = classify_segments(hist.gt_ids, spec, "gt map")
+    dt, gt = np.flatnonzero(pred_thing), np.flatnonzero(gt_thing | gt_crowd)
     dt_scores = [1.0 if scores is None else float(scores[i]) for i in pred_inst[dt].tolist()]
     pairs = zip(hist.pred_index.tolist(), hist.gt_index.tolist())
     overlap = dict(zip(pairs, hist.counts.tolist()))
     dt_list, gt_list = dt.tolist(), gt.tolist()
     return _greedy_matches(
         pred_cats[dt].tolist(), dt_scores, hist.pred_areas[dt],
-        gt_cats[gt].tolist(), gt_inst[gt] == 0, hist.gt_areas[gt],
+        gt_cats[gt].tolist(), gt_crowd[gt], hist.gt_areas[gt],
         lambda i, j: overlap.get((dt_list[i], gt_list[j]), 0),
         DEFAULT_AP_THRESHOLDS, max_dets,
     )

@@ -283,11 +283,11 @@ def merge_panoptic(
             f"instance index {max_instance} >= label_divisor {spec.label_divisor}"
         )
     num_channels = spec.num_categories
-    ids_sorted = np.asarray(spec.category_ids, dtype=np.int64)
+    table = spec.table
+    ids_sorted = table.ids
 
     flat_semantic = semantic.reshape(-1)
-    if int(flat_semantic.min()) < 0 or int(flat_semantic.max()) > spec.max_known_label:
-        raise ValueError("semantic map contains ids unknown to the dataset spec")
+    spec.check_known(flat_semantic, "semantic map")
     flat_instance = instance_ids.reshape(-1).astype(np.int32, copy=False)
 
     # Vote histogram in one bincount; channel num_channels is a sink bin for
@@ -297,19 +297,15 @@ def merge_panoptic(
         if (max_instance + 1) * (num_channels + 1) <= np.iinfo(np.int32).max
         else np.int64
     )
-    channel_lut = np.full(spec.max_known_label + 1, num_channels, dtype=code_dtype)
-    channel_lut[ids_sorted] = np.arange(num_channels, dtype=code_dtype)
     codes = flat_instance.astype(code_dtype, copy=False) * code_dtype(
         num_channels + 1
-    ) + channel_lut[flat_semantic]
+    ) + table.channel.astype(code_dtype)[flat_semantic]
     votes_full = np.bincount(
         codes, minlength=(max_instance + 1) * (num_channels + 1)
     ).reshape(max_instance + 1, num_channels + 1)
     votes = votes_full[:, :num_channels]
     # Majority vote counts thing categories only; ties go to the smallest id.
-    thing_channels = np.array(
-        [cid in spec.thing_ids for cid in spec.category_ids], dtype=bool
-    )
+    thing_channels = table.thing[ids_sorted]
     votes = votes * thing_channels[None, :]
     voted_channel = votes.argmax(axis=1)
     has_votes = votes.sum(axis=1) > 0
@@ -370,18 +366,12 @@ def filter_small_stuff(
     panoptic = result.panoptic
     category = panoptic // spec.label_divisor
     instance = panoptic % spec.label_divisor
-    if category.max() > spec.max_known_label or category.min() < 0:
-        raise ValueError("panoptic map contains ids unknown to the dataset spec")
+    spec.check_known(category, "panoptic map")
     out = panoptic.copy()
-    stuff_lut = np.zeros(spec.max_known_label + 1, dtype=bool)
-    stuff_lut[sorted(spec.stuff_ids)] = True
-    is_stuff = (instance == 0) & stuff_lut[category]
+    is_stuff = (instance == 0) & spec.table.stuff[category]
     if per_component:
-        for cid in sorted(spec.stuff_ids):
-            mask = is_stuff & (category == cid)
-            if not mask.any():
-                continue
-            labeled, count = ndimage.label(mask)
+        for cid in np.unique(category[is_stuff]).tolist():
+            labeled, count = ndimage.label(is_stuff & (category == cid))
             areas = np.bincount(labeled.reshape(-1), minlength=count + 1)
             small = np.flatnonzero(areas[1:] < threshold) + 1
             if small.size:
@@ -391,7 +381,7 @@ def filter_small_stuff(
             category.reshape(-1)[is_stuff.reshape(-1)],
             minlength=spec.max_known_label + 1,
         )
-        small_lut = (areas > 0) & (areas < threshold) & stuff_lut
+        small_lut = (areas > 0) & (areas < threshold)
         out[is_stuff & small_lut[category]] = spec.void_id
     return PanopticResult(panoptic=out, instances=result.instances)
 
@@ -424,10 +414,7 @@ def _class_scores(
         hit[member] = labels[member] == category_lut[instance[member]]
         prob_of_voted = hit
     elif semantic_probs.ndim == 3:
-        channel_of = spec.channel_of
-        channel_lut = np.zeros(max_index + 1, dtype=np.int64)
-        for r in result.instances:
-            channel_lut[r.instance_index] = channel_of[r.category]
+        channel_lut = spec.table.channel[category_lut]
         flat_probs = semantic_probs.reshape(-1, semantic_probs.shape[2])
         prob_of_voted = np.zeros(instance.shape, dtype=np.float64)
         rows = np.flatnonzero(member)
@@ -504,8 +491,7 @@ def panoptic_inference(
                 f"probability grid has {semantic.shape[2]} channels, "
                 f"spec has {spec.num_categories} categories"
             )
-        ids_sorted = np.asarray(spec.category_ids, dtype=np.int64)
-        labels = ids_sorted[semantic.argmax(axis=2)]
+        labels = spec.table.ids[semantic.argmax(axis=2)]
         probs = semantic
     elif semantic.ndim == 2:
         labels = semantic

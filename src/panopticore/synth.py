@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CategorySpec, DatasetSpec
+from .core import CategorySpec, DatasetSpec, segment_table
 
 __all__ = ["Scene", "random_scene", "bench_inputs"]
 
@@ -78,18 +78,6 @@ def _paint_ellipse(
     out[(u / ay) ** 2 + (v / ax) ** 2 <= 1.0] = value
 
 
-def _mass_centers_by_id(panoptic: np.ndarray, spec: DatasetSpec) -> dict[int, tuple]:
-    centers = {}
-    thing_lut = np.zeros(spec.max_known_label + 1, dtype=bool)
-    thing_lut[list(spec.thing_ids)] = True
-    for pid in np.unique(panoptic):
-        category, instance = int(pid) // spec.label_divisor, int(pid) % spec.label_divisor
-        if instance >= 1 and category <= spec.max_known_label and thing_lut[category]:
-            rows, cols = np.nonzero(panoptic == pid)
-            centers[int(pid)] = (rows.mean(), cols.mean())
-    return centers
-
-
 def random_scene(
     seed: int,
     min_size: int = 64,
@@ -129,7 +117,9 @@ def random_scene(
             c0 = int(rng.integers(0, width - vw))
             panoptic[r0 : r0 + vh, c0 : c0 + vw] = spec.void_id
 
-        centers = list(_mass_centers_by_id(panoptic, spec).values())
+        table = segment_table(panoptic, spec)
+        things = table.thing_instance
+        centers = list(zip(table.center_rows[things], table.center_cols[things]))
         if not centers:
             continue
         ok = True
@@ -139,9 +129,9 @@ def random_scene(
                 dc = centers[i][1] - centers[j][1]
                 if dr * dr + dc * dc < min_center_separation**2:
                     ok = False
-        stuff_present = np.unique(panoptic[panoptic % spec.label_divisor == 0] // spec.label_divisor)
-        stuff_present = [s for s in stuff_present if s in spec.stuff_ids]
-        if ok and len(stuff_present) >= min_stuff:
+        # Each stuff category has one segment id, with instance part 0.
+        stuff_present = spec.table.stuff[table.category] & (table.instance == 0)
+        if ok and np.count_nonzero(stuff_present) >= min_stuff:
             return Scene(panoptic=panoptic, spec=spec)
     raise RuntimeError(f"could not generate a valid scene for seed {seed}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DatasetSpec, Dims, InstanceCenter
+from .core import DatasetSpec, Dims, InstanceCenter, SegmentTable, segment_table
 
 __all__ = [
     "TargetParams",
@@ -63,23 +63,7 @@ class TargetBundle:
     semantic_labels: np.ndarray  # (H, W) int32 category ids
     thing_mask: np.ndarray  # (H, W) bool
     centers: tuple[tuple[int, InstanceCenter], ...]  # (panoptic id, center)
-
-
-def _thing_segments(
-    panoptic: np.ndarray, spec: DatasetSpec
-) -> list[tuple[int, np.ndarray]]:
-    """Unique thing-instance ids with their flat pixel indices, id order."""
-    ids, inverse = np.unique(panoptic, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.searchsorted(inverse[order], np.arange(ids.size + 1))
-    segments = []
-    for i, pid in enumerate(ids):
-        category = int(pid) // spec.label_divisor
-        instance = int(pid) % spec.label_divisor
-        if instance >= 1 and category in spec.thing_ids:
-            segments.append((int(pid), order[boundaries[i] : boundaries[i + 1]]))
-    return segments
+    areas: tuple[int, ...]  # pixel count of each centers entry's segment
 
 
 def compute_mass_centers(
@@ -90,23 +74,16 @@ def compute_mass_centers(
     Centers are arithmetic means of pixel coordinates, kept real-valued;
     the score field is fixed at 1. Ordered by ascending panoptic id.
     """
-    return _mass_centers(_thing_segments(panoptic, spec), panoptic.shape[1])
+    return _centers(segment_table(panoptic, spec))
 
 
-def _mass_centers(
-    segments: list[tuple[int, np.ndarray]], width: int
-) -> list[tuple[int, InstanceCenter]]:
-    out = []
-    for pid, flat in segments:
-        rows = flat // width
-        cols = flat % width
-        center = InstanceCenter(
-            row=float(rows.mean(dtype=np.float64)),
-            col=float(cols.mean(dtype=np.float64)),
-            score=1.0,
-        )
-        out.append((pid, center))
-    return out
+def _centers(table: SegmentTable) -> list[tuple[int, InstanceCenter]]:
+    things = table.thing_instance
+    rows, cols = table.center_rows[things].tolist(), table.center_cols[things].tolist()
+    return [
+        (pid, InstanceCenter(row=row, col=col, score=1.0))
+        for pid, row, col in zip(table.ids[things].tolist(), rows, cols)
+    ]
 
 
 def encode_center_heatmap(
@@ -153,25 +130,18 @@ def encode_offsets(
     Adding a pixel's offset to its own coordinates lands on the mass center
     of its segment, up to float32 rounding.
     """
-    return _offsets(_thing_segments(panoptic, spec), panoptic.shape)
+    return _thing_offsets(segment_table(panoptic, spec))
 
 
-def _offsets(
-    segments: list[tuple[int, np.ndarray]], shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    height, width = shape
+def _thing_offsets(table: SegmentTable) -> tuple[np.ndarray, np.ndarray]:
+    height, width = table.inverse.shape
+    thing_mask = table.thing_instance[table.inverse]
+    pixels = np.flatnonzero(thing_mask)
+    segment = table.inverse.reshape(-1)[pixels]
     offsets = np.zeros((height, width, 2), dtype=np.float32)
-    thing_mask = np.zeros((height, width), dtype=bool)
-    flat_off = offsets.reshape(-1, 2)
-    flat_mask = thing_mask.reshape(-1)
-    for _, flat in segments:
-        rows = flat // width
-        cols = flat % width
-        center_row = rows.mean(dtype=np.float64)
-        center_col = cols.mean(dtype=np.float64)
-        flat_off[flat, 0] = center_row - rows
-        flat_off[flat, 1] = center_col - cols
-        flat_mask[flat] = True
+    flat = offsets.reshape(-1, 2)
+    flat[pixels, 0] = table.center_rows[segment] - pixels // width
+    flat[pixels, 1] = table.center_cols[segment] - pixels % width
     return offsets, thing_mask
 
 
@@ -185,23 +155,16 @@ def semantic_weight_map(
     ``small_instance_weight`` at pixels of thing instances with area strictly
     below ``small_instance_area``, 1 elsewhere, 0 at ignore pixels. float32.
     """
-    return _weight_map(panoptic, _thing_segments(panoptic, spec), spec, params)
+    return _weights(segment_table(panoptic, spec), params)
 
 
-def _weight_map(
-    panoptic: np.ndarray,
-    segments: list[tuple[int, np.ndarray]],
-    spec: DatasetSpec,
-    params: TargetParams,
-) -> np.ndarray:
-    weights = np.ones(panoptic.shape, dtype=np.float32)
-    flat = weights.reshape(-1)
-    for _, seg in segments:
-        if seg.size < params.small_instance_area:
-            flat[seg] = params.small_instance_weight
-    category = panoptic.astype(np.int64) // spec.label_divisor
-    weights[category == spec.ignore_label] = 0.0
-    return weights
+def _weights(table: SegmentTable, params: TargetParams) -> np.ndarray:
+    weight = np.ones(table.ids.size, dtype=np.float32)
+    weight[table.thing_instance & (table.areas < params.small_instance_area)] = (
+        params.small_instance_weight
+    )
+    weight[table.void] = 0.0
+    return weight[table.inverse]
 
 
 def encode_targets(
@@ -210,18 +173,16 @@ def encode_targets(
     params: TargetParams = TargetParams(),
 ) -> TargetBundle:
     """Run all encoders over one ground-truth panoptic map."""
-    dims = Dims.of(panoptic)
-    segments = _thing_segments(panoptic, spec)  # one scan feeds all three
-    centers = _mass_centers(segments, dims.width)
-    heatmap = encode_center_heatmap([c for _, c in centers], dims, params)
-    offsets, thing_mask = _offsets(segments, dims.shape)
-    weights = _weight_map(panoptic, segments, spec, params)
-    semantic = (panoptic.astype(np.int64) // spec.label_divisor).astype(np.int32)
+    table = segment_table(panoptic, spec)  # one scan feeds every encoder
+    centers = _centers(table)
+    heatmap = encode_center_heatmap([c for _, c in centers], Dims.of(panoptic), params)
+    offsets, thing_mask = _thing_offsets(table)
     return TargetBundle(
         heatmap=heatmap,
         offsets=offsets,
-        semantic_weights=weights,
-        semantic_labels=semantic,
+        semantic_weights=_weights(table, params),
+        semantic_labels=table.category.astype(np.int32)[table.inverse],
         thing_mask=thing_mask,
         centers=tuple(centers),
+        areas=tuple(table.areas[table.thing_instance].tolist()),
     )

@@ -457,3 +457,37 @@ def test_eval_pred_scores_missing_instance_exit_1(scene_files, capsys):
     # PQ and mIoU never read the scores; without --pred-scores AP scores 1.0.
     assert main(argv + ["--mode", "pq"]) == 0
     assert main(argv[:7] + ["--mode", "ap", "--report", str(tmp / "eval.json")]) == 0
+
+
+@pytest.mark.parametrize("mode", ["pq", "miou", "ap", "all"])
+@pytest.mark.parametrize("category", [77, 300], ids=["gap", "above-range"])
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_eval_unknown_id_exit_1_in_every_mode(scene_files, capsys, mode, category, side):
+    scene, gt_path, spec_path, tmp = scene_files
+    # 77 lies between the spec's category ids and its ignore label 255;
+    # 300 lies above both. Instance part 1 makes it a would-be detection.
+    assert category not in scene.spec.category_ids and category != scene.spec.ignore_label
+    bad = scene.panoptic.copy()
+    bad[:4, :4] = category * scene.spec.label_divisor + 1
+    bad_path = tmp / "bad.pdlt"
+    write_tensor(bad.astype(np.uint32), bad_path)
+    pred, gt = (bad_path, gt_path) if side == "pred" else (gt_path, bad_path)
+    argv = ["eval", "--pred", str(pred), "--gt", str(gt), "--spec", str(spec_path),
+            "--mode", mode, "--report", str(tmp / "eval.json")]
+    assert main(argv) == 1
+    assert f"{side} map contains ids unknown to the dataset spec" in capsys.readouterr().err
+
+
+def test_eval_one_thread_runs_in_the_calling_thread(scene_files, monkeypatch):
+    import panopticore.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("--threads 1 started a worker thread")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    scene, gt_path, spec_path, tmp = scene_files
+    argv = ["eval", "--pred", str(gt_path), "--gt", str(gt_path), "--spec", str(spec_path),
+            "--mode", "all", "--report", str(tmp / "eval.json")]
+    assert main(argv + ["--threads", "1"]) == 0
+    with pytest.raises(AssertionError, match="worker thread"):
+        main(argv + ["--threads", "2"])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from panopticore import metrics, postprocess
 from panopticore.core import (
     CategorySpec,
     DatasetSpec,
@@ -11,6 +12,7 @@ from panopticore.core import (
     validate,
 )
 from panopticore.synth import make_spec
+from panopticore.targets import encode_targets
 
 
 def test_encode_examples():
@@ -129,3 +131,175 @@ def test_validate_offsets_shape():
     assert validate(bad, spec, "offsets")
     good = np.zeros((4, 4, 2), dtype=np.float32)
     assert validate(good, spec, "offsets") == []
+
+
+def _report_reference(violations, mask, describe, limit=100):
+    idx = np.flatnonzero(mask)
+    for i in idx[:limit]:
+        violations.append(describe(int(i)))
+    if idx.size > limit:
+        violations.append(f"... and {idx.size - limit} more")
+
+
+def validate_labels_reference(array, spec, kind):
+    """The label-map half of ``validate`` as first written, with ``np.isin``
+    over the spec's ids; kept as the reference for the table lookups."""
+    v = []
+    labels = array.reshape(-1).astype(np.int64)
+    if kind == "semantic":
+        known = np.isin(labels, spec.category_ids) | (labels == spec.ignore_label)
+        _report_reference(v, ~known, lambda i: f"{kind}: pixel {i}: unknown category id {int(labels[i])}")
+    else:
+        category = labels // spec.label_divisor
+        instance = labels % spec.label_divisor
+        known = np.isin(category, spec.category_ids) | (category == spec.ignore_label)
+        _report_reference(
+            v,
+            ~known,
+            lambda i: f"panoptic: pixel {i}: unknown category id {int(category[i])}",
+        )
+        stuff_ids = np.fromiter(spec.stuff_ids, dtype=np.int64, count=len(spec.stuff_ids))
+        nonzero_stuff = np.isin(category, stuff_ids) & (instance != 0)
+        _report_reference(
+            v,
+            nonzero_stuff,
+            lambda i: f"panoptic: pixel {i}: stuff category {int(category[i])} "
+            f"with nonzero instance {int(instance[i])}",
+        )
+        void_inst = (category == spec.ignore_label) & (instance != 0)
+        _report_reference(
+            v,
+            void_inst,
+            lambda i: f"panoptic: pixel {i}: VOID with nonzero instance {int(instance[i])}",
+        )
+    return v
+
+
+# Category ids 1, 4 and 9 around an ignore label of 6: gaps below, between
+# and above the ignore label.
+GAPPY_SPEC = DatasetSpec(
+    categories=(
+        CategorySpec(9, "car", True),
+        CategorySpec(1, "road", False),
+        CategorySpec(4, "sky", False),
+    ),
+    ignore_label=6,
+    label_divisor=10,
+)
+INT64_MAX = np.iinfo(np.int64).max
+
+
+@st.composite
+def label_maps(draw):
+    spec = draw(st.sampled_from([GAPPY_SPEC, make_spec(num_stuff=2, num_things=2)]))
+    kind = draw(st.sampled_from(["semantic", "panoptic"]))
+    div = spec.label_divisor if kind == "panoptic" else 1
+    categories = list(spec.category_ids) + [spec.ignore_label]
+    gaps = [c for c in range(spec.max_known_label + 3) if c not in categories]
+    category = st.one_of(
+        st.sampled_from(categories),
+        st.sampled_from(gaps),
+        st.integers(-3, -1),
+        st.integers(spec.max_known_label + 1, 10**6),
+    )
+    instance = st.sampled_from([0, 0, 1, 2, div - 1])
+    composed = st.builds(lambda c, i: c * div + i, category, instance)
+    extreme = st.sampled_from([INT64_MAX, INT64_MAX - 1, -INT64_MAX - 1, -1])
+    height = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 12))
+    values = draw(
+        st.lists(st.one_of(composed, composed, composed, extreme),
+                 min_size=height * width, max_size=height * width)
+    )
+    return spec, kind, np.array(values, dtype=np.int64).reshape(height, width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=label_maps())
+def test_validate_equals_isin_reference(case):
+    spec, kind, labels = case
+    assert validate(labels, spec, kind) == validate_labels_reference(labels, spec, kind)
+
+
+def test_validate_reports_past_the_limit_like_reference():
+    labels = np.full((12, 12), 77, dtype=np.int64)
+    got = validate(labels, GAPPY_SPEC, "semantic")
+    assert got == validate_labels_reference(labels, GAPPY_SPEC, "semantic")
+    assert got[-1] == "... and 44 more"
+
+
+def _unknown_id_cases():
+    spec = make_spec(num_stuff=2, num_things=2)
+    div = spec.label_divisor
+    good = np.zeros((6, 6), dtype=np.int64)  # stuff category 0
+    good[:3, :3] = 2 * div + 1  # one thing instance
+
+    def with_category(category, instance):
+        bad = good.copy()
+        bad[4:, 4:] = category * div + instance
+        return bad
+
+    def semantic(category):
+        labels = good // div
+        labels[4:, 4:] = category
+        return labels
+
+    no_instances = np.zeros((6, 6), dtype=np.int32)
+    return spec, {
+        "thing_mask_from_semantic": (
+            "label map",
+            lambda c: postprocess.thing_mask_from_semantic(semantic(c), spec),
+        ),
+        "merge_panoptic": (
+            "semantic map",
+            lambda c: postprocess.merge_panoptic(semantic(c), no_instances, spec),
+        ),
+        "filter_small_stuff": (
+            "panoptic map",
+            lambda c: postprocess.filter_small_stuff(
+                postprocess.PanopticResult(with_category(c, 0), ()), spec, threshold=5
+            ),
+        ),
+        "panoptic_quality-pred": (
+            "pred map", lambda c: metrics.panoptic_quality(with_category(c, 1), good, spec)
+        ),
+        "panoptic_quality-gt": (
+            "gt map", lambda c: metrics.panoptic_quality(good, with_category(c, 1), spec)
+        ),
+        "mean_iou-pred": (
+            "pred map", lambda c: metrics.mean_iou(semantic(c), good // div, spec)
+        ),
+        "mean_iou-gt": (
+            "gt map", lambda c: metrics.mean_iou(good // div, semantic(c), spec)
+        ),
+        "ap_matches_from_histogram-pred": (
+            "pred map",
+            lambda c: metrics.ap_matches_from_histogram(
+                metrics.joint_histogram(with_category(c, 1), good), spec
+            ),
+        ),
+        "ap_matches_from_histogram-gt": (
+            "gt map",
+            lambda c: metrics.ap_matches_from_histogram(
+                metrics.joint_histogram(good, with_category(c, 1)), spec
+            ),
+        ),
+        "encode_targets": ("panoptic map", lambda c: encode_targets(with_category(c, 1), spec)),
+    }
+
+
+_SPEC, _ENTRY_POINTS = _unknown_id_cases()
+
+
+@pytest.mark.parametrize("category", [77, _SPEC.max_known_label + 1, -1], ids=["gap", "above", "negative"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_unknown_ids_rejected_at_every_entry_point(entry, category):
+    name, call = _ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} contains ids unknown to the dataset spec$"):
+        call(category)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_points_accept_a_known_id(entry):
+    _, call = _ENTRY_POINTS[entry]
+    call(sorted(_SPEC.thing_ids)[-1])

@@ -429,9 +429,9 @@ def test_score_product_example():
     labels[0, 0] = THING[1]  # class agreement 3/4
     probs = _probs_for(labels) * 0.5
     probs += 0.5 / SPEC.num_categories  # soften to a proper distribution
-    class_score = float(probs[..., SPEC.channel_of[THING[0]]][labels == THING[0]].mean())
+    class_score = float(probs[..., SPEC.category_ids.index(THING[0])][labels == THING[0]].mean())
     # Recompute over instance pixels (all 4):
-    class_score = float(probs[..., SPEC.channel_of[THING[0]]].mean())
+    class_score = float(probs[..., SPEC.category_ids.index(THING[0])].mean())
     scored = score_instances(result, {1: 0.8}, probs, "product", SPEC)
     assert scored.instances[0].score == pytest.approx(0.8 * class_score, rel=1e-12)
     object_only = score_instances(result, {1: 0.8}, None, "objectness", SPEC)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from panopticore.core import Dims, InstanceCenter, validate
+from panopticore.core import CategorySpec, DatasetSpec, Dims, InstanceCenter, validate
 from panopticore.synth import make_spec, random_scene
 from panopticore.targets import (
     TargetParams,
@@ -207,3 +208,142 @@ def test_encode_targets_equals_its_parts(seed):
     assert bundle.centers == tuple(centers) and centers
     heatmap = encode_center_heatmap([c for _, c in centers], Dims.of(panoptic), params)
     assert bundle.heatmap.tobytes() == heatmap.tobytes()
+
+
+# The encoders as first written, one Python loop per thing segment over an
+# argsort of the map; kept as the reference for the segment-table gathers.
+
+
+def thing_segments_reference(panoptic, spec):
+    ids, inverse = np.unique(panoptic, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")
+    boundaries = np.searchsorted(inverse[order], np.arange(ids.size + 1))
+    segments = []
+    for i, pid in enumerate(ids):
+        category = int(pid) // spec.label_divisor
+        instance = int(pid) % spec.label_divisor
+        if instance >= 1 and category in spec.thing_ids:
+            segments.append((int(pid), order[boundaries[i] : boundaries[i + 1]]))
+    return segments
+
+
+def mass_centers_reference(segments, width):
+    out = []
+    for pid, flat in segments:
+        rows = flat // width
+        cols = flat % width
+        center = InstanceCenter(
+            row=float(rows.mean(dtype=np.float64)),
+            col=float(cols.mean(dtype=np.float64)),
+            score=1.0,
+        )
+        out.append((pid, center))
+    return out
+
+
+def offsets_reference(segments, shape):
+    height, width = shape
+    offsets = np.zeros((height, width, 2), dtype=np.float32)
+    thing_mask = np.zeros((height, width), dtype=bool)
+    flat_off = offsets.reshape(-1, 2)
+    flat_mask = thing_mask.reshape(-1)
+    for _, flat in segments:
+        rows = flat // width
+        cols = flat % width
+        center_row = rows.mean(dtype=np.float64)
+        center_col = cols.mean(dtype=np.float64)
+        flat_off[flat, 0] = center_row - rows
+        flat_off[flat, 1] = center_col - cols
+        flat_mask[flat] = True
+    return offsets, thing_mask
+
+
+def weight_map_reference(panoptic, segments, spec, params):
+    weights = np.ones(panoptic.shape, dtype=np.float32)
+    flat = weights.reshape(-1)
+    for _, seg in segments:
+        if seg.size < params.small_instance_area:
+            flat[seg] = params.small_instance_weight
+    category = panoptic.astype(np.int64) // spec.label_divisor
+    weights[category == spec.ignore_label] = 0.0
+    return weights
+
+
+# Thing ids 3 and 8 with stuff 0 and 5 around an ignore label of 7.
+REFERENCE_SPEC = DatasetSpec(
+    categories=(
+        CategorySpec(0, "road", False),
+        CategorySpec(3, "car", True),
+        CategorySpec(5, "sky", False),
+        CategorySpec(8, "person", True),
+    ),
+    ignore_label=7,
+    label_divisor=16,
+)
+
+
+@st.composite
+def target_maps(draw):
+    spec = draw(st.sampled_from([REFERENCE_SPEC, SPEC]))
+    div = spec.label_divisor
+    stuff = [c * div for c in sorted(spec.stuff_ids)]
+    # Instance part 0 is a crowd region; div - 1 is the largest instance.
+    things = [c * div + i for c in sorted(spec.thing_ids) for i in (0, 1, 2, div - 1)]
+    palette = stuff + things + [spec.void_id]
+    height = draw(st.integers(1, 24))
+    width = draw(st.integers(1, 24))
+    blocks = draw(st.integers(1, 6))
+    index = draw(
+        st.lists(st.integers(0, len(palette) - 1), min_size=blocks * blocks, max_size=blocks * blocks)
+    )
+    rows = np.arange(height) * blocks // height
+    cols = np.arange(width) * blocks // width
+    panoptic = np.asarray(palette, dtype=np.int64)[
+        np.asarray(index).reshape(blocks, blocks)[rows[:, None], cols[None, :]]
+    ]
+    # A few one-pixel segments painted over the blocks.
+    for _ in range(draw(st.integers(0, 4))):
+        r, c = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        panoptic[r, c] = draw(st.sampled_from(palette))
+    params = TargetParams(
+        sigma=draw(st.sampled_from([0.5, 1.5, 4.0])),
+        small_instance_area=draw(st.integers(1, 40)),
+        small_instance_weight=draw(st.sampled_from([1.0, 3.0, 2.5])),
+    )
+    return spec, panoptic, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=target_maps())
+def test_encoders_equal_segment_loop_reference(case):
+    spec, panoptic, params = case
+    segments = thing_segments_reference(panoptic, spec)
+    centers = mass_centers_reference(segments, panoptic.shape[1])
+    offsets, thing_mask = offsets_reference(segments, panoptic.shape)
+    weights = weight_map_reference(panoptic, segments, spec, params)
+    heatmap = encode_center_heatmap([c for _, c in centers], Dims.of(panoptic), params)
+    semantic = (panoptic // spec.label_divisor).astype(np.int32)
+
+    bundle = encode_targets(panoptic, spec, params)
+    assert bundle.centers == tuple(centers)
+    assert [repr((c.row, c.col)) for _, c in bundle.centers] == [
+        repr((c.row, c.col)) for _, c in centers
+    ]
+    for got, want in (
+        (bundle.heatmap, heatmap),
+        (bundle.offsets, offsets),
+        (bundle.thing_mask, thing_mask),
+        (bundle.semantic_weights, weights),
+        (bundle.semantic_labels, semantic),
+    ):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    areas = dict(zip(*np.unique(panoptic, return_counts=True)))
+    assert bundle.areas == tuple(int(areas[pid]) for pid, _ in centers)
+
+    assert compute_mass_centers(panoptic, spec) == centers
+    got_offsets, got_mask = encode_offsets(panoptic, spec)
+    assert got_offsets.tobytes() == offsets.tobytes()
+    assert got_mask.tobytes() == thing_mask.tobytes()
+    assert semantic_weight_map(panoptic, spec, params).tobytes() == weights.tobytes()
