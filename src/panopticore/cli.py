@@ -131,12 +131,9 @@ def cmd_fuse(args) -> int:
     semantic = tensor_io.read_tensor(args.semantic)
     heatmap = tensor_io.read_tensor(args.heatmap)
     offsets = tensor_io.read_tensor(args.offsets)
-    for name, grid in (("heatmap", heatmap), ("offsets", offsets)):
-        if not np.isfinite(grid).all():
-            raise ValueError(f"{name} contains non-finite values")
-    if semantic.ndim == 2:
-        semantic = semantic.astype(np.int64)
-        _require_valid(semantic, spec, "semantic")
+    if not np.isfinite(offsets).all():
+        raise ValueError("offsets contains non-finite values")
+    # panoptic_inference checks the semantic grid and the heatmap itself.
     result = postprocess.panoptic_inference(
         semantic, heatmap, offsets, spec, _postproc_params(args)
     )

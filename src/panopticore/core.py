@@ -344,15 +344,16 @@ def validate(
     else:
         if not np.issubdtype(array.dtype, np.floating):
             return [f"{kind}: expected float dtype, got {array.dtype}"]
-        values = flat.astype(np.float64, copy=False)
-        bad = ~np.isfinite(values).all(axis=1)
-        _report(v, bad, lambda i: f"{kind}: pixel {i}: non-finite value")
+        finite = True  # fast path: only an array holding NaN or inf is searched
+        if not np.isfinite(array).all():
+            finite = np.isfinite(flat).all(axis=1)
+            _report(v, ~finite, lambda i: f"{kind}: pixel {i}: non-finite value")
         if kind == "heatmap" and encoded_target:
-            out = ((values[:, 0] < 0.0) | (values[:, 0] > 1.0)) & ~bad
-            _report(
-                v, out, lambda i: f"heatmap: pixel {i}: value {values[i, 0]} outside [0, 1]"
-            )
+            values = flat[:, 0].astype(np.float64, copy=False)
+            out = ((values < 0.0) | (values > 1.0)) & finite
+            _report(v, out, lambda i: f"heatmap: pixel {i}: value {values[i]} outside [0, 1]")
         if kind == "weights":
-            neg = (values[:, 0] < 0.0) & ~bad
-            _report(v, neg, lambda i: f"weights: pixel {i}: negative weight {values[i, 0]}")
+            values = flat[:, 0].astype(np.float64, copy=False)
+            neg = (values < 0.0) & finite
+            _report(v, neg, lambda i: f"weights: pixel {i}: negative weight {values[i]}")
     return v

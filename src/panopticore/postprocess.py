@@ -5,6 +5,10 @@ The stages compose into :func:`panoptic_inference`:
     keypoint_nms -> extract_centers -> thing_mask_from_semantic ->
     group_pixels -> merge_panoptic -> filter_small_stuff -> score_instances
 
+It checks each input once and runs private bodies of the stages that would
+check it again; its peak search visits only the pixels above the center
+threshold and gives the centers of ``keypoint_nms`` + ``extract_centers``.
+
 Everything is integer- or comparison-based, so outputs are bit-identical
 across runs. Instance indices are 1-based positions in the extracted center
 list; 0 means "no instance". Pixels of a thing category that no center
@@ -40,6 +44,16 @@ SCORE_MODES = ("objectness", "class", "product")
 # Side of the square source-pixel tiles whose candidate centers
 # group_pixels prunes together.
 _GROUP_TILE = 32
+
+# Peaks are searched among the pixels above the center threshold while
+# candidates x kernel**2 stays within this multiple of the pixel count;
+# denser heatmaps take the full window-max filter, which costs about as
+# much as the candidate search at this density.
+_PEAK_DENSITY = 4
+
+# Pixels per block of the pass over (H, W, C) probabilities; a (4096, C)
+# block and its float64 row sums stay in cache.
+_PROB_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -129,6 +143,57 @@ def extract_centers(
         )
         for i in order
     ]
+
+
+def _peak_centers(
+    heatmap: np.ndarray, kernel: int, threshold: float, top_k: int
+) -> list[InstanceCenter]:
+    """``extract_centers(keypoint_nms(heatmap, kernel), threshold, top_k)``
+    for a finite heatmap and ``threshold >= 0``, computed at the pixels above
+    the threshold only.
+
+    Only those pixels can become centers, and one survives iff no pixel of
+    its clipped window is larger. The windows are read from a copy padded
+    with -inf, which clips them as ``maximum_filter(cval=-inf)`` does, one
+    square ring of offsets at a time, nearest first; a candidate that meets
+    a larger value is dropped before the next ring. The survivors, alone on
+    an empty map, go through ``extract_centers``. Heatmaps with too many
+    candidates (see ``_PEAK_DENSITY``) or of a non-float dtype take the full
+    filter instead.
+    """
+    above = heatmap > threshold
+    if (
+        heatmap.dtype.kind != "f"
+        or np.count_nonzero(above) * kernel * kernel > _PEAK_DENSITY * heatmap.size
+    ):
+        return extract_centers(keypoint_nms(heatmap, kernel), threshold, top_k)
+    candidates = np.flatnonzero(above)
+    height, width = heatmap.shape
+    radius = kernel // 2
+    stride = width + 2 * radius
+    padded = np.empty((height + 2 * radius, stride), dtype=heatmap.dtype)
+    padded[radius : radius + height, radius : radius + width] = heatmap
+    padded[:radius] = padded[radius + height :] = -np.inf
+    padded[:, :radius] = padded[:, radius + width :] = -np.inf
+    padded = padded.reshape(-1)
+    at = candidates + (candidates // width * (2 * radius) + radius * stride + radius)
+    values = padded[at]
+    for ring in range(1, radius + 1):
+        offsets = [
+            dy * stride + dx
+            for dy in range(-ring, ring + 1)
+            for dx in range(-ring, ring + 1)
+            if max(abs(dy), abs(dx)) == ring
+        ]
+        ring_max = padded[at + offsets[0]]
+        for offset in offsets[1:]:
+            np.maximum(ring_max, padded[at + offset], out=ring_max)
+        peak = ring_max <= values
+        candidates, at, values = candidates[peak], at[peak], values[peak]
+    # The surviving peaks on an empty map: extract_centers orders them.
+    peaks = np.zeros(heatmap.shape, dtype=heatmap.dtype)
+    peaks.reshape(-1)[candidates] = values
+    return extract_centers(peaks, threshold, top_k)
 
 
 def thing_mask_from_semantic(semantic: np.ndarray, spec: DatasetSpec) -> np.ndarray:
@@ -277,6 +342,15 @@ def merge_panoptic(
         raise ValueError(
             f"semantic shape {semantic.shape} != instance shape {instance_ids.shape}"
         )
+    spec.check_known(semantic, "semantic map")
+    return _merge_panoptic(semantic, instance_ids, spec)
+
+
+def _merge_panoptic(
+    semantic: np.ndarray, instance_ids: np.ndarray, spec: DatasetSpec
+) -> PanopticResult:
+    """:func:`merge_panoptic` of a semantic map already checked against the
+    spec."""
     max_instance = int(instance_ids.max()) if instance_ids.size else 0
     if max_instance >= spec.label_divisor:
         raise ValueError(
@@ -287,7 +361,6 @@ def merge_panoptic(
     ids_sorted = table.ids
 
     flat_semantic = semantic.reshape(-1)
-    spec.check_known(flat_semantic, "semantic map")
     flat_instance = instance_ids.reshape(-1).astype(np.int32, copy=False)
 
     # Vote histogram in one bincount; channel num_channels is a sink bin for
@@ -348,16 +421,12 @@ def merge_panoptic(
 
 
 def filter_small_stuff(
-    result: PanopticResult,
-    spec: DatasetSpec,
-    threshold: int | None = None,
-    per_component: bool = False,
+    result: PanopticResult, spec: DatasetSpec, threshold: int | None = None
 ) -> PanopticResult:
     """Re-assign undersized stuff segments to VOID.
 
-    By default a stuff "segment" is the union of all pixels of that category
-    in the image; with ``per_component`` each 4-connected component is
-    filtered independently. Thing segments are never touched.
+    A stuff "segment" is the union of all pixels of that category in the
+    image. Thing segments are never touched.
     """
     if threshold is None:
         threshold = spec.stuff_area_threshold
@@ -369,20 +438,12 @@ def filter_small_stuff(
     spec.check_known(category, "panoptic map")
     out = panoptic.copy()
     is_stuff = (instance == 0) & spec.table.stuff[category]
-    if per_component:
-        for cid in np.unique(category[is_stuff]).tolist():
-            labeled, count = ndimage.label(is_stuff & (category == cid))
-            areas = np.bincount(labeled.reshape(-1), minlength=count + 1)
-            small = np.flatnonzero(areas[1:] < threshold) + 1
-            if small.size:
-                out[np.isin(labeled, small)] = spec.void_id
-    else:
-        areas = np.bincount(
-            category.reshape(-1)[is_stuff.reshape(-1)],
-            minlength=spec.max_known_label + 1,
-        )
-        small_lut = (areas > 0) & (areas < threshold)
-        out[is_stuff & small_lut[category]] = spec.void_id
+    areas = np.bincount(
+        category.reshape(-1)[is_stuff.reshape(-1)],
+        minlength=spec.max_known_label + 1,
+    )
+    small_lut = (areas > 0) & (areas < threshold)
+    out[is_stuff & small_lut[category]] = spec.void_id
     return PanopticResult(panoptic=out, instances=result.instances)
 
 
@@ -393,44 +454,79 @@ def _class_scores(
 
     ``semantic_probs`` may be a (H, W, C) probability grid (channels in
     ascending category-id order) or a (H, W) label map, which is treated as
-    its one-hot equivalent.
+    its one-hot equivalent. The members of instance k are the pixels holding
+    its panoptic id (voted category * label_divisor + k). They are found
+    with one lookup over the map, and only their rows are read and summed,
+    in row-major order.
     """
-    panoptic = result.panoptic
-    instance = (panoptic % spec.label_divisor).reshape(-1)
-    thing_cat = (panoptic // spec.label_divisor).reshape(-1)
     if not result.instances:
         return {}
+    if semantic_probs.ndim not in (2, 3):
+        raise ValueError(
+            f"semantic probabilities must be (H, W) or (H, W, C), got shape {semantic_probs.shape}"
+        )
+    divisor = spec.label_divisor
     max_index = max(r.instance_index for r in result.instances)
     category_lut = np.zeros(max_index + 1, dtype=np.int64)
     for r in result.instances:
         category_lut[r.instance_index] = r.category
-    # Instance part 0 is stuff; mask it out of the accumulation.
-    member = (instance > 0) & (instance <= max_index)
-    member &= category_lut[np.where(member, instance, 0)] == thing_cat
-
+    index = np.unique([r.instance_index for r in result.instances])
+    index = index[(index >= 1) & (index < divisor)]
+    ids = category_lut[index] * divisor + index
+    flat = result.panoptic.reshape(-1)
+    top = int(ids.max(initial=0))
+    if ids.min(initial=0) >= 0 and top < max(flat.size, 1 << 16):
+        # Ids above the table clip to its last entry and negative ids to
+        # entry 0; neither is a member id.
+        lut = np.zeros(top + 2, dtype=np.min_scalar_type(max_index))
+        lut[ids] = index
+        owner = np.take(lut, flat, mode="clip")
+    else:  # ids too sparse for a table
+        order = np.argsort(ids)
+        sorted_ids, sorted_index = ids[order], index[order]
+        where = np.searchsorted(sorted_ids, flat).clip(max=ids.size - 1)
+        owner = np.where(sorted_ids[where] == flat, sorted_index[where], 0)
+    rows = np.flatnonzero(owner)
+    owner = owner[rows]
     if semantic_probs.ndim == 2:
-        labels = semantic_probs.reshape(-1)
-        hit = np.zeros(instance.shape, dtype=np.float64)
-        hit[member] = labels[member] == category_lut[instance[member]]
-        prob_of_voted = hit
-    elif semantic_probs.ndim == 3:
-        channel_lut = spec.table.channel[category_lut]
-        flat_probs = semantic_probs.reshape(-1, semantic_probs.shape[2])
-        prob_of_voted = np.zeros(instance.shape, dtype=np.float64)
-        rows = np.flatnonzero(member)
-        prob_of_voted[rows] = flat_probs[rows, channel_lut[instance[rows]]]
+        voted = semantic_probs.reshape(-1)[rows] == category_lut[owner]
+        weights = voted.astype(np.float64)
     else:
-        raise ValueError(
-            f"semantic probabilities must be (H, W) or (H, W, C), got shape {semantic_probs.shape}"
-        )
-    sums = np.bincount(
-        instance[member], weights=prob_of_voted[member], minlength=max_index + 1
-    )
-    counts = np.bincount(instance[member], minlength=max_index + 1)
+        channel = spec.table.channel[category_lut][owner]
+        weights = semantic_probs.reshape(-1, semantic_probs.shape[2])[rows, channel]
+    sums = np.bincount(owner, weights=weights, minlength=max_index + 1)
+    counts = np.bincount(owner, minlength=max_index + 1)
     return {
         r.instance_index: float(sums[r.instance_index] / max(1, counts[r.instance_index]))
         for r in result.instances
     }
+
+
+def _probability_labels(
+    probs: np.ndarray, ids: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Check a (H, W, C) probability grid; with ``ids``, also reduce it to
+    labels.
+
+    One pass in blocks of ``_PROB_BLOCK`` pixels: every pixel's channels must
+    sum to 1 within 1e-5 (numpy's float64 row sum) and be finite; a NaN or
+    infinity makes the row sum fail too, and only then is the block searched
+    for it, so the message can name it. With ``ids`` (the category id of each
+    channel) the (H, W) map ``ids[argmax]`` is returned, ties going to the
+    lowest channel.
+    """
+    flat = probs.reshape(-1, probs.shape[2])
+    labels = None if ids is None else np.empty(flat.shape[0], dtype=ids.dtype)
+    for start in range(0, flat.shape[0], _PROB_BLOCK):
+        block = flat[start : start + _PROB_BLOCK]
+        sums = block.sum(axis=1, dtype=np.float64)
+        if not np.all(np.abs(sums - 1.0) <= 1e-5):
+            if not np.isfinite(block).all():
+                raise ValueError("semantic probabilities contain non-finite values")
+            raise ValueError("semantic probabilities must sum to 1 per pixel")
+        if labels is not None:
+            labels[start : start + block.shape[0]] = ids[block.argmax(axis=1)]
+    return None if labels is None else labels.reshape(probs.shape[:2])
 
 
 def score_instances(
@@ -445,7 +541,8 @@ def score_instances(
     Objectness is the instance's center heatmap value (``center_scores``
     keyed by instance index); the class score is the mean probability of the
     voted category over the instance's pixels. ``mode`` picks objectness,
-    class, or their product.
+    class, or their product. A (H, W, C) probability grid must be finite and
+    sum to 1 per pixel.
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"score mode must be one of {SCORE_MODES}, got {mode!r}")
@@ -455,9 +552,19 @@ def score_instances(
         if semantic_probs is None:
             raise ValueError(f"score mode {mode!r} requires semantic probabilities")
         if semantic_probs.ndim == 3:
-            sums = semantic_probs.sum(axis=2, dtype=np.float64)
-            if not np.all(np.abs(sums - 1.0) <= 1e-5):
-                raise ValueError("semantic probabilities must sum to 1 per pixel")
+            _probability_labels(semantic_probs)
+    return _score_instances(result, center_scores, semantic_probs, mode, spec)
+
+
+def _score_instances(
+    result: PanopticResult,
+    center_scores: Mapping[int, float] | None,
+    semantic_probs: np.ndarray | None,
+    mode: str,
+    spec: DatasetSpec,
+) -> PanopticResult:
+    """:func:`score_instances` of arguments already checked."""
+    if mode in ("class", "product"):
         class_scores = _class_scores(result, semantic_probs, spec)
 
     scored = []
@@ -481,33 +588,43 @@ def panoptic_inference(
 ) -> PanopticResult:
     """Full pipeline from raw prediction grids to a scored panoptic result.
 
-    ``semantic`` is either a (H, W) label map or a (H, W, C) probability
-    grid; probabilities are reduced per pixel by argmax with ties to the
-    smallest category id.
+    ``semantic`` is either a (H, W) integer label map or a (H, W, C)
+    probability grid; probabilities are reduced per pixel by argmax with ties
+    to the smallest category id. Each input is checked once, in every score
+    mode: label ids must be known to the spec, probabilities finite with
+    rows summing to 1, the heatmap finite. Centers are the peaks of
+    ``extract_centers(keypoint_nms(heatmap))``, searched among the pixels
+    above the threshold only.
     """
+    if semantic.ndim not in (2, 3):
+        raise ValueError(f"semantic must be (H, W) or (H, W, C), got shape {semantic.shape}")
+    grid = semantic.shape[:2]
+    if heatmap.shape != grid:
+        raise ValueError(f"heatmap shape {heatmap.shape} != semantic grid {grid}")
+    if offsets.shape[:2] != grid:
+        raise ValueError(f"offsets shape {offsets.shape} != semantic grid {grid}")
+    if not np.isfinite(heatmap).all():
+        raise ValueError("heatmap contains non-finite values")
+    table = spec.table
     if semantic.ndim == 3:
         if semantic.shape[2] != spec.num_categories:
             raise ValueError(
                 f"probability grid has {semantic.shape[2]} channels, "
                 f"spec has {spec.num_categories} categories"
             )
-        labels = spec.table.ids[semantic.argmax(axis=2)]
-        probs = semantic
-    elif semantic.ndim == 2:
-        labels = semantic
-        probs = None
+        ids = table.ids.astype(np.min_scalar_type(int(table.ids.max())))
+        labels = _probability_labels(semantic, ids)
     else:
-        raise ValueError(f"semantic must be (H, W) or (H, W, C), got shape {semantic.shape}")
-    if heatmap.shape != labels.shape:
-        raise ValueError(f"heatmap shape {heatmap.shape} != semantic grid {labels.shape}")
-    if offsets.shape[:2] != labels.shape:
-        raise ValueError(f"offsets shape {offsets.shape} != semantic grid {labels.shape}")
+        if not np.issubdtype(semantic.dtype, np.integer):
+            raise ValueError(f"semantic label map must hold integer ids, got {semantic.dtype}")
+        spec.check_known(semantic, "semantic map")
+        labels = semantic
 
-    suppressed = keypoint_nms(heatmap, params.nms_kernel)
-    centers = extract_centers(suppressed, params.center_threshold, params.top_k)
-    mask = thing_mask_from_semantic(labels, spec)
-    instance_ids = group_pixels(centers, offsets, mask)
-    result = merge_panoptic(labels, instance_ids, spec)
+    centers = _peak_centers(
+        heatmap, params.nms_kernel, params.center_threshold, params.top_k
+    )
+    instance_ids = group_pixels(centers, offsets, table.thing[labels])
+    result = _merge_panoptic(labels, instance_ids, spec)
     result = filter_small_stuff(result, spec, threshold=params.stuff_area_threshold)
 
     with_centers = tuple(
@@ -516,10 +633,4 @@ def panoptic_inference(
     )
     result = PanopticResult(panoptic=result.panoptic, instances=with_centers)
     center_scores = {k + 1: c.score for k, c in enumerate(centers)}
-    return score_instances(
-        result,
-        center_scores,
-        probs if probs is not None else labels,
-        params.score_mode,
-        spec,
-    )
+    return _score_instances(result, center_scores, semantic, params.score_mode, spec)

@@ -22,6 +22,8 @@ __all__ = [
     "nms_oracle",
     "group_oracle",
     "bootstrapped_ce_oracle",
+    "class_scores_oracle",
+    "random_scored_result",
     "exact_inputs",
     "round_trip_pq",
     "random_valid_map",
@@ -73,13 +75,6 @@ def group_oracle(
                     best, best_k = d, k
             out[r, c] = best_k + 1
     return out
-
-
-def topk_ce_oracle(per_pixel_losses: np.ndarray, fraction: float) -> float:
-    """Sort-and-average restatement of the bootstrapped reduction."""
-    k = max(1, int(np.ceil(fraction * per_pixel_losses.size)))
-    ordered = np.sort(per_pixel_losses)[::-1]
-    return float(ordered[:k].mean(dtype=np.float64))
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -147,6 +142,89 @@ def bootstrapped_ce_oracle(
         gradient[sel_rows] = probs
         gradient = gradient.reshape(logits.shape)
     return losses.LossValue(value=value, gradient=gradient)
+
+
+def class_scores_oracle(
+    result: postprocess.PanopticResult, semantic_probs: np.ndarray, spec: DatasetSpec
+) -> dict[int, float]:
+    """The class scores of ``postprocess.score_instances`` as first written:
+    whole-image instance and category maps, a member mask and a float64
+    per-pixel weight map, summed with one bincount over the member pixels."""
+    panoptic = result.panoptic
+    instance = (panoptic % spec.label_divisor).reshape(-1)
+    thing_cat = (panoptic // spec.label_divisor).reshape(-1)
+    if not result.instances:
+        return {}
+    max_index = max(r.instance_index for r in result.instances)
+    category_lut = np.zeros(max_index + 1, dtype=np.int64)
+    for r in result.instances:
+        category_lut[r.instance_index] = r.category
+    # Instance part 0 is stuff; mask it out of the accumulation.
+    member = (instance > 0) & (instance <= max_index)
+    member &= category_lut[np.where(member, instance, 0)] == thing_cat
+
+    if semantic_probs.ndim == 2:
+        labels = semantic_probs.reshape(-1)
+        hit = np.zeros(instance.shape, dtype=np.float64)
+        hit[member] = labels[member] == category_lut[instance[member]]
+        prob_of_voted = hit
+    elif semantic_probs.ndim == 3:
+        channel_lut = spec.table.channel[category_lut]
+        flat_probs = semantic_probs.reshape(-1, semantic_probs.shape[2])
+        prob_of_voted = np.zeros(instance.shape, dtype=np.float64)
+        rows = np.flatnonzero(member)
+        prob_of_voted[rows] = flat_probs[rows, channel_lut[instance[rows]]]
+    else:
+        raise ValueError(
+            f"semantic probabilities must be (H, W) or (H, W, C), got shape {semantic_probs.shape}"
+        )
+    sums = np.bincount(
+        instance[member], weights=prob_of_voted[member], minlength=max_index + 1
+    )
+    counts = np.bincount(instance[member], minlength=max_index + 1)
+    return {
+        r.instance_index: float(sums[r.instance_index] / max(1, counts[r.instance_index]))
+        for r in result.instances
+    }
+
+
+def random_scored_result(
+    rng: np.random.Generator, spec: DatasetSpec, height: int = 16, width: int = 16
+) -> tuple[postprocess.PanopticResult, np.ndarray, np.ndarray]:
+    """A panoptic result to score, with labels and a probability grid for it.
+
+    The map is :func:`random_valid_map`; the records cover its thing
+    instances, some with another thing category (no member pixels), plus
+    indices with no pixels at all, which may reach past ``label_divisor``. Labels disagree with the map on ~30% of
+    pixels, and probabilities are float32 rows normalised to sum to 1.
+    """
+    panoptic = random_valid_map(rng, spec, height, width)
+    div = spec.label_divisor
+    things = sorted(spec.thing_ids)
+    records = {}
+    for pid in np.unique(panoptic).tolist():
+        category, index = divmod(pid, div)
+        if category in spec.thing_ids and index:
+            if rng.random() < 0.2:
+                category = things[int(rng.integers(len(things)))]
+            records[index] = category
+    for index in rng.integers(1, min(div, 1000) + 10, size=2).tolist():
+        records.setdefault(index, things[int(rng.integers(len(things)))])
+    instances = tuple(
+        postprocess.InstanceRecord(instance_index=k, category=c, area=0)
+        for k, c in records.items()
+    )
+    ids = np.asarray(spec.category_ids)
+    labels = np.where(
+        rng.random(panoptic.shape) < 0.3,
+        ids[rng.integers(ids.size, size=panoptic.shape)],
+        panoptic // div,
+    )
+    # Magnitudes spread over ~2**-60..1, so float64 sums of them round and
+    # their value depends on the summation order.
+    probs = np.exp2(-60 * rng.random(panoptic.shape + (ids.size,))).astype(np.float32)
+    probs /= probs.sum(axis=2, keepdims=True)
+    return postprocess.PanopticResult(panoptic, instances), labels, probs
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -265,14 +343,21 @@ def _check_round_trip(seed: int) -> str:
 
 
 def _check_nms(seed: int = 0, cases: int = 100) -> str:
+    """keypoint_nms == the window-max scan, and the candidate-only peak
+    search == extract_centers over it (quantised values make plateaus)."""
     rng = np.random.default_rng(seed)
     for i in range(cases):
         heatmap = rng.random((16, 16)).astype(np.float32)
+        if i % 2:  # sparse enough for the candidate-only search
+            heatmap = np.ceil(heatmap * 4) / 4 * (rng.random((16, 16)) < 0.04 * (i % 4))
         for kernel in (1, 3, 5, 7):
-            got = postprocess.keypoint_nms(heatmap, kernel)
             want = nms_oracle(heatmap, kernel)
-            if not np.array_equal(got, want):
+            if not np.array_equal(postprocess.keypoint_nms(heatmap, kernel), want):
                 return f"case {i} kernel {kernel}: mismatch with window-max scan"
+            threshold, top_k = (0.0, 0.5, 0.8)[i % 3], (1, 5, 200)[i % 3]
+            peaks = postprocess._peak_centers(heatmap, kernel, threshold, top_k)
+            if peaks != postprocess.extract_centers(want, threshold, top_k):
+                return f"case {i} kernel {kernel}: peaks differ from extract_centers"
     return ""
 
 
@@ -439,6 +524,20 @@ def _check_bootstrapped_ce(seed: int = 0, cases: int = 60) -> str:
     return ""
 
 
+def _check_class_scores(seed: int = 0, cases: int = 100) -> str:
+    """Member-only class scores == the whole-image oracle, bit for bit."""
+    spec = make_spec(num_stuff=2, num_things=3)
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        result, labels, probs = random_scored_result(rng, spec)
+        for name, semantic in (("labels", labels), ("probabilities", probs)):
+            got = postprocess._class_scores(result, semantic, spec)
+            want = class_scores_oracle(result, semantic, spec)
+            if repr(got) != repr(want):
+                return f"case {i}: class scores on {name} differ from the oracle"
+    return ""
+
+
 def _check_pq_formula() -> str:
     spec = make_spec(num_stuff=1, num_things=1)
     thing = sorted(spec.thing_ids)[0]
@@ -515,6 +614,7 @@ PROPERTIES = (
     ("grouping_bruteforce", _check_grouping),
     ("loss_gradients", _check_gradients),
     ("bootstrapped_ce_oracle", _check_bootstrapped_ce),
+    ("class_scores_oracle", _check_class_scores),
     ("pq_formula", _check_pq_formula),
     ("pq_identity_and_uniqueness", _check_pq_identity),
     ("score_mode_invariance", _check_score_modes),

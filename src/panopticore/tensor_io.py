@@ -10,7 +10,9 @@ Container layout (little-endian, no padding):
     payload prod(dims) * itemsize bytes, row-major
 
 Deterministic byte-for-byte: identical arrays produce identical files on any
-platform. Concurrent writes to one path are undefined.
+platform. A write replaces the file atomically, so readers see the old or
+the new container, never a partial one; of concurrent writes to one path,
+the last rename wins.
 
 Dataset specs travel as JSON with the fields of
 :class:`~panopticore.core.DatasetSpec`.
@@ -19,6 +21,8 @@ Dataset specs travel as JSON with the fields of
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -71,7 +75,12 @@ class SpecFormatError(ValueError):
 
 
 def write_tensor(grid: np.ndarray, path: str | Path) -> None:
-    """Serialize a 2-D or 3-D grid; dtype must be uint16, uint32, or float32."""
+    """Serialize a 2-D or 3-D grid; dtype must be uint16, uint32, or float32.
+
+    The container is written to a temporary file in the same directory and
+    renamed over ``path``, so an interrupted write leaves any previous file
+    intact. A little-endian contiguous grid is written without a copy.
+    """
     dtype = np.dtype(grid.dtype)
     if dtype not in _DTYPE_CODES:
         raise TensorIoError(
@@ -82,40 +91,69 @@ def write_tensor(grid: np.ndarray, path: str | Path) -> None:
     header = MAGIC + struct.pack(
         "<HBB", VERSION, _DTYPE_CODES[dtype], grid.ndim
     ) + struct.pack(f"<{grid.ndim}I", *grid.shape)
-    payload = np.ascontiguousarray(grid).astype(dtype.newbyteorder("<")).tobytes()
+    payload = np.ascontiguousarray(grid, dtype=dtype.newbyteorder("<"))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        Path(path).write_bytes(header + payload)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            for chunk in (header, payload.reshape(-1).view(np.uint8)):
+                view = memoryview(chunk)
+                while view:
+                    view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
     except OSError as e:
         raise TensorIoError(f"cannot write tensor to {path}: {e}") from e
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already after a successful rename
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read a container back into a native-endian array."""
+    """Read a container back into a native-endian array.
+
+    The payload is read straight into the returned array. Raises
+    :class:`PayloadLengthError` unless the file holds exactly the payload
+    its header describes.
+    """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb", buffering=0) as f:
+            return _read_container(f, path)
     except OSError as e:
         raise TensorIoError(f"cannot read tensor from {path}: {e}") from e
-    if len(blob) < 8 or blob[:4] != MAGIC:
+
+
+def _read_container(f, path) -> np.ndarray:
+    head = f.read(8)
+    if len(head) < 8 or head[:4] != MAGIC:
         raise BadMagicError(f"{path}: not a tensor container (bad magic)")
-    version, dtype_code, ndim = struct.unpack("<HBB", blob[4:8])
+    version, dtype_code, ndim = struct.unpack("<HBB", head[4:8])
     if version != VERSION:
         raise UnsupportedVersionError(f"{path}: unsupported version {version}")
     if dtype_code not in _CODE_DTYPES:
         raise TensorIoError(f"{path}: unknown dtype code {dtype_code}")
     if ndim not in (2, 3):
         raise TensorIoError(f"{path}: unsupported rank {ndim}")
-    header_end = 8 + 4 * ndim
-    if len(blob) < header_end:
+    raw_dims = f.read(4 * ndim)
+    if len(raw_dims) < 4 * ndim:
         raise PayloadLengthError(f"{path}: truncated header")
-    dims = struct.unpack(f"<{ndim}I", blob[8:header_end])
+    dims = struct.unpack(f"<{ndim}I", raw_dims)
     dtype = _CODE_DTYPES[dtype_code]
-    expected = int(np.prod(dims)) * dtype.itemsize
-    if len(blob) - header_end != expected:
-        raise PayloadLengthError(
-            f"{path}: payload is {len(blob) - header_end} bytes, expected {expected}"
-        )
-    data = np.frombuffer(blob, dtype=dtype.newbyteorder("<"), offset=header_end)
-    return data.reshape(dims).astype(dtype)
+    expected = math.prod(dims) * dtype.itemsize
+    size = os.fstat(f.fileno()).st_size - (8 + 4 * ndim)
+    if size != expected:
+        raise PayloadLengthError(f"{path}: payload is {size} bytes, expected {expected}")
+    data = np.empty(dims, dtype=dtype.newbyteorder("<"))
+    view = memoryview(data.reshape(-1).view(np.uint8))
+    while view:
+        got = f.readinto(view)
+        if not got:
+            raise PayloadLengthError(f"{path}: payload ends {len(view)} bytes short")
+        view = view[got:]
+    if f.read(1):
+        raise PayloadLengthError(f"{path}: trailing bytes after the payload")
+    return data if data.dtype.isnative else data.astype(dtype)
 
 
 def write_spec(spec: DatasetSpec, path: str | Path) -> None:

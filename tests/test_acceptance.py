@@ -7,6 +7,7 @@ criterion. Tolerances are fixed here and nowhere else.
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,17 +95,25 @@ def test_grouping_oracle_with_small_tiles(monkeypatch, tile):
 
 
 def test_nms_oracle_1000_cases():
-    """keypoint_nms == naive window-max scan, kernels 1/3/5/7."""
+    """keypoint_nms == naive window-max scan, kernels 1/3/5/7; the
+    candidate-only peak search (forced on every case) == extract_centers
+    over the scan."""
     rng = np.random.default_rng(7)
-    mismatches = 0
+    mismatches = peak_mismatches = 0
     for case in range(1000):
         heatmap = rng.random((16, 16)).astype(np.float32)
         for kernel in (1, 3, 5, 7):
             got = postprocess.keypoint_nms(heatmap, kernel)
             want = nms_oracle(heatmap, kernel)
             mismatches += not np.array_equal(got, want)
+            threshold = (0.0, 0.1, 0.5, 0.9)[case % 4]
+            with mock.patch.object(postprocess, "_PEAK_DENSITY", math.inf):
+                peaks = postprocess._peak_centers(heatmap, kernel, threshold, 200)
+            peak_mismatches += peaks != postprocess.extract_centers(want, threshold, 200)
     assert mismatches == 0, f"{mismatches} mismatches"
-    report("nms_oracle", "1000 heatmaps x kernels {1,3,5,7}, zero mismatches")
+    assert peak_mismatches == 0, f"{peak_mismatches} candidate-search mismatches"
+    report("nms_oracle", "1000 heatmaps x kernels {1,3,5,7}, zero mismatches, "
+           "candidate-only peaks included")
 
 
 def test_gradient_checks_50_instances_each():

@@ -212,6 +212,42 @@ def test_fuse_non_finite_input_exit_1(scene_files, capsys, field, value):
     assert f"{field} contains non-finite values" in capsys.readouterr().err
 
 
+def _one_hot_probs(semantic, spec):
+    probs = np.zeros(semantic.shape + (spec.num_categories,), dtype=np.float32)
+    for channel, cid in enumerate(spec.category_ids):
+        probs[semantic == cid, channel] = 1.0
+    probs[semantic == spec.ignore_label] = np.float32(1.0 / spec.num_categories)
+    return probs
+
+
+@pytest.mark.parametrize("mode", ["objectness", "class", "product"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_fuse_non_finite_probabilities_exit_1(scene_files, capsys, mode, value):
+    scene, gt_path, spec_path, tmp = scene_files
+    targets_dir = tmp / "targets"
+    assert run_targets(gt_path, spec_path, targets_dir) == 0
+    semantic = read_tensor(targets_dir / TARGET_FILES["semantic"])
+    probs = _one_hot_probs(semantic, scene.spec)
+    probs[semantic.shape[0] // 2, 3, 1] = value
+    write_tensor(probs, targets_dir / TARGET_FILES["semantic"])
+    capsys.readouterr()
+    code = run_fuse(targets_dir, spec_path, tmp / "o.pdlt", tmp / "r.json", "--score-mode", mode)
+    assert code == 1
+    assert "semantic probabilities contain non-finite values" in capsys.readouterr().err
+
+
+def test_fuse_unknown_semantic_id_exit_1(scene_files, capsys):
+    scene, gt_path, spec_path, tmp = scene_files
+    targets_dir = tmp / "targets"
+    assert run_targets(gt_path, spec_path, targets_dir) == 0
+    semantic = read_tensor(targets_dir / TARGET_FILES["semantic"]).copy()
+    semantic[0, 0] = scene.spec.max_known_label + 1
+    write_tensor(semantic, targets_dir / TARGET_FILES["semantic"])
+    capsys.readouterr()
+    assert run_fuse(targets_dir, spec_path, tmp / "o.pdlt", tmp / "r.json") == 1
+    assert "semantic map contains ids unknown to the dataset spec" in capsys.readouterr().err
+
+
 def test_fuse_top_k_not_below_label_divisor_exit_1(scene_files, capsys):
     scene, gt_path, spec_path, tmp = scene_files
     divisor = scene.spec.label_divisor
@@ -396,12 +432,7 @@ def test_fuse_probability_semantic_input(scene_files):
     targets_dir = tmp / "targets"
     assert run_targets(gt_path, spec_path, targets_dir) == 0
     semantic = read_tensor(targets_dir / TARGET_FILES["semantic"]).astype(np.int64)
-    spec = scene.spec
-    probs = np.zeros(semantic.shape + (spec.num_categories,), dtype=np.float32)
-    for channel, cid in enumerate(spec.category_ids):
-        probs[semantic == cid, channel] = 1.0
-    probs[semantic == spec.ignore_label] = np.float32(1.0 / spec.num_categories)
-    write_tensor(probs, tmp / "probs.pdlt")
+    write_tensor(_one_hot_probs(semantic, scene.spec), tmp / "probs.pdlt")
     out_path = tmp / "pan_probs.pdlt"
     report_path = tmp / "inst_probs.json"
     code = main(

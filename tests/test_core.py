@@ -115,6 +115,21 @@ def test_validate_heatmap_target_range():
     assert len(validate(heatmap, spec, "heatmap", encoded_target=True)) == 4
 
 
+def test_validate_float_kinds_report_non_finite_once():
+    spec = make_spec()
+    weights = np.ones((3, 4), dtype=np.float32)
+    weights[0, 1], weights[1, 2], weights[2, 3] = np.nan, -1.0, -np.inf
+    assert validate(weights, spec, "weights") == [
+        "weights: pixel 1: non-finite value",
+        "weights: pixel 11: non-finite value",
+        "weights: pixel 6: negative weight -1.0",
+    ]
+    offsets = np.zeros((2, 2, 2), dtype=np.float32)
+    assert validate(offsets, spec, "offsets") == []
+    offsets[1, 0, 1] = np.inf
+    assert validate(offsets, spec, "offsets") == ["offsets: pixel 2: non-finite value"]
+
+
 def test_validate_panoptic_stuff_with_instance():
     spec = make_spec(num_stuff=2, num_things=2)
     stuff_id = sorted(spec.stuff_ids)[0]
@@ -253,6 +268,12 @@ def _unknown_id_cases():
         "merge_panoptic": (
             "semantic map",
             lambda c: postprocess.merge_panoptic(semantic(c), no_instances, spec),
+        ),
+        "panoptic_inference": (
+            "semantic map",
+            lambda c: postprocess.panoptic_inference(
+                semantic(c), np.zeros((6, 6), np.float32), np.zeros((6, 6, 2), np.float32), spec
+            ),
         ),
         "filter_small_stuff": (
             "panoptic map",

@@ -15,7 +15,7 @@ from panopticore.losses import (
     total_loss,
     weighted_bootstrapped_ce,
 )
-from panopticore.selftest import bootstrapped_ce_oracle, relative_error, topk_ce_oracle
+from panopticore.selftest import bootstrapped_ce_oracle, relative_error
 
 IGNORE = 255
 
@@ -50,9 +50,9 @@ def test_ce_bootstrap_selects_largest():
     weights = (targets / math.log(2)).reshape(1, 4)
     loss = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.5)
     assert loss.value == pytest.approx((0.4 + 0.3) / 2, rel=1e-12)
-    # Independent sort-and-average oracle over the same per-pixel losses.
-    per_pixel = weights.reshape(-1) * math.log(2)
-    assert loss.value == pytest.approx(topk_ce_oracle(per_pixel, 0.5), rel=1e-12)
+    # The full-sort oracle over the same inputs.
+    oracle = bootstrapped_ce_oracle(logits, labels, weights, IGNORE, 0.5)
+    assert loss.value == pytest.approx(oracle.value, rel=1e-12)
 
 
 def test_ce_fraction_one_equals_plain_weighted_ce():
@@ -61,11 +61,13 @@ def test_ce_fraction_one_equals_plain_weighted_ce():
     labels = rng.integers(0, 4, size=(6, 6))
     weights = rng.uniform(0.1, 2.0, size=(6, 6))
     loss = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 1.0)
-    # Plain weighted CE: mean of weighted per-pixel losses, via the oracle.
+    # Plain weighted CE: mean of weighted per-pixel losses.
     log_probs = logits - logits.max(-1, keepdims=True)
     log_probs = log_probs - np.log(np.exp(log_probs).sum(-1, keepdims=True))
     per_pixel = -weights * np.take_along_axis(log_probs, labels[..., None], -1)[..., 0]
-    assert loss.value == pytest.approx(topk_ce_oracle(per_pixel.reshape(-1), 1.0), rel=1e-12)
+    assert loss.value == pytest.approx(per_pixel.mean(), rel=1e-12)
+    oracle = bootstrapped_ce_oracle(logits, labels, weights, IGNORE, 1.0)
+    assert loss.value == pytest.approx(oracle.value, rel=1e-12)
 
 
 def test_ce_tie_at_kth_is_row_major():

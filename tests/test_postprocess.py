@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,7 +20,13 @@ from panopticore.postprocess import (
     score_instances,
     thing_mask_from_semantic,
 )
-from panopticore.selftest import exact_inputs, group_oracle, nms_oracle
+from panopticore.selftest import (
+    class_scores_oracle,
+    exact_inputs,
+    group_oracle,
+    nms_oracle,
+    random_scored_result,
+)
 from panopticore.synth import make_spec, random_scene
 
 SPEC = make_spec(num_stuff=2, num_things=2)
@@ -88,6 +96,43 @@ def test_nms_is_pointwise_filter(heatmap, kernel):
     out = keypoint_nms(heatmap, kernel)
     nonzero = out != 0
     assert np.array_equal(out[nonzero], heatmap[nonzero])
+
+
+@st.composite
+def peak_heatmaps(draw):
+    """Values in {0, 0.25, ..., 1}: plateaus and ties everywhere, and peaks
+    anywhere, borders included."""
+    shape = draw(st.tuples(st.integers(1, 14), st.integers(1, 14)))
+    levels = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 4)))
+    return levels.astype(np.float32) / 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    heatmap=peak_heatmaps(),
+    kernel=st.sampled_from([1, 3, 5, 7, 9]),
+    threshold=st.sampled_from([0.0, 0.1, 0.5, 0.8]),
+    top_k=st.integers(1, 6) | st.just(200),
+)
+def test_candidate_peaks_equal_nms_then_extract(heatmap, kernel, threshold, top_k):
+    want = extract_centers(keypoint_nms(heatmap, kernel), threshold, top_k)
+    assert postprocess._peak_centers(heatmap, kernel, threshold, top_k) == want
+    # Again with the density fallback off, so every case runs the candidate
+    # search, threshold 0 included.
+    with mock.patch.object(postprocess, "_PEAK_DENSITY", math.inf):
+        assert postprocess._peak_centers(heatmap, kernel, threshold, top_k) == want
+
+
+def test_dense_candidates_fall_back_to_the_full_filter():
+    heatmap = np.random.default_rng(3).random((32, 32)).astype(np.float32)
+    with mock.patch.object(postprocess, "keypoint_nms", wraps=keypoint_nms) as nms:
+        dense = postprocess._peak_centers(heatmap, 7, 0.0, 200)
+        assert nms.call_count == 1
+        sparse = postprocess._peak_centers(heatmap, 7, 0.99, 200)
+        assert nms.call_count == 1
+    assert dense == extract_centers(keypoint_nms(heatmap, 7), 0.0, 200)
+    assert sparse == extract_centers(keypoint_nms(heatmap, 7), 0.99, 200)
+    assert postprocess._peak_centers(np.asfortranarray(heatmap), 7, 0.99, 200) == sparse
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +435,6 @@ def test_filter_leaves_things_alone():
     assert np.array_equal(out.panoptic, panoptic)
 
 
-def test_filter_per_component_mode():
-    panoptic = np.full((10, 10), STUFF[1] * SPEC.label_divisor, dtype=np.int64)
-    panoptic[0:2, 0:2] = STUFF[0] * SPEC.label_divisor  # component of 4
-    panoptic[6:10, 6:10] = STUFF[0] * SPEC.label_divisor  # component of 16
-    result = PanopticResult(panoptic=panoptic, instances=())
-    out = filter_small_stuff(result, SPEC, threshold=10, per_component=True)
-    assert (out.panoptic[0:2, 0:2] == SPEC.void_id).all()
-    assert (out.panoptic[6:10, 6:10] == STUFF[0] * SPEC.label_divisor).all()
-    # Union mode keeps both: total area 20 >= 10.
-    union = filter_small_stuff(result, SPEC, threshold=10)
-    assert np.array_equal(union.panoptic, panoptic)
-
-
 # ---------------------------------------------------------------------------
 # score_instances
 
@@ -478,6 +510,75 @@ def test_score_bad_probability_rows_rejected():
     probs = np.full((2, 2, SPEC.num_categories), 0.5)
     with pytest.raises(ValueError, match="sum to 1"):
         score_instances(result, {1: 0.8}, probs, "class", SPEC)
+
+
+def test_score_non_finite_probabilities_named():
+    result = _one_instance_result()
+    probs = _probs_for(np.full((2, 2), THING[0], dtype=np.int64))
+    probs[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        score_instances(result, {1: 0.8}, probs, "class", SPEC)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_member_only_class_scores_equal_oracle(seed):
+    spec = make_spec(num_stuff=2, num_things=3)
+    rng = np.random.default_rng(seed)
+    result, labels, probs = random_scored_result(rng, spec, 24, 20)
+    for semantic in (labels, probs):
+        got = postprocess._class_scores(result, semantic, spec)
+        assert repr(got) == repr(class_scores_oracle(result, semantic, spec))
+
+
+def test_class_scores_sparse_ids_equal_oracle():
+    # A label_divisor too large for a lookup table over the panoptic ids.
+    spec = make_spec(num_stuff=2, num_things=3)
+    spec = dataclasses.replace(spec, label_divisor=1 << 40)
+    rng = np.random.default_rng(5)
+    result, labels, probs = random_scored_result(rng, spec, 12, 12)
+    assert any(r.category * spec.label_divisor >= 1 << 20 for r in result.instances)
+    for semantic in (labels, probs):
+        got = postprocess._class_scores(result, semantic, spec)
+        assert repr(got) == repr(class_scores_oracle(result, semantic, spec))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 4096])
+def test_blocked_probability_pass_equals_whole_grid(monkeypatch, block):
+    monkeypatch.setattr(postprocess, "_PROB_BLOCK", block)
+    rng = np.random.default_rng(block)
+    probs = rng.random((9, 13, SPEC.num_categories)).astype(np.float32)
+    probs[2, 3, :2] = 5.0  # ties go to the lowest channel
+    probs /= probs.sum(axis=2, keepdims=True)
+    ids = np.asarray(SPEC.category_ids)
+    labels = postprocess._probability_labels(probs, ids)
+    assert np.array_equal(labels, ids[probs.argmax(axis=2)])
+    # Rows just inside and just outside the 1e-5 tolerance: same verdict as
+    # the whole-grid float64 sum.
+    for scale in (1 + 0.9e-5, 1 + 1.1e-5, 1 - 0.9e-5, 1 - 1.1e-5):
+        bad = probs.copy()
+        bad[8, 12] *= np.float32(scale)
+        sums = bad.sum(axis=2, dtype=np.float64)
+        accept = bool(np.all(np.abs(sums - 1.0) <= 1e-5))
+        try:
+            postprocess._probability_labels(bad, ids)
+        except ValueError as e:
+            assert not accept and "sum to 1" in str(e)
+        else:
+            assert accept
+
+
+@pytest.mark.parametrize("mode", postprocess.SCORE_MODES)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_inference_rejects_non_finite_probabilities_in_every_mode(mode, value):
+    scene = random_scene(31, max_size=64)
+    semantic, heatmap, offsets = exact_inputs(scene)
+    probs = np.zeros(semantic.shape + (scene.spec.num_categories,), dtype=np.float32)
+    channel = np.searchsorted(np.asarray(scene.spec.category_ids), semantic)
+    np.put_along_axis(probs, channel[..., None], np.float32(1.0), axis=2)
+    probs[-1, -1, 0] = value
+    params = postprocess.PostprocParams(score_mode=mode)
+    with pytest.raises(ValueError, match="semantic probabilities contain non-finite values"):
+        panoptic_inference(probs, heatmap, offsets, scene.spec, params)
 
 
 # ---------------------------------------------------------------------------

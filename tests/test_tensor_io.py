@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +76,52 @@ def test_truncated_payload_length_error(tmp_path):
     path.write_bytes(blob[:-4])
     with pytest.raises(PayloadLengthError):
         read_tensor(path)
+
+
+def test_trailing_bytes_payload_length_error(tmp_path):
+    path = tmp_path / "t.pdlt"
+    write_tensor(np.zeros((2, 3), dtype=np.uint32), path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(PayloadLengthError, match="payload is 25 bytes, expected 24"):
+        read_tensor(path)
+
+
+def test_truncated_dims_payload_length_error(tmp_path):
+    path = tmp_path / "t.pdlt"
+    write_tensor(np.zeros((2, 3), dtype=np.uint32), path)
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(PayloadLengthError, match="truncated header"):
+        read_tensor(path)
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.pdlt"
+    write_tensor(np.arange(6, dtype=np.uint16).reshape(2, 3), path)
+    before = path.read_bytes()
+    real_write = os.write
+    calls = []
+
+    def failing_write(fd, data):
+        calls.append(len(data))
+        if len(calls) == 2:  # the header went out; fail inside the payload
+            real_write(fd, bytes(data)[:5])
+            raise OSError(28, "No space left on device")
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", failing_write)
+    with pytest.raises(TensorIoError, match="No space left"):
+        write_tensor(np.ones((40, 30), dtype=np.float32), path)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.pdlt"]
+
+
+def test_write_leaves_no_temporary_file(tmp_path):
+    write_tensor(np.zeros((3, 4, 2), dtype=np.float32), tmp_path / "o.pdlt")
+    write_tensor(np.ones((3, 4, 2), dtype=np.float32), tmp_path / "o.pdlt")
+    assert [p.name for p in tmp_path.iterdir()] == ["o.pdlt"]
+    assert (read_tensor(tmp_path / "o.pdlt") == 1).all()
 
 
 def test_bad_magic_error(tmp_path):
