@@ -226,13 +226,35 @@ class SegmentTable(NamedTuple):
     void: np.ndarray
 
 
+def _count_ids(flat: np.ndarray, with_inverse: bool = False) -> tuple:
+    """``np.unique(flat, return_inverse=with_inverse, return_counts=True)``
+    of a 1-D array, bit for bit. Integer ids in [0, max(size, 65536)) are
+    counted with one ``np.bincount`` over that range, and ``inverse`` is one
+    gather through a table; other arrays take the ``np.unique`` sort."""
+    if not (
+        np.issubdtype(flat.dtype, np.integer)
+        and flat.size
+        and flat.min() >= 0
+        and flat.max() < max(flat.size, 1 << 16)
+    ):
+        return np.unique(flat, return_inverse=with_inverse, return_counts=True)
+    index = flat.astype(np.intp, copy=False)
+    counts = np.bincount(index)
+    present = np.flatnonzero(counts)
+    ids, areas = present.astype(flat.dtype), counts[present]
+    if not with_inverse:
+        return ids, areas
+    table = np.zeros(counts.size, dtype=np.intp)
+    table[present] = np.arange(present.size)
+    return ids, table[index], areas
+
+
 def segment_table(panoptic: np.ndarray, spec: DatasetSpec) -> SegmentTable:
     """The :class:`SegmentTable` of a 2-D panoptic map. Raises ValueError if
     an id's category is unknown to the spec."""
     height, width = panoptic.shape
-    ids, inverse, areas = np.unique(panoptic, return_inverse=True, return_counts=True)
+    ids, inverse, areas = _count_ids(panoptic.reshape(-1), with_inverse=True)
     classes = classify_segments(ids, spec, "panoptic map")
-    inverse = inverse.reshape(-1)
     # Coordinate sums are integers below 2**53, so float64 accumulates them
     # exactly and sum / count is numpy's mean bit for bit.
     rows = np.bincount(inverse, np.repeat(np.arange(height, dtype=np.float64), width))
@@ -285,6 +307,21 @@ def _report(violations: list[str], mask: np.ndarray, describe) -> None:
         violations.append(f"... and {idx.size - _MAX_REPORTED} more")
 
 
+def _panoptic_faults(labels: np.ndarray, spec: DatasetSpec) -> tuple:
+    """Category and instance part of int64 panoptic ids, and where an id has
+    an unknown category, a stuff category with a nonzero instance part, or
+    the ignore label with a nonzero instance part."""
+    category = labels // spec.label_divisor
+    instance = labels % spec.label_divisor
+    return (
+        category,
+        instance,
+        ~spec.lookup(spec.table.known, category),
+        spec.lookup(spec.table.stuff, category) & (instance != 0),
+        (category == spec.ignore_label) & (instance != 0),
+    )
+
+
 def validate(
     array: np.ndarray,
     spec: DatasetSpec,
@@ -315,27 +352,27 @@ def validate(
     if kind in ("semantic", "panoptic"):
         if not np.issubdtype(array.dtype, np.integer):
             return [f"{kind}: expected integer dtype, got {array.dtype}"]
-        labels = flat[:, 0].astype(np.int64)
+        labels = flat[:, 0].astype(np.int64, copy=False)
         if kind == "semantic":
             known = spec.lookup(spec.table.known, labels)
             _report(v, ~known, lambda i: f"{kind}: pixel {i}: unknown category id {int(labels[i])}")
-        else:
-            category = labels // spec.label_divisor
-            instance = labels % spec.label_divisor
-            known = spec.lookup(spec.table.known, category)
+        elif any(f.any() for f in _panoptic_faults(_count_ids(labels)[0], spec)[2:]):
+            # Each distinct id is checked once; pixels are searched only
+            # when some id is at fault.
+            category, instance, unknown, nonzero_stuff, void_inst = _panoptic_faults(
+                labels, spec
+            )
             _report(
                 v,
-                ~known,
+                unknown,
                 lambda i: f"panoptic: pixel {i}: unknown category id {int(category[i])}",
             )
-            nonzero_stuff = spec.lookup(spec.table.stuff, category) & (instance != 0)
             _report(
                 v,
                 nonzero_stuff,
                 lambda i: f"panoptic: pixel {i}: stuff category {int(category[i])} "
                 f"with nonzero instance {int(instance[i])}",
             )
-            void_inst = (category == spec.ignore_label) & (instance != 0)
             _report(
                 v,
                 void_inst,

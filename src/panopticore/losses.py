@@ -149,13 +149,16 @@ def weighted_bootstrapped_ce(
 def mse_heatmap_loss(
     pred: np.ndarray, target: np.ndarray, with_gradient: bool = True
 ) -> LossValue:
-    """Mean squared error over all pixels of two heatmaps."""
+    """Mean squared error over all pixels of two heatmaps. NaN or inf in
+    either heatmap raises."""
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred.astype(np.float64) - target.astype(np.float64)
+    diff = np.subtract(pred, target, dtype=np.float64)
+    if not np.isfinite(diff).all():  # NaN and inf in either grid reach diff
+        raise ValueError("heatmaps must be finite (no NaN or inf)")
     count = diff.size
     value = float((diff * diff).sum(dtype=np.float64) / count)
-    gradient = (2.0 / count) * diff if with_gradient else None
+    gradient = np.multiply(diff, 2.0 / count, out=diff) if with_gradient else None
     return LossValue(value=value, gradient=gradient)
 
 
@@ -168,24 +171,37 @@ def l1_offset_loss(
     """L1 offset loss, activated only at thing pixels.
 
     Value is sum over masked pixels of |d_row| + |d_col|, divided by the
-    masked pixel count (0 when the mask is empty).
+    masked pixel count (0 when the mask is empty). Only masked pixels are
+    read: NaN or inf there raises, elsewhere it is ignored.
     """
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    if pred.ndim != 3 or pred.shape[2] != 2:
+        raise ValueError(f"offsets must be (H, W, 2), got shape {pred.shape}")
     if thing_mask.shape != pred.shape[:2]:
         raise ValueError(
             f"mask shape {thing_mask.shape} != offset grid {pred.shape[:2]}"
         )
-    diff = pred.astype(np.float64) - target.astype(np.float64)
-    mask = thing_mask.astype(bool)
-    count = int(mask.sum())
-    total = float(np.abs(diff[mask]).sum(dtype=np.float64)) if count else 0.0
+    pixels = np.flatnonzero(thing_mask.astype(bool, copy=False))  # bool scans faster
+    count = pixels.size
+    # The (count, 2) differences in row-major order, as a full-grid
+    # difference masked afterwards holds them, so the sum has the same bits.
+    diff = np.subtract(
+        np.take(pred.reshape(-1, 2), pixels, axis=0),
+        np.take(target.reshape(-1, 2), pixels, axis=0),
+        dtype=np.float64,
+    )
+    if not np.isfinite(diff).all():
+        raise ValueError("offsets at thing pixels must be finite (no NaN or inf)")
+    total = float(np.abs(diff).sum(dtype=np.float64)) if count else 0.0
     value = total / max(1, count)
     gradient = None
     if with_gradient:
-        gradient = np.zeros_like(diff)
+        gradient = np.zeros(pred.shape)
         if count:
-            gradient[mask] = np.sign(diff[mask]) / count
+            # One 16-byte (d_row, d_col) element per pixel: a 1-D scatter.
+            pairs = gradient.reshape(-1, 2).view(np.complex128).reshape(-1)
+            pairs[pixels] = (np.sign(diff) / count).view(np.complex128).reshape(-1)
     return LossValue(value=value, gradient=gradient)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses, metrics, postprocess, targets
+from . import core, losses, metrics, postprocess, targets
 from .core import DatasetSpec, Dims, InstanceCenter
 from .synth import Scene, make_spec, random_scene
 
@@ -23,6 +23,7 @@ __all__ = [
     "group_oracle",
     "bootstrapped_ce_oracle",
     "class_scores_oracle",
+    "segment_table_oracle",
     "random_scored_result",
     "exact_inputs",
     "round_trip_pq",
@@ -186,6 +187,19 @@ def class_scores_oracle(
         r.instance_index: float(sums[r.instance_index] / max(1, counts[r.instance_index]))
         for r in result.instances
     }
+
+
+def segment_table_oracle(panoptic: np.ndarray, spec: DatasetSpec) -> core.SegmentTable:
+    """``core.segment_table`` as first written: one ``np.unique`` sort of the
+    map with inverse and counts."""
+    height, width = panoptic.shape
+    ids, inverse, areas = np.unique(panoptic, return_inverse=True, return_counts=True)
+    classes = core.classify_segments(ids, spec, "panoptic map")
+    inverse = inverse.reshape(-1)
+    rows = np.bincount(inverse, np.repeat(np.arange(height, dtype=np.float64), width))
+    cols = np.bincount(inverse, np.tile(np.arange(width, dtype=np.float64), height))
+    inverse = inverse.reshape(height, width)
+    return core.SegmentTable(ids, inverse, areas, rows / areas, cols / areas, *classes)
 
 
 def random_scored_result(
@@ -538,6 +552,27 @@ def _check_class_scores(seed: int = 0, cases: int = 100) -> str:
     return ""
 
 
+def _check_segment_table(seed: int = 0, cases: int = 60) -> str:
+    """The dense-count segment table == the ``np.unique`` oracle, field by
+    field with dtypes, on maps whose ids stay below or reach past the
+    dense-count bound (65536 on these small maps)."""
+    specs = (make_spec(), make_spec(2, 2, ignore_label=4, label_divisor=1 << 14))
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        spec = specs[i % 2]
+        height, width = (int(n) for n in rng.integers(1, 20, size=2))
+        panoptic = random_valid_map(rng, spec, height, width)
+        dtype = (np.int64, np.uint32, np.uint16)[i % 3]
+        if panoptic.max() > np.iinfo(dtype).max:
+            dtype = np.int64
+        got = core.segment_table(panoptic.astype(dtype), spec)
+        want = segment_table_oracle(panoptic.astype(dtype), spec)
+        for name, a, b in zip(want._fields, got, want):
+            if not _same_array(a, b):
+                return f"case {i} ({np.dtype(dtype).name}): {name} differs from np.unique"
+    return ""
+
+
 def _check_pq_formula() -> str:
     spec = make_spec(num_stuff=1, num_things=1)
     thing = sorted(spec.thing_ids)[0]
@@ -615,6 +650,7 @@ PROPERTIES = (
     ("loss_gradients", _check_gradients),
     ("bootstrapped_ce_oracle", _check_bootstrapped_ce),
     ("class_scores_oracle", _check_class_scores),
+    ("segment_table_oracle", _check_segment_table),
     ("pq_formula", _check_pq_formula),
     ("pq_identity_and_uniqueness", _check_pq_identity),
     ("score_mode_invariance", _check_score_modes),

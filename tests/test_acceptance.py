@@ -262,6 +262,21 @@ def test_bootstrapped_ce_budget():
     assert total_s < 1.5, f"bootstrapped CE {total_s:.3f}s exceeds 1.5s"
 
 
+def test_encode_targets_budget():
+    """encode_targets on one 1025x2049 ground-truth map < 0.3 s."""
+    semantic, heatmap, offsets, spec = bench_inputs(1025, 2049, 200)
+    gt = postprocess.panoptic_inference(semantic, heatmap, offsets, spec).panoptic
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        bundle = targets.encode_targets(gt, spec)
+        times.append(time.perf_counter() - t0)
+        del bundle
+    total_s = sorted(times)[1]
+    print(f"ACCEPTANCE encode_targets_budget: {total_s*1000:.0f} ms (budget 300)")
+    assert total_s < 0.3, f"encode_targets {total_s:.3f}s exceeds 0.3s"
+
+
 def test_eval_budget(tmp_path):
     """eval --mode all --pred-scores on one 1025x2049 pair < 1.0 s."""
     semantic, heatmap, offsets, spec = bench_inputs(1025, 2049, 200)

@@ -9,8 +9,10 @@ from panopticore.core import (
     Dims,
     decode_panoptic_id,
     encode_panoptic_id,
+    segment_table,
     validate,
 )
+from panopticore.selftest import segment_table_oracle
 from panopticore.synth import make_spec
 from panopticore.targets import encode_targets
 
@@ -324,3 +326,107 @@ def test_unknown_ids_rejected_at_every_entry_point(entry, category):
 def test_entry_points_accept_a_known_id(entry):
     _, call = _ENTRY_POINTS[entry]
     call(sorted(_SPEC.thing_ids)[-1])
+
+
+# Ids in [0, 65536) take the dense count on maps of up to 65536 pixels, and
+# ids from 65536 up the np.unique sort: with label_divisor 2**14, thing
+# category 3 ends at 65535 and VOID (ignore label 4) is 65536.
+BOUND_SPEC = make_spec(num_stuff=2, num_things=2, ignore_label=4, label_divisor=1 << 14)
+
+
+@st.composite
+def segment_maps(draw):
+    spec = draw(st.sampled_from([BOUND_SPEC, make_spec()]))
+    div = spec.label_divisor
+    dtype = draw(st.sampled_from([np.uint16, np.uint32, np.int64]))
+    stuff = st.sampled_from(sorted(spec.stuff_ids)).map(lambda c: c * div)
+    thing = st.builds(
+        lambda c, i: c * div + i,  # instance 0 is crowd
+        st.sampled_from(sorted(spec.thing_ids)),
+        st.sampled_from([0, 1, 2, div - 2, div - 1]),
+    )
+    ids = st.one_of(stuff, thing, st.just(spec.void_id))
+    if dtype is np.uint16:
+        ids = ids.filter(lambda v: v <= np.iinfo(np.uint16).max)
+    height = draw(st.integers(1, 10))
+    width = draw(st.integers(1, 10))
+    values = draw(st.lists(ids, min_size=height * width, max_size=height * width))
+    return spec, np.array(values, dtype=dtype).reshape(height, width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=segment_maps())
+def test_segment_table_equals_unique_reference(case):
+    spec, panoptic = case
+    got = segment_table(panoptic, spec)
+    want = segment_table_oracle(panoptic, spec)
+    for name, a, b in zip(want._fields, got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_segment_table_runs_both_paths(monkeypatch):
+    calls = []
+    real_unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or real_unique(*a, **k))
+    below = np.array([[3 * (1 << 14) + (1 << 14) - 1, 0]], dtype=np.uint32)  # 65535
+    segment_table(below, BOUND_SPEC)
+    assert calls == []
+    at_bound = np.array([[BOUND_SPEC.void_id, 0]], dtype=np.uint32)  # 65536
+    segment_table(at_bound, BOUND_SPEC)
+    assert calls == [1]
+    large = np.full((300, 300), BOUND_SPEC.void_id, dtype=np.int64)  # bound 90000
+    segment_table(large, BOUND_SPEC)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("value", [-1, 20 * 1000, 77 * 1000, 10**12])
+def test_segment_table_rejects_unknown_ids(value):
+    panoptic = np.zeros((3, 3), dtype=np.int64)
+    panoptic[1, 1] = value
+    with pytest.raises(ValueError, match="^panoptic map contains ids unknown"):
+        segment_table(panoptic, make_spec())
+
+
+@st.composite
+def faulty_panoptic_maps(draw):
+    spec = draw(st.sampled_from([GAPPY_SPEC, make_spec(num_stuff=2, num_things=2)]))
+    div = spec.label_divisor
+    stuff = sorted(spec.stuff_ids)
+    thing = sorted(spec.thing_ids)
+    ids = st.one_of(
+        st.sampled_from(stuff).map(lambda c: c * div),
+        st.builds(lambda c, i: c * div + i, st.sampled_from(thing), st.integers(0, div - 1)),
+        st.builds(lambda c, i: c * div + i, st.sampled_from(stuff), st.integers(1, div - 1)),
+        st.integers(1, div - 1).map(lambda i: spec.void_id + i),  # VOID with instance
+        st.just(spec.void_id),
+        st.integers(spec.max_known_label + 1, 10**4).map(lambda c: c * div),  # unknown
+        st.integers(-10**6, -1),  # negative
+    )
+    height = draw(st.integers(1, 16))
+    width = draw(st.integers(1, 16))
+    values = draw(st.lists(ids, min_size=height * width, max_size=height * width))
+    return spec, np.array(values, dtype=np.int64).reshape(height, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=faulty_panoptic_maps())
+def test_validate_panoptic_equals_reference(case):
+    spec, panoptic = case
+    got = validate(panoptic, spec, "panoptic")
+    assert got == validate_labels_reference(panoptic, spec, "panoptic")
+
+
+def test_validate_panoptic_past_the_limit_like_reference():
+    spec = make_spec(num_stuff=2, num_things=2)
+    div = spec.label_divisor
+    panoptic = np.zeros((16, 32), dtype=np.int64)
+    panoptic[0:4] = 77 * div  # 128 unknown
+    panoptic[4:8] = 1 * div + 3  # 128 stuff with an instance part
+    panoptic[8:12] = spec.void_id + 9  # 128 VOID with an instance part
+    panoptic[12:14] = -5  # 64 negative (unknown category -1)
+    got = validate(panoptic, spec, "panoptic")
+    assert got == validate_labels_reference(panoptic, spec, "panoptic")
+    assert got.count("... and 92 more") == 1 and got.count("... and 28 more") == 2
+    panoptic[:14] = 2 * div + 1
+    assert validate(panoptic, spec, "panoptic") == []

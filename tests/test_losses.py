@@ -314,3 +314,95 @@ def test_gradients_finite_on_random_inputs():
         rng.normal(size=(6, 6, 2)), rng.normal(size=(6, 6, 2)), rng.random((6, 6)) < 0.5
     )
     assert np.isfinite(l1.gradient).all() and l1.value >= 0
+
+
+def l1_offset_loss_reference(pred, target, thing_mask, with_gradient=True):
+    """``l1_offset_loss`` as first written: full-grid float64 copies, the
+    difference masked afterwards."""
+    diff = pred.astype(np.float64) - target.astype(np.float64)
+    mask = thing_mask.astype(bool)
+    count = int(mask.sum())
+    total = float(np.abs(diff[mask]).sum(dtype=np.float64)) if count else 0.0
+    value = total / max(1, count)
+    gradient = None
+    if with_gradient:
+        gradient = np.zeros_like(diff)
+        if count:
+            gradient[mask] = np.sign(diff[mask]) / count
+    return LossValue(value=value, gradient=gradient)
+
+
+@st.composite
+def offset_cases(draw):
+    height = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 40))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Magnitudes over ~2**-40..2**20, so the float64 sum rounds and its
+    # value depends on the order of the terms.
+    scale = np.exp2(rng.uniform(-40, 20, size=(height, width, 2)))
+    pred = (rng.normal(size=(height, width, 2)) * scale).astype(dtype)
+    target = (rng.normal(size=(height, width, 2)) * scale).astype(dtype)
+    same = rng.random((height, width)) < 0.2  # zero differences: sign 0
+    target[same] = pred[same]
+    mask = rng.random((height, width)) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    mask = mask.astype(draw(st.sampled_from([bool, np.uint16])))
+    return pred, target, mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=offset_cases())
+def test_l1_equals_full_grid_reference(case):
+    pred, target, mask = case
+    got = l1_offset_loss(pred, target, mask)
+    want = l1_offset_loss_reference(pred, target, mask)
+    assert repr(got.value) == repr(want.value)
+    assert got.gradient.dtype == want.gradient.dtype
+    assert got.gradient.tobytes() == want.gradient.tobytes()
+    assert repr(l1_offset_loss(pred, target, mask, with_gradient=False).value) == repr(want.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["pred", "target"])
+def test_l1_non_finite_at_thing_pixel_raises(bad, where):
+    pred, target = np.zeros((3, 4, 2)), np.ones((3, 4, 2))
+    mask = np.zeros((3, 4), dtype=bool)
+    mask[1, 2] = True
+    {"pred": pred, "target": target}[where][1, 2, 1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        l1_offset_loss(pred, target, mask)
+
+
+def test_l1_non_finite_outside_mask_ignored():
+    pred, target = np.zeros((3, 4, 2)), np.ones((3, 4, 2))
+    mask = np.zeros((3, 4), dtype=bool)
+    mask[1, 2] = True
+    base = l1_offset_loss(pred, target, mask)
+    pred[0, 0], target[2, 3, 1] = np.nan, np.inf
+    loss = l1_offset_loss(pred, target, mask)
+    assert loss.value == base.value == 2.0
+    assert loss.gradient.tobytes() == base.gradient.tobytes()
+
+
+def test_l1_rejects_a_grid_that_is_not_offsets():
+    with pytest.raises(ValueError, match=r"\(H, W, 2\)"):
+        l1_offset_loss(np.zeros((3, 4, 3)), np.zeros((3, 4, 3)), np.ones((3, 4), bool))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["pred", "target"])
+def test_mse_non_finite_raises(bad, where):
+    pred, target = np.zeros((3, 4), np.float32), np.ones((3, 4), np.float32)
+    {"pred": pred, "target": target}[where][2, 1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        mse_heatmap_loss(pred, target)
+
+
+def test_mse_difference_bits_unchanged():
+    rng = np.random.default_rng(11)
+    pred = rng.random((17, 23)).astype(np.float32)
+    target = rng.random((17, 23))
+    diff = pred.astype(np.float64) - target.astype(np.float64)
+    loss = mse_heatmap_loss(pred, target)
+    assert repr(loss.value) == repr(float((diff * diff).sum(dtype=np.float64) / diff.size))
+    assert loss.gradient.tobytes() == ((2.0 / diff.size) * diff).tobytes()

@@ -1,6 +1,6 @@
 import numpy as np
 
-from panopticore import losses, postprocess
+from panopticore import core, losses, postprocess
 from panopticore.cli import main
 from panopticore.selftest import run_selftest
 
@@ -57,3 +57,16 @@ def test_injected_ce_tie_fault_named(monkeypatch):
     results = {r.name: r for r in run_selftest()}
     assert not results["bootstrapped_ce_oracle"].passed
     assert "gradient differs" in results["bootstrapped_ce_oracle"].detail
+
+
+def test_injected_segment_area_fault_named(monkeypatch):
+    real_count = core._count_ids
+
+    def off_by_one_count(flat, with_inverse=False):
+        *rest, areas = real_count(flat, with_inverse)
+        return (*rest, areas + 1)
+
+    monkeypatch.setattr(core, "_count_ids", off_by_one_count)
+    results = {r.name: r for r in run_selftest()}
+    assert not results["segment_table_oracle"].passed
+    assert "areas differs from np.unique" in results["segment_table_oracle"].detail
