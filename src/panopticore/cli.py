@@ -111,16 +111,6 @@ def cmd_targets(args) -> int:
 # fuse
 
 
-def _postproc_params(args) -> postprocess.PostprocParams:
-    return postprocess.PostprocParams(
-        nms_kernel=args.nms_kernel,
-        center_threshold=args.center_threshold,
-        top_k=args.top_k,
-        stuff_area_threshold=args.stuff_area_threshold,
-        score_mode=args.score_mode,
-    )
-
-
 def cmd_fuse(args) -> int:
     spec = _load_spec(args.spec)
     if args.top_k >= spec.label_divisor:
@@ -128,15 +118,17 @@ def cmd_fuse(args) -> int:
             f"--top-k {args.top_k} must be below the spec's label_divisor "
             f"{spec.label_divisor}, which bounds the instance part of a panoptic id"
         )
+    params = postprocess.PostprocParams(
+        nms_kernel=args.nms_kernel,
+        center_threshold=args.center_threshold,
+        top_k=args.top_k,
+        stuff_area_threshold=args.stuff_area_threshold,
+        score_mode=args.score_mode,
+    )
     semantic = tensor_io.read_tensor(args.semantic)
     heatmap = tensor_io.read_tensor(args.heatmap)
     offsets = tensor_io.read_tensor(args.offsets)
-    if not np.isfinite(offsets).all():
-        raise ValueError("offsets contains non-finite values")
-    # panoptic_inference checks the semantic grid and the heatmap itself.
-    result = postprocess.panoptic_inference(
-        semantic, heatmap, offsets, spec, _postproc_params(args)
-    )
+    result = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params)
     panoptic = result.panoptic
     if panoptic.min() < 0 or panoptic.max() > np.iinfo(np.uint32).max:
         raise ValueError("panoptic ids exceed the uint32 container range")
@@ -274,42 +266,21 @@ def cmd_bench(args) -> int:
         args.height, args.width, args.centers, seed=args.seed
     )
     params = postprocess.PostprocParams()
-    stages: dict[str, list[float]] = {
-        "nms": [],
-        "extract": [],
-        "thing_mask": [],
-        "grouping": [],
-        "merge": [],
-        "stuff_filter": [],
-        "end_to_end": [],
-    }
+    stages: dict[str, list[float]] = {}
+    end_to_end = []
     digest = None
     for _ in range(args.repetitions):
-        t0 = time.perf_counter()
-        suppressed = postprocess.keypoint_nms(heatmap, params.nms_kernel)
-        t1 = time.perf_counter()
-        centers = postprocess.extract_centers(
-            suppressed, params.center_threshold, params.top_k
-        )
-        t2 = time.perf_counter()
-        mask = postprocess.thing_mask_from_semantic(semantic, spec)
-        t3 = time.perf_counter()
-        instance_ids = postprocess.group_pixels(centers, offsets, mask)
-        t4 = time.perf_counter()
-        merged = postprocess.merge_panoptic(semantic, instance_ids, spec)
-        t5 = time.perf_counter()
-        postprocess.filter_small_stuff(merged, spec, threshold=params.stuff_area_threshold)
-        t6 = time.perf_counter()
-        result = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params)
-        t7 = time.perf_counter()
-        stages["nms"].append(t1 - t0)
-        stages["extract"].append(t2 - t1)
-        stages["thing_mask"].append(t3 - t2)
-        stages["grouping"].append(t4 - t3)
-        stages["merge"].append(t5 - t4)
-        stages["stuff_filter"].append(t6 - t5)
-        stages["end_to_end"].append(t7 - t6)
-        digest = hashlib.sha256(result.panoptic.astype(np.int64).tobytes()).hexdigest()
+        # One run of the stages fuse runs, timed between the names they
+        # yield; the last item yielded is the result.
+        start = last = time.perf_counter()
+        for step in postprocess._inference_stages(semantic, heatmap, offsets, spec, params):
+            now = time.perf_counter()
+            if isinstance(step, str):
+                stages.setdefault(step, []).append(now - last)
+                last = now
+        end_to_end.append(last - start)
+        digest = hashlib.sha256(step.panoptic.astype(np.int64).tobytes()).hexdigest()
+    stages["end_to_end"] = end_to_end
     report = {
         "dims": [args.height, args.width],
         "centers": args.centers,

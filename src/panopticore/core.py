@@ -177,15 +177,6 @@ class DatasetSpec:
         if not self.lookup(self.table.known, categories).all():
             raise ValueError(f"{name} contains ids unknown to the dataset spec")
 
-    def thing_lookup(self, labels: np.ndarray) -> np.ndarray:
-        """Boolean array, true where ``labels`` holds a thing category id.
-
-        Raises ValueError if a label is neither a spec category nor the
-        ignore label.
-        """
-        self.check_known(labels, "label map")
-        return self.table.thing[labels]
-
 
 class CategoryTable(NamedTuple):
     """A spec's category facts; every field but ``ids`` is indexed by

@@ -1,13 +1,12 @@
 """Inference pipeline: peak extraction, offset grouping, and label fusion.
 
-The stages compose into :func:`panoptic_inference`:
-
-    keypoint_nms -> extract_centers -> thing_mask_from_semantic ->
-    group_pixels -> merge_panoptic -> filter_small_stuff -> score_instances
-
-It checks each input once and runs private bodies of the stages that would
-check it again; its peak search visits only the pixels above the center
-threshold and gives the centers of ``keypoint_nms`` + ``extract_centers``.
+:func:`panoptic_inference` runs the five stages that ``bench`` times:
+inputs (each input checked once), nms (the centers of ``keypoint_nms`` +
+``extract_centers``, searched among the pixels above the threshold only),
+grouping (``thing_mask_from_semantic`` + ``group_pixels``), merge
+(``merge_panoptic`` + ``filter_small_stuff`` in one gather) and scores
+(``score_instances``). It runs private bodies of the public stages, which
+would check their inputs again.
 
 Everything is integer- or comparison-based, so outputs are bit-identical
 across runs. Instance indices are 1-based positions in the extracted center
@@ -23,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .core import DatasetSpec, InstanceCenter
+from .core import DatasetSpec, InstanceCenter, segment_table
 
 __all__ = [
     "PostprocParams",
@@ -59,7 +58,7 @@ _PROB_BLOCK = 4096
 @dataclass(frozen=True)
 class PostprocParams:
     """Inference-time knobs. ``stuff_area_threshold`` of None defers to the
-    dataset spec."""
+    dataset spec; stuff segments below it become VOID."""
 
     nms_kernel: int = 7
     center_threshold: float = 0.1
@@ -74,6 +73,8 @@ class PostprocParams:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if self.center_threshold < 0:
             raise ValueError(f"center_threshold must be >= 0, got {self.center_threshold}")
+        if self.stuff_area_threshold is not None and self.stuff_area_threshold < 0:
+            raise ValueError(f"stuff_area_threshold must be >= 0, got {self.stuff_area_threshold}")
         if self.score_mode not in SCORE_MODES:
             raise ValueError(f"score_mode must be one of {SCORE_MODES}, got {self.score_mode!r}")
 
@@ -197,8 +198,10 @@ def _peak_centers(
 
 
 def thing_mask_from_semantic(semantic: np.ndarray, spec: DatasetSpec) -> np.ndarray:
-    """True exactly where the semantic label is a thing category."""
-    return spec.thing_lookup(semantic)
+    """True exactly where the semantic label is a thing category. Raises
+    ValueError if a label is neither a spec category nor the ignore label."""
+    spec.check_known(semantic, "label map")
+    return spec.table.thing[semantic]
 
 
 def _tile_candidates(
@@ -343,14 +346,14 @@ def merge_panoptic(
             f"semantic shape {semantic.shape} != instance shape {instance_ids.shape}"
         )
     spec.check_known(semantic, "semantic map")
-    return _merge_panoptic(semantic, instance_ids, spec)
+    return _merge_panoptic(semantic, instance_ids, spec, 0)
 
 
 def _merge_panoptic(
-    semantic: np.ndarray, instance_ids: np.ndarray, spec: DatasetSpec
+    semantic: np.ndarray, instance_ids: np.ndarray, spec: DatasetSpec, min_stuff_area: int
 ) -> PanopticResult:
-    """:func:`merge_panoptic` of a semantic map already checked against the
-    spec."""
+    """``filter_small_stuff(merge_panoptic(...), threshold=min_stuff_area)`` of
+    a semantic map already checked against the spec, in one gather."""
     max_instance = int(instance_ids.max()) if instance_ids.size else 0
     if max_instance >= spec.label_divisor:
         raise ValueError(
@@ -401,6 +404,10 @@ def _merge_panoptic(
     channel_code[:num_channels][stuff_channels] = (
         ids_sorted[stuff_channels] * spec.label_divisor
     )
+    # Instance rows encode a thing category or VOID, so row 0 holds every
+    # stuff pixel of the fused map: its counts are the stuff areas.
+    small = stuff_channels & (votes_full[0, :num_channels] < min_stuff_area)
+    channel_code[:num_channels][small] = spec.void_id
     pan_lut = np.repeat(instance_code, num_channels + 1)
     pan_lut[: num_channels + 1] = channel_code  # instance 0: semantic path
     panoptic = pan_lut[codes].reshape(semantic.shape)
@@ -426,25 +433,20 @@ def filter_small_stuff(
     """Re-assign undersized stuff segments to VOID.
 
     A stuff "segment" is the union of all pixels of that category in the
-    image. Thing segments are never touched.
+    image. Thing segments, and stuff ids with a nonzero instance part, are
+    never touched. The result keeps the map's dtype. Raises ValueError if a
+    category of the map is unknown to the spec.
     """
     if threshold is None:
         threshold = spec.stuff_area_threshold
     if threshold <= 0:
         return result
-    panoptic = result.panoptic
-    category = panoptic // spec.label_divisor
-    instance = panoptic % spec.label_divisor
-    spec.check_known(category, "panoptic map")
-    out = panoptic.copy()
-    is_stuff = (instance == 0) & spec.table.stuff[category]
-    areas = np.bincount(
-        category.reshape(-1)[is_stuff.reshape(-1)],
-        minlength=spec.max_known_label + 1,
-    )
-    small_lut = (areas > 0) & (areas < threshold)
-    out[is_stuff & small_lut[category]] = spec.void_id
-    return PanopticResult(panoptic=out, instances=result.instances)
+    segments = segment_table(result.panoptic, spec)
+    small = (segments.instance == 0) & spec.table.stuff[segments.category]
+    small &= segments.areas < threshold
+    lut = segments.ids.copy()
+    lut[small] = spec.void_id
+    return PanopticResult(panoptic=lut[segments.inverse], instances=result.instances)
 
 
 def _class_scores(
@@ -592,10 +594,24 @@ def panoptic_inference(
     probability grid; probabilities are reduced per pixel by argmax with ties
     to the smallest category id. Each input is checked once, in every score
     mode: label ids must be known to the spec, probabilities finite with
-    rows summing to 1, the heatmap finite. Centers are the peaks of
-    ``extract_centers(keypoint_nms(heatmap))``, searched among the pixels
-    above the threshold only.
+    rows summing to 1, the heatmap and the offsets finite. Centers are the
+    peaks of ``extract_centers(keypoint_nms(heatmap))``, searched among the
+    pixels above the threshold only. Stuff segments smaller than the area
+    threshold become VOID in the same gather that assembles the map.
     """
+    *_, result = _inference_stages(semantic, heatmap, offsets, spec, params)
+    return result
+
+
+def _inference_stages(
+    semantic: np.ndarray,
+    heatmap: np.ndarray,
+    offsets: np.ndarray,
+    spec: DatasetSpec,
+    params: PostprocParams,
+):
+    """:func:`panoptic_inference`, yielding the name of each stage as it
+    finishes and then the result."""
     if semantic.ndim not in (2, 3):
         raise ValueError(f"semantic must be (H, W) or (H, W, C), got shape {semantic.shape}")
     grid = semantic.shape[:2]
@@ -605,6 +621,8 @@ def panoptic_inference(
         raise ValueError(f"offsets shape {offsets.shape} != semantic grid {grid}")
     if not np.isfinite(heatmap).all():
         raise ValueError("heatmap contains non-finite values")
+    if not np.isfinite(offsets).all():
+        raise ValueError("offsets contains non-finite values")
     table = spec.table
     if semantic.ndim == 3:
         if semantic.shape[2] != spec.num_categories:
@@ -619,13 +637,19 @@ def panoptic_inference(
             raise ValueError(f"semantic label map must hold integer ids, got {semantic.dtype}")
         spec.check_known(semantic, "semantic map")
         labels = semantic
+    yield "inputs"
 
     centers = _peak_centers(
         heatmap, params.nms_kernel, params.center_threshold, params.top_k
     )
+    yield "nms"
     instance_ids = group_pixels(centers, offsets, table.thing[labels])
-    result = _merge_panoptic(labels, instance_ids, spec)
-    result = filter_small_stuff(result, spec, threshold=params.stuff_area_threshold)
+    yield "grouping"
+    threshold = params.stuff_area_threshold
+    if threshold is None:
+        threshold = spec.stuff_area_threshold
+    result = _merge_panoptic(labels, instance_ids, spec, threshold)
+    yield "merge"
 
     with_centers = tuple(
         replace(record, center=centers[record.instance_index - 1])
@@ -633,4 +657,6 @@ def panoptic_inference(
     )
     result = PanopticResult(panoptic=result.panoptic, instances=with_centers)
     center_scores = {k + 1: c.score for k, c in enumerate(centers)}
-    return _score_instances(result, center_scores, semantic, params.score_mode, spec)
+    result = _score_instances(result, center_scores, semantic, params.score_mode, spec)
+    yield "scores"
+    yield result

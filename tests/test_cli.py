@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from panopticore.cli import TARGET_FILES, main
-from panopticore.synth import random_scene
+from panopticore.postprocess import panoptic_inference
+from panopticore.synth import bench_inputs, random_scene
 from panopticore.tensor_io import read_tensor, write_spec, write_tensor
 
 
@@ -267,6 +269,22 @@ def test_fuse_top_k_not_below_label_divisor_exit_1(scene_files, capsys):
     ) == 0
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--nms-kernel", "4", "nms_kernel"), ("--stuff-area-threshold", "-5", "stuff_area_threshold")],
+)
+def test_fuse_bad_params_exit_1_before_reading(scene_files, capsys, flag, value, field):
+    scene, gt_path, spec_path, tmp = scene_files
+    absent = str(tmp / "absent.pdlt")
+    # Rejected before any tensor is read: the absent inputs would exit 2.
+    code = main(
+        ["fuse", "--semantic", absent, "--heatmap", absent, "--offsets", absent,
+         "--spec", str(spec_path), "--out", str(tmp / "o.pdlt"), flag, value]
+    )
+    assert code == 1
+    assert field in capsys.readouterr().err
+
+
 def test_eval_identical_maps(scene_files, tmp_path):
     scene, gt_path, spec_path, tmp = scene_files
     report_path = tmp / "eval.json"
@@ -425,6 +443,24 @@ def test_bench_structure_and_determinism(tmp_path):
         assert doc_a["stages_ms"][stage]["median"] >= 0
     # Outputs are bit-equal across repetition counts.
     assert doc_a["panoptic_sha256"] == doc_b["panoptic_sha256"]
+
+
+def test_bench_times_one_fuse_run(tmp_path):
+    report = tmp_path / "bench.json"
+    code = main(
+        ["bench", "--height", "64", "--width", "96", "--centers", "12",
+         "--repetitions", "3", "--report", str(report)]
+    )
+    assert code == 0
+    doc = json.loads(report.read_text())
+    semantic, heatmap, offsets, spec = bench_inputs(64, 96, 12)
+    panoptic = panoptic_inference(semantic, heatmap, offsets, spec).panoptic
+    assert doc["panoptic_sha256"] == hashlib.sha256(panoptic.astype(np.int64).tobytes()).hexdigest()
+    stages = doc["stages_ms"]
+    assert set(stages) == {"inputs", "nms", "grouping", "merge", "scores", "end_to_end"}
+    for run in range(3):
+        total = sum(stages[name]["runs"][run] for name in stages if name != "end_to_end")
+        assert total == pytest.approx(stages["end_to_end"]["runs"][run], rel=1e-9, abs=1e-9)
 
 
 def test_fuse_probability_semantic_input(scene_files):

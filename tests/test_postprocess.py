@@ -26,6 +26,7 @@ from panopticore.selftest import (
     group_oracle,
     nms_oracle,
     random_scored_result,
+    random_valid_map,
 )
 from panopticore.synth import make_spec, random_scene
 
@@ -435,6 +436,105 @@ def test_filter_leaves_things_alone():
     assert np.array_equal(out.panoptic, panoptic)
 
 
+def _filter_small_stuff_reference(result, spec, threshold=None):
+    """The full-map body ``filter_small_stuff`` had before it read areas
+    from ``segment_table`` and ``panoptic_inference`` filtered in the merge."""
+    if threshold is None:
+        threshold = spec.stuff_area_threshold
+    if threshold <= 0:
+        return result
+    panoptic = result.panoptic
+    category = panoptic // spec.label_divisor
+    instance = panoptic % spec.label_divisor
+    spec.check_known(category, "panoptic map")
+    out = panoptic.copy()
+    is_stuff = (instance == 0) & spec.table.stuff[category]
+    areas = np.bincount(
+        category.reshape(-1)[is_stuff.reshape(-1)],
+        minlength=spec.max_known_label + 1,
+    )
+    small_lut = (areas > 0) & (areas < threshold)
+    out[is_stuff & small_lut[category]] = spec.void_id
+    return PanopticResult(panoptic=out, instances=result.instances)
+
+
+def _thresholds_around(areas):
+    return sorted({0, 1, max(areas, default=0) + 1} | set(areas) | {a + 1 for a in areas})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.uint16, np.uint32, np.int64]),
+)
+def test_filter_small_stuff_equals_reference(seed, dtype):
+    # VOID (255 * 100) fits in uint16.
+    spec = make_spec(num_stuff=3, num_things=2, label_divisor=100)
+    rng = np.random.default_rng(seed)
+    panoptic = random_valid_map(rng, spec, *rng.integers(4, 33, size=2))
+    # Stuff ids with an instance part are not stuff segments.
+    odd = rng.random(panoptic.shape) < 0.05
+    panoptic[odd] = sorted(spec.stuff_ids)[1] * spec.label_divisor + 3
+    panoptic = panoptic.astype(dtype)
+    result = PanopticResult(panoptic=panoptic, instances=())
+    areas = [
+        int(np.count_nonzero(panoptic == cid * spec.label_divisor)) for cid in spec.stuff_ids
+    ]
+    present = [a for a in areas if a]
+    # None defers to the spec's threshold.
+    spec = dataclasses.replace(spec, stuff_area_threshold=min(present, default=0) + 1)
+    for threshold in [None] + _thresholds_around(present) + [10**6]:
+        got = filter_small_stuff(result, spec, threshold=threshold)
+        want = _filter_small_stuff_reference(result, spec, threshold)
+        assert got.panoptic.dtype == want.panoptic.dtype == dtype
+        assert got.panoptic.tobytes() == want.panoptic.tobytes()
+        assert got.instances == want.instances
+        assert (got.panoptic[odd] == panoptic[odd]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.uint8, np.int32, np.int64]),
+)
+def test_inference_stuff_filter_equals_reference(seed, dtype):
+    scene = random_scene(seed, max_size=80)
+    semantic, heatmap, offsets = exact_inputs(scene)
+    rng = np.random.default_rng(seed)
+    # Noisy offsets leave some thing pixels ungrouped (VOID).
+    offsets = offsets + rng.normal(0, 2, offsets.shape).astype(offsets.dtype)
+    semantic = semantic.astype(dtype)
+    params = postprocess.PostprocParams()
+    centers = extract_centers(
+        keypoint_nms(heatmap, params.nms_kernel), params.center_threshold, params.top_k
+    )
+    instance_ids = group_pixels(centers, offsets, thing_mask_from_semantic(semantic, scene.spec))
+    merged = merge_panoptic(semantic, instance_ids, scene.spec)
+    areas = [
+        int(np.count_nonzero(merged.panoptic == cid * scene.spec.label_divisor))
+        for cid in scene.spec.stuff_ids
+    ]
+    present = [a for a in areas if a]
+    unfiltered = panoptic_inference(semantic, heatmap, offsets, scene.spec, params)
+    # None defers to the spec's threshold, here the smallest stuff area + 1.
+    spec = dataclasses.replace(scene.spec, stuff_area_threshold=min(present) + 1)
+    voided = False
+    for threshold in [None] + _thresholds_around(present):
+        got = panoptic_inference(
+            semantic, heatmap, offsets, spec,
+            dataclasses.replace(params, stuff_area_threshold=threshold),
+        )
+        want = _filter_small_stuff_reference(merged, spec, threshold)
+        assert got.panoptic.dtype == want.panoptic.dtype
+        assert got.panoptic.tobytes() == want.panoptic.tobytes()
+        assert [(r.instance_index, r.category, r.area) for r in got.instances] == [
+            (r.instance_index, r.category, r.area) for r in merged.instances
+        ]
+        assert got.instances == unfiltered.instances
+        voided |= bool((want.panoptic != merged.panoptic).any())
+    assert voided
+
+
 # ---------------------------------------------------------------------------
 # score_instances
 
@@ -644,6 +744,16 @@ def test_inference_dim_mismatch_rejected():
     semantic, heatmap, offsets = exact_inputs(scene)
     with pytest.raises(ValueError):
         panoptic_inference(semantic, heatmap[:-1], offsets, scene.spec)
+
+
+def test_inference_rejects_non_finite_offset_at_stuff_pixel():
+    scene = random_scene(26, max_size=64)
+    semantic, heatmap, offsets = exact_inputs(scene)
+    row, col = np.argwhere(np.isin(semantic, sorted(scene.spec.stuff_ids)))[0]
+    offsets = offsets.copy()
+    offsets[row, col, 1] = np.nan
+    with pytest.raises(ValueError, match="offsets contains non-finite values"):
+        panoptic_inference(semantic, heatmap, offsets, scene.spec)
 
 
 # ---------------------------------------------------------------------------
