@@ -262,9 +262,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repetitions < 1:
+        raise ValueError(f"--repetitions must be >= 1, got {args.repetitions}")
     semantic, heatmap, offsets, spec = bench_inputs(
         args.height, args.width, args.centers, seed=args.seed
     )
+    if args.workload == "fuse-probs":
+        # The one-hot float32 grid of the same labels.
+        probs = np.zeros(semantic.shape + (spec.num_categories,), dtype=np.float32)
+        np.put_along_axis(probs, spec.table.channel[semantic][..., None], np.float32(1.0), axis=2)
+        semantic = probs
     params = postprocess.PostprocParams()
     stages: dict[str, list[float]] = {}
     end_to_end = []
@@ -294,6 +301,8 @@ def cmd_bench(args) -> int:
             for name, times in stages.items()
         },
     }
+    if args.workload != "fuse-labels":  # the default report keeps its keys
+        report["workload"] = args.workload
     _emit(report, args.report)
     return EXIT_OK
 
@@ -370,6 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centers", type=int, default=200)
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workload", choices=("fuse-labels", "fuse-probs"), default="fuse-labels",
+                   help="semantic input: (H, W) labels or their one-hot (H, W, C) float32 grid")
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_bench)
 

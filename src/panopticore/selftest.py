@@ -23,6 +23,7 @@ __all__ = [
     "group_oracle",
     "bootstrapped_ce_oracle",
     "class_scores_oracle",
+    "probability_labels_oracle",
     "segment_table_oracle",
     "random_scored_result",
     "exact_inputs",
@@ -187,6 +188,26 @@ def class_scores_oracle(
         r.instance_index: float(sums[r.instance_index] / max(1, counts[r.instance_index]))
         for r in result.instances
     }
+
+
+def probability_labels_oracle(
+    probs: np.ndarray, ids: np.ndarray | None = None
+) -> np.ndarray | None:
+    """``postprocess._probability_labels`` as first written: numpy's float64
+    row sum and row argmax, block by block (``postprocess._PROB_BLOCK``
+    pixels), so a grid with faults in two blocks fails on the first one."""
+    flat = probs.reshape(-1, probs.shape[2])
+    labels = None if ids is None else np.empty(flat.shape[0], dtype=ids.dtype)
+    for start in range(0, flat.shape[0], postprocess._PROB_BLOCK):
+        block = flat[start : start + postprocess._PROB_BLOCK]
+        sums = block.sum(axis=1, dtype=np.float64)
+        if not np.all(np.abs(sums - 1.0) <= 1e-5):
+            if not np.isfinite(block).all():
+                raise ValueError("semantic probabilities contain non-finite values")
+            raise ValueError("semantic probabilities must sum to 1 per pixel")
+        if labels is not None:
+            labels[start : start + block.shape[0]] = ids[block.argmax(axis=1)]
+    return None if labels is None else labels.reshape(probs.shape[:2])
 
 
 def segment_table_oracle(panoptic: np.ndarray, spec: DatasetSpec) -> core.SegmentTable:
@@ -552,6 +573,62 @@ def _check_class_scores(seed: int = 0, cases: int = 100) -> str:
     return ""
 
 
+def _labels_outcome(function, probs: np.ndarray, ids: np.ndarray | None):
+    """Labels as (bytes, dtype, shape), None without ids, or the message."""
+    try:
+        labels = function(probs, ids)
+    except ValueError as e:
+        return "error", str(e)
+    return "ok", None if labels is None else (labels.tobytes(), labels.dtype, labels.shape)
+
+
+def _check_probability_labels(seed: int = 0, cases: int = 60) -> str:
+    """The channel-major probability pass == the row-sum and row-argmax
+    oracle: labels (bytes and dtype), verdict and message. Small integer
+    weights make ties common; some grids span two blocks, and faults (NaN,
+    inf, a bad sum, rows just inside or outside the tolerance, negative
+    entries, order-dependent sums) land in one block or both."""
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        channels = (1, 2, 19, 200)[i % 4]
+        dtype = (np.float32, np.float64, np.float16)[i % 3]
+        if i % 4 != 3 and i % 5 == 0:
+            height, width = 1, postprocess._PROB_BLOCK + int(rng.integers(1, 64))
+        else:
+            height, width = (int(n) for n in rng.integers(1, 12, size=2))
+        weights = rng.integers(0, 3, size=(height, width, channels)).astype(np.float64)
+        weights[..., 0] += weights.sum(axis=2) == 0
+        probs = (weights / weights.sum(axis=2, keepdims=True)).astype(dtype)
+        flat = probs.reshape(-1, channels)
+        for _ in range(i % 3):
+            row = flat[int(rng.integers(flat.shape[0]))]
+            fault = i // 3 % 6
+            if fault == 0:
+                row[rng.integers(channels)] = np.nan
+            elif fault == 1:
+                row[rng.integers(channels)] = np.inf
+            elif fault == 2:
+                row *= dtype(2)
+            elif fault == 3:
+                row *= dtype(1 + rng.choice([-1.1e-5, -0.9e-5, 0.9e-5, 1.1e-5]))
+            elif fault == 4:
+                row[0] -= dtype(0.5)
+                row[-1] += dtype(0.5)
+            else:  # order-dependent sums: big is above 2**53 in float32 and float64
+                big = np.float64(np.finfo(dtype).max) ** 0.5
+                small, one = (min(c, channels - 1) for c in rng.permutation([1, 8]))
+                row[:] = 0
+                row[0], row[small], row[one] = big, -big, 1
+        ids = (np.arange(channels) * 3 + 1).astype(np.uint16)
+        for with_ids in (ids, None):
+            got = _labels_outcome(postprocess._probability_labels, probs, with_ids)
+            want = _labels_outcome(probability_labels_oracle, probs, with_ids)
+            if got != want:
+                what = "labels" if got[0] == want[0] == "ok" else "verdict or message"
+                return f"case {i} ({channels} channels, {np.dtype(dtype).name}): {what} differ from the oracle"
+    return ""
+
+
 def _check_segment_table(seed: int = 0, cases: int = 60) -> str:
     """The dense-count segment table == the ``np.unique`` oracle, field by
     field with dtypes, on maps whose ids stay below or reach past the
@@ -650,6 +727,7 @@ PROPERTIES = (
     ("loss_gradients", _check_gradients),
     ("bootstrapped_ce_oracle", _check_bootstrapped_ce),
     ("class_scores_oracle", _check_class_scores),
+    ("probability_labels_oracle", _check_probability_labels),
     ("segment_table_oracle", _check_segment_table),
     ("pq_formula", _check_pq_formula),
     ("pq_identity_and_uniqueness", _check_pq_identity),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from panopticore import cli
 from panopticore.cli import TARGET_FILES, main
 from panopticore.postprocess import panoptic_inference
 from panopticore.synth import bench_inputs, random_scene
@@ -459,6 +460,46 @@ def test_bench_times_one_fuse_run(tmp_path):
     stages = doc["stages_ms"]
     assert set(stages) == {"inputs", "nms", "grouping", "merge", "scores", "end_to_end"}
     for run in range(3):
+        total = sum(stages[name]["runs"][run] for name in stages if name != "end_to_end")
+        assert total == pytest.approx(stages["end_to_end"]["runs"][run], rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("repetitions", ["0", "-3"])
+def test_bench_rejects_repetitions_below_one(tmp_path, capsys, monkeypatch, repetitions):
+    def no_inputs(*args, **kwargs):
+        raise AssertionError("bench built its inputs")
+
+    monkeypatch.setattr(cli, "bench_inputs", no_inputs)
+    report = tmp_path / "bench.json"
+    code = main(["bench", "--repetitions", repetitions, "--report", str(report)])
+    assert code == 1
+    assert "--repetitions" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_bench_probability_workload(tmp_path):
+    docs = {}
+    for workload in ("fuse-labels", "fuse-probs"):
+        report = tmp_path / f"{workload}.json"
+        code = main(
+            ["bench", "--height", "64", "--width", "96", "--centers", "12",
+             "--repetitions", "2", "--workload", workload, "--report", str(report)]
+        )
+        assert code == 0
+        docs[workload] = json.loads(report.read_text())
+    labels, probs = docs["fuse-labels"], docs["fuse-probs"]
+    # The default report keeps the keys it had before --workload.
+    assert set(labels) == {"centers", "dims", "panoptic_sha256", "repetitions", "stages_ms"}
+    assert probs.pop("workload") == "fuse-probs"
+    assert set(probs) == set(labels)
+    assert set(probs["stages_ms"]) == set(labels["stages_ms"])
+    # The one-hot grid of the labels fuses to the same map.
+    semantic, heatmap, offsets, spec = bench_inputs(64, 96, 12)
+    panoptic = panoptic_inference(_one_hot_probs(semantic, spec), heatmap, offsets, spec).panoptic
+    digest = hashlib.sha256(panoptic.astype(np.int64).tobytes()).hexdigest()
+    assert probs["panoptic_sha256"] == labels["panoptic_sha256"] == digest
+    stages = probs["stages_ms"]
+    for run in range(2):
         total = sum(stages[name]["runs"][run] for name in stages if name != "end_to_end")
         assert total == pytest.approx(stages["end_to_end"]["runs"][run], rel=1e-9, abs=1e-9)
 

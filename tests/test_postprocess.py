@@ -21,14 +21,16 @@ from panopticore.postprocess import (
     thing_mask_from_semantic,
 )
 from panopticore.selftest import (
+    _labels_outcome,
     class_scores_oracle,
     exact_inputs,
     group_oracle,
     nms_oracle,
+    probability_labels_oracle,
     random_scored_result,
     random_valid_map,
 )
-from panopticore.synth import make_spec, random_scene
+from panopticore.synth import bench_inputs, make_spec, random_scene
 
 SPEC = make_spec(num_stuff=2, num_things=2)
 STUFF = sorted(SPEC.stuff_ids)
@@ -665,6 +667,118 @@ def test_blocked_probability_pass_equals_whole_grid(monkeypatch, block):
             assert not accept and "sum to 1" in str(e)
         else:
             assert accept
+
+
+def _probability_row(kind, channels, dtype, rng):
+    """One pixel's channels of the given kind, as float64 before the cast."""
+    info = np.finfo(dtype)
+    row = np.zeros(channels)
+    last = channels - 1
+    if kind == "one_hot":
+        row[rng.integers(channels)] = 1.0
+    elif kind == "tie_first_last":  # ties at channel 0 and at channel C - 1
+        row[[0, last]] = 1.0 if channels == 1 else 0.5
+    elif kind == "tie_top":  # the max at channel C - 1 and one random channel
+        row[[rng.integers(channels), last]] = 0.5
+        row[0] += 1.0 - row.sum()
+    elif kind == "uniform":
+        row[:] = 1.0 / channels
+    elif kind == "random":
+        row[:] = rng.integers(0, 4, channels) if rng.random() < 0.5 else rng.random(channels)
+        row[0] += row.sum() == 0
+        row /= row.sum()
+    elif kind == "signed_zeros":
+        row[:] = np.where(rng.random(channels) < 0.5, -0.0, 0.0)
+        row[rng.integers(channels)] = 1.0
+    elif kind == "subnormal":
+        row[:] = rng.choice([0.0, info.smallest_subnormal, -info.smallest_subnormal], channels)
+        row[rng.integers(channels)] = 1.0
+    elif kind == "near_tolerance":  # a few ulps either side of 1 +- 1e-5
+        edge = np.asarray(1.0 + rng.choice([1e-5, -1e-5]), dtype=dtype)
+        for _ in range(int(rng.integers(-3, 4))):
+            edge = np.nextafter(edge, dtype(np.inf if rng.random() < 0.5 else -np.inf))
+        row[rng.integers(channels)] = edge
+    elif kind == "negative":
+        row[rng.integers(channels)] = 1.0
+        i, j = rng.integers(channels, size=2)
+        shift = rng.choice([0.25, 0.5, 3.0])
+        row[i] -= shift
+        row[j] += shift
+    elif kind == "cancelling":  # big terms whose sum depends on the order
+        row[0], row[min(8, last)], row[min(1, last)] = 1e20, -1e20, 1.0
+    elif kind == "bad_sum":
+        row[rng.integers(channels)] = 2.0
+    else:  # a non-finite value in a finite, normalized row
+        row[rng.integers(channels)] = 1.0
+        row[rng.integers(channels)] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    return row
+
+
+PROBABILITY_ROWS = (
+    "one_hot", "tie_first_last", "tie_top", "uniform", "random", "signed_zeros",
+    "subnormal", "near_tolerance", "negative", "cancelling", "bad_sum", "nan", "inf", "-inf",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    channels=st.sampled_from([1, 2, 19, 200]),
+    height=st.integers(0, 9),
+    width=st.integers(1, 9),
+    dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+    block=st.sampled_from([1, 2, 3, 7, 16384]),
+    palette=st.lists(st.sampled_from(PROBABILITY_ROWS), min_size=1, max_size=3, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_probability_labels_equal_oracle(channels, height, width, dtype, block, palette, seed):
+    """Labels (bytes and dtype), verdict and message equal the row-sum and
+    row-argmax oracle, with faults in earlier or later blocks."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(palette, size=height * width)
+    rows = [_probability_row(kind, channels, dtype, rng) for kind in kinds]
+    with np.errstate(over="ignore"):  # 1e20 overflows float16 to inf
+        probs = np.array(rows, dtype=dtype).reshape(height, width, channels)
+    ids = (np.arange(channels) * 3 + 1).astype(np.uint16)
+    with mock.patch.object(postprocess, "_PROB_BLOCK", block):
+        for with_ids in (ids, None):
+            got = _labels_outcome(postprocess._probability_labels, probs, with_ids)
+            assert got == _labels_outcome(probability_labels_oracle, probs, with_ids)
+
+
+@pytest.mark.parametrize(
+    "big, small, one",
+    [(0, 8, 1),  # numpy's row sum is 1, a channel-by-channel sum 0
+     (0, 1, 8)],  # numpy's row sum is 0, a channel-by-channel sum 1
+)
+def test_probability_check_takes_numpy_verdict_on_order_dependent_sums(big, small, one):
+    semantic, heatmap, offsets, spec = bench_inputs(48, 64, 4)
+    probs = np.zeros(semantic.shape + (spec.num_categories,), dtype=np.float32)
+    np.put_along_axis(probs, spec.table.channel[semantic][..., None], np.float32(1.0), axis=2)
+    row = probs[20, 30]
+    row[:] = 0
+    row[big], row[small], row[one] = 1e20, -1e20, 1.0
+    numpy_sum = probs.sum(axis=2, dtype=np.float64)[20, 30]
+    channel_sum = 0.0
+    for value in row.astype(np.float64):
+        channel_sum += value
+    assert {numpy_sum, channel_sum} == {0.0, 1.0}
+    labels = semantic.copy()
+    labels[20, 30] = spec.table.ids[big]
+    reference = panoptic_inference(labels, heatmap, offsets, spec)
+    for mode in postprocess.SCORE_MODES:
+        params = postprocess.PostprocParams(score_mode=mode)
+        if numpy_sum == 1.0:
+            result = panoptic_inference(probs, heatmap, offsets, spec, params)
+            assert result.panoptic.tobytes() == reference.panoptic.tobytes()
+        else:
+            with pytest.raises(ValueError, match="must sum to 1 per pixel"):
+                panoptic_inference(probs, heatmap, offsets, spec, params)
+    center_scores = {r.instance_index: 1.0 for r in reference.instances}
+    if numpy_sum == 1.0:
+        score_instances(reference, center_scores, probs, "class", spec)
+    else:
+        with pytest.raises(ValueError, match="must sum to 1 per pixel"):
+            score_instances(reference, center_scores, probs, "class", spec)
 
 
 @pytest.mark.parametrize("mode", postprocess.SCORE_MODES)

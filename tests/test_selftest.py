@@ -70,3 +70,18 @@ def test_injected_segment_area_fault_named(monkeypatch):
     results = {r.name: r for r in run_selftest()}
     assert not results["segment_table_oracle"].passed
     assert "areas differs from np.unique" in results["segment_table_oracle"].detail
+
+
+def test_injected_probability_tie_fault_named(monkeypatch):
+    real_labels = postprocess._probability_labels
+
+    def last_channel_labels(probs, ids=None):
+        # Reversed channels: ties go to the highest channel instead.
+        if ids is None:
+            return real_labels(probs)
+        return real_labels(probs[..., ::-1], ids[::-1])
+
+    monkeypatch.setattr(postprocess, "_probability_labels", last_channel_labels)
+    results = {r.name: r for r in run_selftest()}
+    assert not results["probability_labels_oracle"].passed
+    assert "labels differ" in results["probability_labels_oracle"].detail
