@@ -7,6 +7,8 @@ are taken with respect to the raw prediction grids only.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,62 @@ class LossValue:
 # peak RSS from depending on heap layout.
 _CE_BLOCK = 4096
 
+# Threads, the caller included, that share the CE's blocks at most.
+_MAX_CE_THREADS = 4
+_ce_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, workers, pool)
+
+
+def _ce_threads() -> int:
+    """min(_MAX_CE_THREADS, CPUs this process may run on)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(_MAX_CE_THREADS, cpus))
+
+
+def _run_blocks(body, count: int) -> None:
+    """``body(j)`` for every j in range(count), on T = min(W, count)
+    threads, W = ``_ce_threads()``: the caller takes j = 0 (mod T), as a
+    worker thread would get its own malloc arena, and a pool of W - 1
+    threads the other residues. Each ``body(j)`` must write only its own
+    part of the output, so the bytes do not depend on T. A thread stops at
+    its first failing block; once all are done, the exception of the
+    lowest failing j is raised, the one the serial loop raises."""
+    global _ce_pool
+    workers = _ce_threads() - 1
+    threads = min(workers + 1, count)
+    if threads <= 1:
+        for j in range(count):
+            body(j)
+        return
+    # Made on first use, not at import; and anew in a forked child, where
+    # the parent's pool would count its vanished threads as idle and hang.
+    # A call racing this one may make a pool of its own; that pool's
+    # threads exit once its tasks are done and it is dropped.
+    pool = _ce_pool
+    if pool is None or pool[:2] != (os.getpid(), workers):
+        pool = _ce_pool = (os.getpid(), workers, ThreadPoolExecutor(workers))
+    failures: list[tuple[int, Exception]] = []
+
+    def residue(first: int) -> None:
+        for j in range(first, count, threads):
+            try:
+                body(j)
+            except Exception as e:
+                failures.append((j, e))
+                return
+
+    futures = [pool[2].submit(residue, r) for r in range(1, threads)]
+    try:
+        residue(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()  # what residue does not catch, such as SystemExit
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
 
 def _shifted_logits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """float64 ``rows`` minus each row's max, and the log of each row's
@@ -80,12 +138,19 @@ def weighted_bootstrapped_ce(
     ``ignore_label``. Per-pixel loss is weight * -log softmax(logits)[label];
     K = ceil(top_k_fraction * #valid), ties at the K-th largest loss resolved
     in row-major order. The gradient (w.r.t. logits) is nonzero only at
-    selected pixels. NaN or inf anywhere in ``logits`` or ``weights`` raises.
+    selected pixels. NaN or inf anywhere in ``logits`` or ``weights``, and
+    labels of a non-integer dtype, raise.
+
+    Blocks of pixels run on up to min(4, CPUs) threads, the caller
+    included; each block writes only its own pixels, so the value and
+    gradient bytes do not depend on the thread count.
     """
     if logits.ndim != 3:
         raise ValueError(f"logits must be (H, W, C), got shape {logits.shape}")
     if labels.shape != logits.shape[:2]:
         raise ValueError(f"labels shape {labels.shape} != logits grid {logits.shape[:2]}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must hold integer class indices, got {labels.dtype}")
     if weights.shape != labels.shape:
         raise ValueError(f"weights shape {weights.shape} != labels shape {labels.shape}")
     if not 0 < top_k_fraction <= 1:
@@ -110,11 +175,14 @@ def weighted_bootstrapped_ce(
 
     # Per-pixel loss, the same float64 steps per row as a whole-grid softmax.
     pixel_loss = np.empty(flat_labels.size)
-    for start in range(0, flat_labels.size, _CE_BLOCK):
-        block = slice(start, start + _CE_BLOCK)
+
+    def value_block(j: int) -> None:
+        block = slice(j * _CE_BLOCK, (j + 1) * _CE_BLOCK)
         x, log_norm = _shifted_logits(flat_logits[block])
         log_prob = x[np.arange(len(x)), picked[block]] - log_norm
         pixel_loss[block] = -flat_weights[block] * log_prob
+
+    _run_blocks(value_block, -(-flat_labels.size // _CE_BLOCK))
     pixel_loss[ignored] = -np.inf  # below every valid loss, which is >= 0
 
     k = max(1, int(np.ceil(top_k_fraction * num_valid)))
@@ -134,14 +202,17 @@ def weighted_bootstrapped_ce(
     gradient = None
     if with_gradient:
         gradient = np.zeros((flat_labels.size, num_classes))
-        for start in range(0, rows.size, _CE_BLOCK):
-            block = rows[start : start + _CE_BLOCK]
+
+        def gradient_block(j: int) -> None:
+            block = rows[j * _CE_BLOCK : (j + 1) * _CE_BLOCK]
             x, log_norm = _shifted_logits(flat_logits[block])
             x -= log_norm[:, None]
             probs = np.exp(x, out=x)
             probs[np.arange(block.size), flat_labels[block]] -= 1.0
             probs *= (flat_weights[block] / k)[:, None]
             gradient[block] = probs
+
+        _run_blocks(gradient_block, -(-rows.size // _CE_BLOCK))
         gradient = gradient.reshape(logits.shape)
     return LossValue(value=value, gradient=gradient)
 

@@ -534,12 +534,15 @@ def _check_gradients(seeds=(0, 1, 2)) -> str:
 
 def _check_bootstrapped_ce(seed: int = 0, cases: int = 60) -> str:
     """Blocked top-K CE == the full-sort oracle, value and gradient bytes;
-    integer logits and weights make exact ties at the K-th loss common."""
+    integer logits and weights make exact ties at the K-th loss common. The
+    last 4 grids span more than 3 blocks, so the block threads run too."""
     rng = np.random.default_rng(seed)
     ignore = 99
     for i in range(cases):
         height, width = rng.integers(1, 24, size=2)
         num_classes = int(rng.integers(1, 8))
+        if i >= cases - 4:
+            height, width, num_classes = 70, 200, int(rng.integers(2, 20))
         logits = rng.integers(-2, 3, size=(height, width, num_classes)).astype(
             (np.float32, np.float64)[i % 2]
         )

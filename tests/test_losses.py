@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import sys
+import threading
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +19,7 @@ from panopticore.losses import (
     total_loss,
     weighted_bootstrapped_ce,
 )
-from panopticore.selftest import bootstrapped_ce_oracle, relative_error
+from panopticore.selftest import _ce_pixel_losses, bootstrapped_ce_oracle, relative_error
 
 IGNORE = 255
 
@@ -205,6 +209,127 @@ def test_ce_blocks_not_dividing_the_grid_equal_oracle():
             got = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.15)
         assert repr(got.value) == repr(want.value), block
         assert got.gradient.tobytes() == want.gradient.tobytes(), block
+
+
+def tied_ce_case(dtype, seed=12):
+    """A 13x17x5 grid of 0/1 logits and 1/2 weights: few distinct losses,
+    so many pixels tie at the K-th loss for K = ceil(0.15 * valid)."""
+    rng = np.random.default_rng(seed)
+    logits = rng.integers(0, 2, size=(13, 17, 5)).astype(dtype)
+    labels = rng.integers(0, 5, size=(13, 17))
+    labels[rng.random((13, 17)) < 0.1] = IGNORE
+    weights = rng.integers(1, 3, size=(13, 17)).astype(np.float64)
+    return logits, labels, weights
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ce_bytes_do_not_depend_on_thread_count(dtype):
+    logits, labels, weights = tied_ce_case(dtype)
+    pixel = np.sort(_ce_pixel_losses(logits, labels, weights, IGNORE))[::-1]
+    k = math.ceil(0.15 * np.count_nonzero(labels != IGNORE))
+    assert pixel[k - 2] == pixel[k - 1] == pixel[k]  # ties straddle the K-th loss
+    want = bootstrapped_ce_oracle(logits, labels, weights, IGNORE, 0.15)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave between numpy calls
+    try:
+        for threads in (1, 2, 3):
+            for block in (1, 3, 64):
+                with mock.patch.object(losses, "_ce_threads", lambda: threads), \
+                        mock.patch.object(losses, "_CE_BLOCK", block):
+                    got = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.15)
+                assert repr(got.value) == repr(want.value), (threads, block)
+                assert got.gradient.tobytes() == want.gradient.tobytes(), (threads, block)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_block_runner_runs_every_block_once_caller_takes_residue_zero():
+    for threads in (1, 2, 3):
+        for count in (1, 2, 3, 10):
+            ran = []
+            def body(j):
+                ran.append((j, threading.current_thread() is threading.main_thread()))
+            with mock.patch.object(losses, "_ce_threads", lambda: threads):
+                losses._run_blocks(body, count)
+            assert sorted(j for j, _ in ran) == list(range(count))
+            used = min(threads, count)
+            assert all(in_caller == (j % used == 0) for j, in_caller in ran)
+
+
+def test_block_runner_one_thread_or_one_block_makes_no_pool():
+    with mock.patch.object(losses, "_ce_pool", None):
+        with mock.patch.object(losses, "_ce_threads", lambda: 1):
+            losses._run_blocks(lambda j: None, 5)
+        with mock.patch.object(losses, "_ce_threads", lambda: 3):
+            losses._run_blocks(lambda j: None, 1)
+        assert losses._ce_pool is None
+        with mock.patch.object(losses, "_ce_threads", lambda: 2):
+            losses._run_blocks(lambda j: None, 2)
+        assert losses._ce_pool is not None
+
+
+def test_ce_threads_is_capped_by_the_cpus_available():
+    for system, want in (
+        (SimpleNamespace(sched_getaffinity=lambda pid: set(range(64))), 4),
+        (SimpleNamespace(sched_getaffinity=lambda pid: {5}), 1),
+        (SimpleNamespace(cpu_count=lambda: 3), 3),  # no affinity call
+        (SimpleNamespace(cpu_count=lambda: None), 1),
+    ):
+        with mock.patch.object(losses, "os", system):
+            assert losses._ce_threads() == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract")
+@pytest.mark.parametrize("threads", [2, 3])
+def test_ce_raises_the_earliest_blocks_error(threads):
+    rng = np.random.default_rng(13)
+    logits = rng.normal(size=(6, 10, 3))
+    labels = np.zeros((6, 10), dtype=np.int64)
+    weights = np.ones((6, 10))
+    overflow, nan = logits.copy(), logits.copy()
+    overflow[1, 4, :2] = 1e308, -1e308  # block 4 of 3-pixel blocks
+    overflow[5, 8, 1] = np.nan  # block 19
+    nan[1, 4, 1] = np.nan
+    nan[5, 8, :2] = 1e308, -1e308
+    with mock.patch.object(losses, "_ce_threads", lambda: threads), \
+            mock.patch.object(losses, "_CE_BLOCK", 3):
+        for _ in range(20):
+            with pytest.raises(ValueError, match="each pixel's range below"):
+                weighted_bootstrapped_ce(overflow, labels, weights, IGNORE)
+            with pytest.raises(ValueError, match=r"logits must be finite \(no NaN or inf\)"):
+                weighted_bootstrapped_ce(nan, labels, weights, IGNORE)
+
+
+def _ce_in_forked_child(logits, labels, weights, want):
+    got = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.15)
+    if got.gradient.tobytes() != want:
+        raise SystemExit(1)
+
+
+def test_ce_in_a_forked_child_after_a_call_in_the_parent():
+    logits, labels, weights = tied_ce_case(np.float64)
+    with mock.patch.object(losses, "_ce_threads", lambda: 2), \
+            mock.patch.object(losses, "_CE_BLOCK", 8):
+        want = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.15)
+        assert losses._ce_pool is not None  # the child inherits a used pool
+        child = multiprocessing.get_context("fork").Process(
+            target=_ce_in_forked_child,
+            args=(logits, labels, weights, want.gradient.tobytes()),
+        )
+        child.start()
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the CE hung in a forked child")
+    assert child.exitcode == 0
+
+
+def test_ce_rejects_float_labels():
+    logits = np.zeros((2, 2, 3))
+    labels = np.array([[0.0, 1.7], [2.2, 0.5]])
+    with pytest.raises(ValueError, match="labels must hold integer"):
+        weighted_bootstrapped_ce(logits, labels, np.ones((2, 2)), IGNORE)
 
 
 def test_mse_zero_when_equal():
