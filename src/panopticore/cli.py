@@ -79,7 +79,7 @@ def _instances_payload(result: postprocess.PanopticResult) -> list[dict]:
 
 def cmd_targets(args) -> int:
     spec = _load_spec(args.spec)
-    panoptic = tensor_io.read_tensor(args.panoptic).astype(np.int64)
+    panoptic = tensor_io._map_tensor(args.panoptic).astype(np.int64)
     _require_valid(panoptic, spec, "panoptic")
     params = targets.TargetParams(
         sigma=args.sigma,
@@ -125,9 +125,9 @@ def cmd_fuse(args) -> int:
         stuff_area_threshold=args.stuff_area_threshold,
         score_mode=args.score_mode,
     )
-    semantic = tensor_io.read_tensor(args.semantic)
-    heatmap = tensor_io.read_tensor(args.heatmap)
-    offsets = tensor_io.read_tensor(args.offsets)
+    semantic = tensor_io._map_tensor(args.semantic)
+    heatmap = tensor_io._map_tensor(args.heatmap)
+    offsets = tensor_io._map_tensor(args.offsets)
     result = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params)
     panoptic = result.panoptic
     if panoptic.min() < 0 or panoptic.max() > np.iinfo(np.uint32).max:
@@ -190,7 +190,7 @@ def _ap_payload(report: metrics.ApReport) -> dict:
 
 
 def _eval_one(pred_path, gt_path, scores_path, spec, modes):
-    pred, gt = tensor_io.read_tensor(pred_path), tensor_io.read_tensor(gt_path)
+    pred, gt = tensor_io._map_tensor(pred_path), tensor_io._map_tensor(gt_path)
     hist = metrics.joint_histogram(pred, gt)
     row: dict = {"pred": str(pred_path), "gt": str(gt_path)}
     outputs: dict = {}

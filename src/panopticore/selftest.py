@@ -305,12 +305,6 @@ def round_trip_pq(
     return metrics.panoptic_quality(result.panoptic, scene.panoptic, scene.spec)
 
 
-def partitions_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when two label maps are identical up to a relabeling bijection."""
-    pairs = np.unique(np.stack([a.reshape(-1), b.reshape(-1)], axis=1), axis=0)
-    return len(pairs) == np.unique(a).size == np.unique(b).size
-
-
 # ---------------------------------------------------------------------------
 # Random valid maps (for metric stress properties)
 

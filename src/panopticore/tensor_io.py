@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
+import sys
 import warnings
 from pathlib import Path
 
@@ -119,12 +121,48 @@ def read_tensor(path: str | Path) -> np.ndarray:
     """
     try:
         with open(path, "rb", buffering=0) as f:
-            return _read_container(f, path)
+            dims, dtype, _ = _read_header(f, path)
+            data = np.empty(dims, dtype=dtype.newbyteorder("<"))
+            view = memoryview(data.reshape(-1).view(np.uint8))
+            while view:
+                got = f.readinto(view)
+                if not got:
+                    raise PayloadLengthError(f"{path}: payload ends {len(view)} bytes short")
+                view = view[got:]
+            if f.read(1):
+                raise PayloadLengthError(f"{path}: trailing bytes after the payload")
     except OSError as e:
         raise TensorIoError(f"cannot read tensor from {path}: {e}") from e
+    return data if data.dtype.isnative else data.astype(dtype)
 
 
-def _read_container(f, path) -> np.ndarray:
+def _map_tensor(path: str | Path) -> np.ndarray:
+    """Like :func:`read_tensor`, but a read-only array mapped over the payload.
+
+    Pages are read from the page cache when first touched, not copied. A
+    write by :func:`write_tensor` renames a new file over ``path`` and so
+    leaves a mapped array's bytes alone; a foreign writer that truncates the
+    file in place can make a later touch raise SIGBUS. An empty payload
+    cannot be mapped and a big-endian host cannot use the bytes as they are:
+    both take :func:`read_tensor`'s copy.
+    """
+    try:
+        with open(path, "rb", buffering=0) as f:
+            dims, dtype, offset = _read_header(f, path)
+            count = math.prod(dims)
+            if count and sys.byteorder == "little":
+                mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+                return np.frombuffer(mapped, dtype, count, offset).reshape(dims)
+    except OSError as e:
+        raise TensorIoError(f"cannot read tensor from {path}: {e}") from e
+    data = read_tensor(path)
+    data.setflags(write=False)
+    return data
+
+
+def _read_header(f, path) -> tuple[tuple[int, ...], np.dtype, int]:
+    """Check the header and the file size; return dims, dtype and the
+    payload's byte offset, with ``f`` positioned there."""
     head = f.read(8)
     if len(head) < 8 or head[:4] != MAGIC:
         raise BadMagicError(f"{path}: not a tensor container (bad magic)")
@@ -140,20 +178,12 @@ def _read_container(f, path) -> np.ndarray:
         raise PayloadLengthError(f"{path}: truncated header")
     dims = struct.unpack(f"<{ndim}I", raw_dims)
     dtype = _CODE_DTYPES[dtype_code]
+    offset = 8 + 4 * ndim  # a multiple of 4, so every dtype's payload is aligned
     expected = math.prod(dims) * dtype.itemsize
-    size = os.fstat(f.fileno()).st_size - (8 + 4 * ndim)
+    size = os.fstat(f.fileno()).st_size - offset
     if size != expected:
         raise PayloadLengthError(f"{path}: payload is {size} bytes, expected {expected}")
-    data = np.empty(dims, dtype=dtype.newbyteorder("<"))
-    view = memoryview(data.reshape(-1).view(np.uint8))
-    while view:
-        got = f.readinto(view)
-        if not got:
-            raise PayloadLengthError(f"{path}: payload ends {len(view)} bytes short")
-        view = view[got:]
-    if f.read(1):
-        raise PayloadLengthError(f"{path}: trailing bytes after the payload")
-    return data if data.dtype.isnative else data.astype(dtype)
+    return dims, dtype, offset
 
 
 def write_spec(spec: DatasetSpec, path: str | Path) -> None:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from panopticore.metrics import (
     match_detections,
     match_segments,
     mean_iou,
+    miou_from_histogram,
     panoptic_quality,
     pq_from_histogram,
     pq_report_from_counts,
@@ -625,3 +628,31 @@ def test_precision_envelope_equals_reference_loop():
         else:
             want = 0.0
         assert _average_precision(scores, tp, ignored, n_positive) == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_histogram_metrics_read_read_only_maps(seed):
+    # eval hands joint_histogram read-only u32 maps mapped over its input
+    # files; nothing downstream may write into them or change its result.
+    spec = HIST_SPEC
+    rng = np.random.default_rng(seed)
+    gt = random_valid_map(rng, spec, 24, 20).astype(np.uint32)
+    pred = np.where(rng.random(gt.shape) < 0.3, random_valid_map(rng, spec, 24, 20), gt)
+    pred = pred.astype(np.uint32)
+    scores = {k: float(rng.random()) for k in range(1, 4)}
+
+    def run(pred, gt):
+        hist = joint_histogram(pred, gt)
+        return pickle.dumps((
+            hist,
+            pq_from_histogram(hist, spec),
+            miou_from_histogram(hist, spec),
+            miou_from_histogram(hist, spec).confusion,
+            ap_matches_from_histogram(hist, spec, scores),
+        ))
+
+    frozen_pred, frozen_gt = pred.copy(), gt.copy()
+    frozen_pred.setflags(write=False)
+    frozen_gt.setflags(write=False)
+    assert run(frozen_pred, frozen_gt) == run(pred, gt)
+    assert frozen_pred.tobytes() == pred.tobytes() and frozen_gt.tobytes() == gt.tobytes()

@@ -936,3 +936,34 @@ def test_validate_closure_on_inference_output():
     semantic, heatmap, offsets = exact_inputs(scene)
     result = panoptic_inference(semantic, heatmap, offsets, scene.spec)
     assert validate(result.panoptic, scene.spec, "panoptic") == []
+
+
+def _read_only(array):
+    array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize("mode", postprocess.SCORE_MODES)
+@pytest.mark.parametrize("kind", ["labels", "probabilities"])
+def test_inference_reads_read_only_inputs(mode, kind):
+    # fuse hands panoptic_inference read-only arrays mapped over its input
+    # files; no stage may write into them, and the result must not change.
+    semantic, heatmap, offsets, spec = bench_inputs(96, 160, 24, seed=5)
+    semantic = semantic.astype(np.uint16)
+    if kind == "probabilities":
+        rng = np.random.default_rng(5)
+        probs = rng.random(semantic.shape + (spec.num_categories,))
+        channel = spec.table.channel[np.minimum(semantic, spec.max_known_label)]
+        np.put_along_axis(probs, channel[..., None], 4.0, axis=2)
+        semantic = (probs / probs.sum(axis=2, keepdims=True)).astype(np.float32)
+    inputs = (semantic, heatmap.astype(np.float32), offsets.astype(np.float32))
+    params = postprocess.PostprocParams(score_mode=mode, stuff_area_threshold=64)
+    want = panoptic_inference(*inputs, spec, params)
+    frozen = [_read_only(a) for a in inputs]
+    got = panoptic_inference(*frozen, spec, params)
+    assert want.instances
+    assert got.panoptic.dtype == want.panoptic.dtype
+    assert got.panoptic.tobytes() == want.panoptic.tobytes()
+    assert got.instances == want.instances
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(frozen, inputs))

@@ -1,10 +1,12 @@
 import os
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from panopticore import tensor_io
 from panopticore.core import CategorySpec, DatasetSpec
 from panopticore.tensor_io import (
     BadMagicError,
@@ -12,6 +14,7 @@ from panopticore.tensor_io import (
     SpecFormatError,
     TensorIoError,
     UnsupportedVersionError,
+    _map_tensor,
     read_spec,
     read_tensor,
     write_spec,
@@ -161,18 +164,125 @@ def test_missing_file_is_io_error(tmp_path):
         read_tensor(tmp_path / "absent.pdlt")
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    array=hnp.arrays(
-        dtype=st.sampled_from([np.uint16, np.uint32, np.float32]),
-        shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
-        elements=st.integers(0, 1000),
-    )
+GRIDS = hnp.arrays(
+    dtype=st.sampled_from([np.uint16, np.uint32, np.float32]),
+    shape=hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=8),
+    elements=st.integers(0, 1000),
 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(array=GRIDS)
 def test_round_trip_property(array, tmp_path_factory):
     path = tmp_path_factory.mktemp("io") / "t.pdlt"
     write_tensor(array, path)
     assert np.array_equal(read_tensor(path), array)
+
+
+# ---------------------------------------------------------------------------
+# the mapped reader
+
+
+@settings(max_examples=30, deadline=None)
+@given(array=GRIDS)
+def test_mapped_read_equals_read_tensor(array, tmp_path_factory):
+    path = tmp_path_factory.mktemp("io") / "t.pdlt"
+    write_tensor(array, path)
+    mapped, copied = _map_tensor(path), read_tensor(path)
+    assert (mapped.dtype, mapped.shape) == (copied.dtype, copied.shape)
+    assert mapped.dtype.isnative and mapped.flags.aligned
+    assert mapped.tobytes() == copied.tobytes()
+    assert not mapped.flags.writeable
+    assert copied.flags.writeable
+
+
+def _blob(tmp_path):
+    path = tmp_path / "t.pdlt"
+    write_tensor(np.arange(6, dtype=np.uint32).reshape(2, 3), path)
+    return path, path.read_bytes()
+
+
+HEADER_FAULTS = {
+    "bad magic": lambda b: b"NOPE" + b[4:],
+    "empty file": lambda b: b"",
+    "bad version": lambda b: b[:4] + b"\x09" + b[5:],
+    "unknown dtype code": lambda b: b[:6] + b"\x07" + b[7:],
+    "bad rank": lambda b: b[:7] + b"\x04" + b[8:],
+    "truncated dims": lambda b: b[:10],
+    "short payload": lambda b: b[:-4],
+    "trailing bytes": lambda b: b + b"\0",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(HEADER_FAULTS) + ["missing file"])
+def test_mapped_read_raises_what_read_tensor_raises(tmp_path, fault):
+    path, blob = _blob(tmp_path)
+    if fault == "missing file":
+        path.unlink()
+    else:
+        path.write_bytes(HEADER_FAULTS[fault](blob))
+    with pytest.raises(TensorIoError) as copied:
+        read_tensor(path)
+    with pytest.raises(TensorIoError) as mapped:
+        _map_tensor(path)
+    assert type(mapped.value) is type(copied.value)
+    assert str(mapped.value) == str(copied.value)
+
+
+def _spy_read_tensor(monkeypatch):
+    calls = []
+
+    def spy(path):
+        calls.append(path)
+        return read_tensor(path)
+
+    monkeypatch.setattr(tensor_io, "read_tensor", spy)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (2, 0, 5)])
+def test_mapped_read_of_empty_payload_takes_the_copy(tmp_path, monkeypatch, shape):
+    path = tmp_path / "e.pdlt"
+    write_tensor(np.zeros(shape, dtype=np.float32), path)
+    calls = _spy_read_tensor(monkeypatch)
+    got = _map_tensor(path)
+    assert calls == [path]
+    assert got.shape == shape and got.dtype == np.float32
+    assert not got.flags.writeable
+
+
+def test_mapped_read_on_a_big_endian_host_takes_the_copy(tmp_path, monkeypatch):
+    path, _ = _blob(tmp_path)
+    calls = _spy_read_tensor(monkeypatch)
+    monkeypatch.setattr(tensor_io, "sys", types.SimpleNamespace(byteorder="big"))
+    got = _map_tensor(path)
+    assert calls == [path]
+    assert got.dtype.isnative and not got.flags.writeable
+    assert got.tobytes() == np.arange(6, dtype=np.uint32).tobytes()
+
+
+def test_mapped_read_of_a_read_only_file(tmp_path):
+    path, _ = _blob(tmp_path)
+    path.chmod(0o444)
+    assert np.array_equal(_map_tensor(path), np.arange(6).reshape(2, 3))
+
+
+def test_write_over_a_mapped_file_leaves_the_mapped_bytes(tmp_path):
+    path, _ = _blob(tmp_path)
+    mapped = _map_tensor(path)
+    write_tensor(np.full((2, 3), 9, dtype=np.uint32), path)
+    assert mapped.tobytes() == np.arange(6, dtype=np.uint32).tobytes()
+    assert (_map_tensor(path) == 9).all()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_dropping_a_mapped_array_releases_its_map(tmp_path):
+    path, _ = _blob(tmp_path)
+    _map_tensor(path)  # any lazily opened descriptors exist before the count
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        assert _map_tensor(path).sum() == 15
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 # ---------------------------------------------------------------------------
