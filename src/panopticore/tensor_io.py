@@ -25,7 +25,6 @@ import math
 import mmap
 import os
 import struct
-import sys
 import warnings
 from pathlib import Path
 
@@ -142,20 +141,22 @@ def _map_tensor(path: str | Path) -> np.ndarray:
     Pages are read from the page cache when first touched, not copied. A
     write by :func:`write_tensor` renames a new file over ``path`` and so
     leaves a mapped array's bytes alone; a foreign writer that truncates the
-    file in place can make a later touch raise SIGBUS. An empty payload
-    cannot be mapped and a big-endian host cannot use the bytes as they are:
-    both take :func:`read_tensor`'s copy.
+    file in place can make a later touch raise SIGBUS. On a big-endian host
+    the payload is swapped into a copy.
     """
     try:
         with open(path, "rb", buffering=0) as f:
             dims, dtype, offset = _read_header(f, path)
             count = math.prod(dims)
-            if count and sys.byteorder == "little":
-                mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-                return np.frombuffer(mapped, dtype, count, offset).reshape(dims)
+            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as e:
         raise TensorIoError(f"cannot read tensor from {path}: {e}") from e
-    data = read_tensor(path)
+    short = offset + count * dtype.itemsize - len(mapped)
+    if short > 0:  # truncated since the header's size check
+        mapped.close()
+        raise PayloadLengthError(f"{path}: payload ends {short} bytes short")
+    data = np.frombuffer(mapped, dtype.newbyteorder("<"), count, offset)
+    data = data.astype(dtype, copy=False).reshape(dims)
     data.setflags(write=False)
     return data
 
