@@ -189,28 +189,45 @@ def _ap_payload(report: metrics.ApReport) -> dict:
     }
 
 
+def _eval_stages(pred, gt, spec, modes, scores):
+    """The metrics of one (pred, gt) pair: yields each stage's name as it
+    finishes (``histogram``, then each of ``modes``), then the outputs by
+    mode; ``ap`` holds the pair's match tables."""
+    hist = metrics.joint_histogram(pred, gt)
+    yield "histogram"
+    outputs: dict = {}
+    for mode in modes:
+        if mode == "pq":
+            outputs[mode] = metrics.pq_from_histogram(hist, spec)
+        elif mode == "miou":
+            outputs[mode] = metrics.miou_from_histogram(hist, spec)
+        else:
+            outputs[mode] = metrics.ap_matches_from_histogram(hist, spec, scores)
+        yield mode
+    yield outputs
+
+
+def _image_payload(outputs: dict) -> dict:
+    payloads = {
+        "pq": _pq_payload,
+        "miou": _miou_payload,
+        "ap": lambda matches: _ap_payload(metrics.ap_report_from_matches([matches])),
+    }
+    return {mode: payloads[mode](output) for mode, output in outputs.items()}
+
+
 def _eval_one(pred_path, gt_path, scores_path, spec, modes):
     pred, gt = tensor_io._map_tensor(pred_path), tensor_io._map_tensor(gt_path)
-    hist = metrics.joint_histogram(pred, gt)
-    row: dict = {"pred": str(pred_path), "gt": str(gt_path)}
-    outputs: dict = {}
-    if "pq" in modes:
-        outputs["pq"] = metrics.pq_from_histogram(hist, spec)
-        row["pq"] = _pq_payload(outputs["pq"])
-    if "miou" in modes:
-        outputs["miou"] = metrics.miou_from_histogram(hist, spec)
-        row["miou"] = _miou_payload(outputs["miou"])
-    if "ap" in modes:
-        scores = None  # every instance scores 1.0 without a fuse report
-        if scores_path:
-            doc = json.loads(Path(scores_path).read_text())
-            scores = {int(r["instance_index"]): float(r["score"]) for r in doc["instances"]}
-        try:
-            outputs["ap"] = metrics.ap_matches_from_histogram(hist, spec, scores)
-        except KeyError as e:
-            message = f"{scores_path} has no score for instance index {e.args[0]}"
-            raise ValueError(message) from None
-        row["ap"] = _ap_payload(metrics.ap_report_from_matches([outputs["ap"]]))
+    scores = None  # every instance scores 1.0 without a fuse report
+    if scores_path and "ap" in modes:
+        doc = json.loads(Path(scores_path).read_text())
+        scores = {int(r["instance_index"]): float(r["score"]) for r in doc["instances"]}
+    try:
+        *_, outputs = _eval_stages(pred, gt, spec, modes, scores)
+    except KeyError as e:
+        message = f"{scores_path} has no score for instance index {e.args[0]}"
+        raise ValueError(message) from None
+    row = {"pred": str(pred_path), "gt": str(gt_path), **_image_payload(outputs)}
     return row, outputs
 
 
@@ -267,32 +284,55 @@ def cmd_bench(args) -> int:
     semantic, heatmap, offsets, spec = bench_inputs(
         args.height, args.width, args.centers, seed=args.seed
     )
-    if args.workload == "fuse-probs":
-        # The one-hot float32 grid of the same labels.
-        probs = np.zeros(semantic.shape + (spec.num_categories,), dtype=np.float32)
-        np.put_along_axis(probs, spec.table.channel[semantic][..., None], np.float32(1.0), axis=2)
-        semantic = probs
     params = postprocess.PostprocParams()
+    if args.workload == "eval":
+        # The fused map as gt, shifted by (3, -5) pixels as pred.
+        result = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params)
+        gt = result.panoptic.astype(np.uint32)
+        pred = np.roll(gt, (3, -5), axis=(0, 1))
+        scores = {r.instance_index: r.score for r in result.instances}
+
+        def run():
+            return _eval_stages(pred, gt, spec, ("pq", "miou", "ap"), scores)
+
+        digest_key = "report_sha256"
+
+        def digest(outputs) -> bytes:
+            return json.dumps(_image_payload(outputs), sort_keys=True).encode()
+    else:
+        if args.workload == "fuse-probs":
+            # The one-hot float32 grid of the same labels.
+            probs = np.zeros(semantic.shape + (spec.num_categories,), dtype=np.float32)
+            channels = spec.table.channel[semantic][..., None]
+            np.put_along_axis(probs, channels, np.float32(1.0), axis=2)
+            semantic = probs
+
+        def run():
+            return postprocess._inference_stages(semantic, heatmap, offsets, spec, params)
+
+        digest_key = "panoptic_sha256"
+
+        def digest(result) -> bytes:
+            return result.panoptic.astype(np.int64).tobytes()
+
     stages: dict[str, list[float]] = {}
     end_to_end = []
-    digest = None
     for _ in range(args.repetitions):
-        # One run of the stages fuse runs, timed between the names they
-        # yield; the last item yielded is the result.
+        # One run of the stages, timed between the names they yield; the
+        # last item yielded is the result.
         start = last = time.perf_counter()
-        for step in postprocess._inference_stages(semantic, heatmap, offsets, spec, params):
+        for step in run():
             now = time.perf_counter()
             if isinstance(step, str):
                 stages.setdefault(step, []).append(now - last)
                 last = now
         end_to_end.append(last - start)
-        digest = hashlib.sha256(step.panoptic.astype(np.int64).tobytes()).hexdigest()
     stages["end_to_end"] = end_to_end
     report = {
         "dims": [args.height, args.width],
         "centers": args.centers,
         "repetitions": args.repetitions,
-        "panoptic_sha256": digest,
+        digest_key: hashlib.sha256(digest(step)).hexdigest(),
         "stages_ms": {
             name: {
                 "median": statistics.median(times) * 1000.0,
@@ -379,8 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centers", type=int, default=200)
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workload", choices=("fuse-labels", "fuse-probs"), default="fuse-labels",
-                   help="semantic input: (H, W) labels or their one-hot (H, W, C) float32 grid")
+    p.add_argument("--workload", choices=("fuse-labels", "fuse-probs", "eval"),
+                   default="fuse-labels",
+                   help="fuse on (H, W) labels or on their one-hot (H, W, C) float32 grid, "
+                   "or eval --mode all of the fused map against itself shifted by (3, -5)")
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -217,40 +217,62 @@ class SegmentTable(NamedTuple):
     void: np.ndarray
 
 
-def _count_ids(flat: np.ndarray, with_inverse: bool = False) -> tuple:
-    """``np.unique(flat, return_inverse=with_inverse, return_counts=True)``
-    of a 1-D array, bit for bit. Integer ids in [0, max(size, 65536)) are
-    counted with one ``np.bincount`` over that range, and ``inverse`` is one
-    gather through a table; other arrays take the ``np.unique`` sort."""
+def _runs(*flats: np.ndarray, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of the 1-D arrays ``flats`` (all of
+    one size): a run ends where any of them changes value and, when
+    ``width`` is set, at every multiple of ``width`` (each row start)."""
+    size = flats[0].size
+    # edge[i]: a run starts at pixel i, or i == size ends the last one.
+    edge = np.zeros(size + 1, dtype=bool)
+    for flat in flats:
+        edge[1:size] |= flat[1:] != flat[:-1]
+    edge[:: width or max(size, 1)] = True  # pixel 0, each row start, the end
+    edges = np.flatnonzero(edge)
+    return edges[:-1], np.diff(edges)
+
+
+def _unique_index(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` of a 1-D array, bit for
+    bit. Integer values in [0, max(bound, 65536)) are found with one
+    ``np.bincount`` over that range and indexed through a table; other
+    arrays take the ``np.unique`` sort, which also bounds the table's
+    memory."""
     if not (
-        np.issubdtype(flat.dtype, np.integer)
-        and flat.size
-        and flat.min() >= 0
-        and flat.max() < max(flat.size, 1 << 16)
+        np.issubdtype(values.dtype, np.integer)
+        and values.size
+        and values.min() >= 0
+        and values.max() < max(bound, 1 << 16)
     ):
-        return np.unique(flat, return_inverse=with_inverse, return_counts=True)
-    index = flat.astype(np.intp, copy=False)
-    counts = np.bincount(index)
-    present = np.flatnonzero(counts)
-    ids, areas = present.astype(flat.dtype), counts[present]
-    if not with_inverse:
-        return ids, areas
-    table = np.zeros(counts.size, dtype=np.intp)
+        return np.unique(values, return_inverse=True)
+    dense = values.astype(np.intp, copy=False)
+    present = np.flatnonzero(np.bincount(dense))
+    table = np.zeros(int(present[-1]) + 1, dtype=np.intp)
     table[present] = np.arange(present.size)
-    return ids, table[index], areas
+    return present.astype(values.dtype), table[dense]
+
+
+def _sums(index: np.ndarray, weights, size: int) -> np.ndarray:
+    """Per-index sums of integer ``weights`` (counts without), as int64:
+    float64 adds integers below 2**53 exactly."""
+    return np.bincount(index, weights=weights, minlength=size).astype(np.int64)
 
 
 def segment_table(panoptic: np.ndarray, spec: DatasetSpec) -> SegmentTable:
     """The :class:`SegmentTable` of a 2-D panoptic map. Raises ValueError if
     an id's category is unknown to the spec."""
     height, width = panoptic.shape
-    ids, inverse, areas = _count_ids(panoptic.reshape(-1), with_inverse=True)
+    flat = panoptic.reshape(-1)
+    starts, lengths = _runs(flat, width=width)
+    ids, index = _unique_index(flat[starts], flat.size)
     classes = classify_segments(ids, spec, "panoptic map")
-    # Coordinate sums are integers below 2**53, so float64 accumulates them
-    # exactly and sum / count is numpy's mean bit for bit.
-    rows = np.bincount(inverse, np.repeat(np.arange(height, dtype=np.float64), width))
-    cols = np.bincount(inverse, np.tile(np.arange(width, dtype=np.float64), height))
-    inverse = inverse.reshape(height, width)
+    areas = _sums(index, lengths, ids.size)
+    # Each run lies in one row: its coordinate sums are row * L and
+    # L * c0 + L (L - 1) / 2. The sums are exact, so sum / count is numpy's
+    # mean bit for bit.
+    row, col = np.divmod(starts, max(width, 1))
+    rows = _sums(index, row * lengths, ids.size)
+    cols = _sums(index, col * lengths + lengths * (lengths - 1) // 2, ids.size)
+    inverse = np.repeat(index, lengths).reshape(height, width)
     return SegmentTable(ids, inverse, areas, rows / areas, cols / areas, *classes)
 
 
@@ -347,9 +369,9 @@ def validate(
         if kind == "semantic":
             known = spec.lookup(spec.table.known, labels)
             _report(v, ~known, lambda i: f"{kind}: pixel {i}: unknown category id {int(labels[i])}")
-        elif any(f.any() for f in _panoptic_faults(_count_ids(labels)[0], spec)[2:]):
-            # Each distinct id is checked once; pixels are searched only
-            # when some id is at fault.
+        elif any(f.any() for f in _panoptic_faults(labels[_runs(labels)[0]], spec)[2:]):
+            # Each run of equal ids is checked once; pixels are searched
+            # only when some id is at fault.
             category, instance, unknown, nonzero_stuff, void_inst = _panoptic_faults(
                 labels, spec
             )

@@ -7,6 +7,7 @@ are taken with respect to the raw prediction grids only.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -71,9 +72,10 @@ def _run_blocks(body, count: int) -> None:
     threads, W = ``_ce_threads()``: the caller takes j = 0 (mod T), as a
     worker thread would get its own malloc arena, and a pool of W - 1
     threads the other residues. Each ``body(j)`` must write only its own
-    part of the output, so the bytes do not depend on T. A thread stops at
-    its first failing block; once all are done, the exception of the
-    lowest failing j is raised, the one the serial loop raises."""
+    part of the output, so the bytes do not depend on T. Every block runs
+    under the caller's ``np.errstate``. A thread stops at its first failing
+    block; once all are done, the exception of the lowest failing j is
+    raised, the one the serial loop raises."""
     global _ce_pool
     workers = _ce_threads() - 1
     threads = min(workers + 1, count)
@@ -98,7 +100,11 @@ def _run_blocks(body, count: int) -> None:
                 failures.append((j, e))
                 return
 
-    futures = [pool[2].submit(residue, r) for r in range(1, threads)]
+    # numpy keeps ``np.errstate`` in a context variable, which a pool
+    # thread does not inherit: each residue runs in a copy of the caller's.
+    futures = [
+        pool[2].submit(contextvars.copy_context().run, residue, r) for r in range(1, threads)
+    ]
     try:
         residue(0)
     finally:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DatasetSpec, classify_segments
+from .core import DatasetSpec, _runs, _sums, _unique_index, classify_segments
 
 __all__ = [
     "PqCategory",
@@ -96,32 +96,26 @@ class JointHistogram(NamedTuple):
 
 
 def joint_histogram(pred: np.ndarray, gt: np.ndarray) -> JointHistogram:
-    """The joint histogram of two panoptic maps, from one pass over the pixels."""
+    """The joint histogram of two panoptic maps, from one pass over the
+    pixels: each run of equal (pred id, gt id) pairs is counted once."""
     if pred.shape != gt.shape:
         raise ValueError(f"pred shape {pred.shape} != gt shape {gt.shape}")
-    pred_flat = pred.reshape(-1).astype(np.int64)
-    gt_flat = gt.reshape(-1).astype(np.int64)
-    scale = int(gt_flat.max()) + 1
-    if min(pred_flat.min(), gt_flat.min()) < 0 or pred_flat.max() >= (2**63 - 1) // scale:
-        # Ids negative or too large to pack into one int64 code; pair rows instead.
-        stacked = np.stack([pred_flat, gt_flat], axis=1)
-        pairs, counts = np.unique(stacked, axis=0, return_counts=True)
-        inter_pred, inter_gt = pairs[:, 0], pairs[:, 1]
-    else:
-        pairs, counts = np.unique(pred_flat * scale + gt_flat, return_counts=True)
-        inter_pred, inter_gt = pairs // scale, pairs % scale
-    pred_ids, pred_index = np.unique(inter_pred, return_inverse=True)
-    gt_ids, gt_index = np.unique(inter_gt, return_inverse=True)
+    if pred.size == 0:
+        raise ValueError(f"cannot histogram empty maps of shape {pred.shape}")
+    pred_flat, gt_flat = pred.reshape(-1), gt.reshape(-1)
+    starts, lengths = _runs(pred_flat, gt_flat)
+    size = pred_flat.size
+    pred_ids, pred_run = _unique_index(pred_flat[starts].astype(np.int64), size)
+    gt_ids, gt_run = _unique_index(gt_flat[starts].astype(np.int64), size)
+    # Pair codes ascend in (pred id, gt id) order.
+    pairs, pair_run = _unique_index(pred_run * gt_ids.size + gt_run, size)
+    counts = _sums(pair_run, lengths, pairs.size)
+    pred_index, gt_index = np.divmod(pairs, gt_ids.size)
     pred_areas = _sums(pred_index, counts, pred_ids.size)
     gt_areas = _sums(gt_index, counts, gt_ids.size)
     return JointHistogram(
         pred_ids, pred_areas, gt_ids, gt_areas, pred_index, gt_index, counts
     )
-
-
-def _sums(index: np.ndarray, weights, size: int) -> np.ndarray:
-    # float64 sums of pixel counts (all below 2**53) are exact.
-    return np.bincount(index, weights=weights, minlength=size).astype(np.int64)
 
 
 def _pq_matches(hist: JointHistogram, spec: DatasetSpec):

@@ -25,6 +25,7 @@ __all__ = [
     "class_scores_oracle",
     "probability_labels_oracle",
     "segment_table_oracle",
+    "joint_histogram_oracle",
     "random_scored_result",
     "exact_inputs",
     "round_trip_pq",
@@ -221,6 +222,31 @@ def segment_table_oracle(panoptic: np.ndarray, spec: DatasetSpec) -> core.Segmen
     cols = np.bincount(inverse, np.tile(np.arange(width, dtype=np.float64), height))
     inverse = inverse.reshape(height, width)
     return core.SegmentTable(ids, inverse, areas, rows / areas, cols / areas, *classes)
+
+
+def joint_histogram_oracle(pred: np.ndarray, gt: np.ndarray) -> metrics.JointHistogram:
+    """``metrics.joint_histogram`` as first written: one ``np.unique`` sort
+    of a pair code per pixel, or of (pred id, gt id) pixel rows when the
+    ids are negative or too large to pack into one int64 code."""
+    if pred.shape != gt.shape:
+        raise ValueError(f"pred shape {pred.shape} != gt shape {gt.shape}")
+    pred_flat = pred.reshape(-1).astype(np.int64)
+    gt_flat = gt.reshape(-1).astype(np.int64)
+    scale = int(gt_flat.max()) + 1
+    if min(pred_flat.min(), gt_flat.min()) < 0 or pred_flat.max() >= (2**63 - 1) // scale:
+        stacked = np.stack([pred_flat, gt_flat], axis=1)
+        pairs, counts = np.unique(stacked, axis=0, return_counts=True)
+        inter_pred, inter_gt = pairs[:, 0], pairs[:, 1]
+    else:
+        pairs, counts = np.unique(pred_flat * scale + gt_flat, return_counts=True)
+        inter_pred, inter_gt = pairs // scale, pairs % scale
+    pred_ids, pred_index = np.unique(inter_pred, return_inverse=True)
+    gt_ids, gt_index = np.unique(inter_gt, return_inverse=True)
+    pred_areas = np.bincount(pred_index, counts, pred_ids.size).astype(np.int64)
+    gt_areas = np.bincount(gt_index, counts, gt_ids.size).astype(np.int64)
+    return metrics.JointHistogram(
+        pred_ids, pred_areas, gt_ids, gt_areas, pred_index, gt_index, counts
+    )
 
 
 def random_scored_result(
@@ -627,7 +653,7 @@ def _check_probability_labels(seed: int = 0, cases: int = 60) -> str:
 
 
 def _check_segment_table(seed: int = 0, cases: int = 60) -> str:
-    """The dense-count segment table == the ``np.unique`` oracle, field by
+    """The run-length segment table == the ``np.unique`` oracle, field by
     field with dtypes, on maps whose ids stay below or reach past the
     dense-count bound (65536 on these small maps)."""
     specs = (make_spec(), make_spec(2, 2, ignore_label=4, label_divisor=1 << 14))
@@ -644,6 +670,31 @@ def _check_segment_table(seed: int = 0, cases: int = 60) -> str:
         for name, a, b in zip(want._fields, got, want):
             if not _same_array(a, b):
                 return f"case {i} ({np.dtype(dtype).name}): {name} differs from np.unique"
+    return ""
+
+
+def _check_joint_histogram(seed: int = 0, cases: int = 60) -> str:
+    """The run-length joint histogram == the per-pixel oracle, field by
+    field with dtypes: scenes and per-pixel noise, single rows and columns,
+    runs across row ends, u16/u32/int64 maps, negative ids and ids past
+    2**40 (the oracle's pixel-row branch)."""
+    spec = make_spec(num_stuff=2, num_things=3)
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        height, width = (int(n) for n in rng.integers(1, 24, size=2))
+        height, width = ((height, width), (1, width), (height, 1))[i % 3]
+        gt = random_valid_map(rng, spec, height, width)
+        if i % 4 == 1:  # per-pixel noise over three ids: short runs that wrap rows
+            gt = rng.choice(np.unique(gt)[:3], size=gt.shape)
+        pred = np.where(rng.random(gt.shape) < 0.2, random_valid_map(rng, spec, height, width), gt)
+        dtype = (np.int64, np.uint32, np.uint16)[i // 3 % 3]
+        if i % 5 == 4:
+            pred, dtype = pred + (-(2**40), 2**40)[i % 2], np.int64
+        got = metrics.joint_histogram(pred.astype(dtype), gt.astype(dtype))
+        want = joint_histogram_oracle(pred.astype(dtype), gt.astype(dtype))
+        for name, a, b in zip(want._fields, got, want):
+            if not _same_array(a, b):
+                return f"case {i} ({np.dtype(dtype).name}): {name} differs from joint_histogram_oracle"
     return ""
 
 
@@ -726,6 +777,7 @@ PROPERTIES = (
     ("class_scores_oracle", _check_class_scores),
     ("probability_labels_oracle", _check_probability_labels),
     ("segment_table_oracle", _check_segment_table),
+    ("joint_histogram_oracle", _check_joint_histogram),
     ("pq_formula", _check_pq_formula),
     ("pq_identity_and_uniqueness", _check_pq_identity),
     ("score_mode_invariance", _check_score_modes),

@@ -504,6 +504,42 @@ def test_bench_probability_workload(tmp_path):
         assert total == pytest.approx(stages["end_to_end"]["runs"][run], rel=1e-9, abs=1e-9)
 
 
+def test_bench_eval_workload_times_the_stages_eval_runs(tmp_path):
+    bench = tmp_path / "bench.json"
+    code = main(
+        ["bench", "--height", "64", "--width", "96", "--centers", "12",
+         "--repetitions", "2", "--workload", "eval", "--report", str(bench)]
+    )
+    assert code == 0
+    doc = json.loads(bench.read_text())
+    assert set(doc) == {"centers", "dims", "report_sha256", "repetitions", "stages_ms", "workload"}
+    assert doc["workload"] == "eval"
+    stages = doc["stages_ms"]
+    assert set(stages) == {"histogram", "pq", "miou", "ap", "end_to_end"}
+    for run in range(2):
+        total = sum(stages[name]["runs"][run] for name in stages if name != "end_to_end")
+        assert total == pytest.approx(stages["end_to_end"]["runs"][run], rel=1e-9, abs=1e-9)
+    # The digest is that of the per-image report eval writes for the same pair.
+    semantic, heatmap, offsets, spec = bench_inputs(64, 96, 12)
+    result = panoptic_inference(semantic, heatmap, offsets, spec)
+    gt = result.panoptic.astype(np.uint32)
+    write_spec(spec, tmp_path / "spec.json")
+    write_tensor(gt, tmp_path / "gt.pdlt")
+    write_tensor(np.roll(gt, (3, -5), axis=(0, 1)), tmp_path / "pred.pdlt")
+    rows = [{"instance_index": r.instance_index, "score": r.score} for r in result.instances]
+    (tmp_path / "scores.json").write_text(json.dumps({"instances": rows}))
+    code = main(
+        ["eval", "--pred", str(tmp_path / "pred.pdlt"), "--gt", str(tmp_path / "gt.pdlt"),
+         "--spec", str(tmp_path / "spec.json"), "--mode", "all",
+         "--pred-scores", str(tmp_path / "scores.json"), "--report", str(tmp_path / "r.json")]
+    )
+    assert code == 0
+    image = json.loads((tmp_path / "r.json").read_text())["images"][0]
+    del image["pred"], image["gt"]
+    text = json.dumps(image, sort_keys=True)
+    assert doc["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_fuse_probability_semantic_input(scene_files):
     scene, gt_path, spec_path, tmp = scene_files
     targets_dir = tmp / "targets"

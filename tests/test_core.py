@@ -348,8 +348,8 @@ def segment_maps(draw):
     ids = st.one_of(stuff, thing, st.just(spec.void_id))
     if dtype is np.uint16:
         ids = ids.filter(lambda v: v <= np.iinfo(np.uint16).max)
-    height = draw(st.integers(1, 10))
-    width = draw(st.integers(1, 10))
+    height = draw(st.integers(0, 10))
+    width = draw(st.integers(0, 10))
     values = draw(st.lists(ids, min_size=height * width, max_size=height * width))
     return spec, np.array(values, dtype=dtype).reshape(height, width)
 
@@ -378,6 +378,17 @@ def test_segment_table_runs_both_paths(monkeypatch):
     large = np.full((300, 300), BOUND_SPEC.void_id, dtype=np.int64)  # bound 90000
     segment_table(large, BOUND_SPEC)
     assert calls == [1]
+
+
+@pytest.mark.parametrize("shape", [(0, 7), (7, 0), (0, 0)])
+@pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+def test_segment_table_of_an_empty_map(shape, dtype):
+    panoptic = np.zeros(shape, dtype=dtype)
+    got = segment_table(panoptic, BOUND_SPEC)
+    want = segment_table_oracle(panoptic, BOUND_SPEC)
+    assert got.inverse.shape == shape and got.ids.dtype == dtype
+    for name, a, b in zip(want._fields, got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("value", [-1, 20 * 1000, 77 * 1000, 10**12])

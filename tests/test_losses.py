@@ -300,6 +300,18 @@ def test_ce_raises_the_earliest_blocks_error(threads):
                 weighted_bootstrapped_ce(nan, labels, weights, IGNORE)
 
 
+def test_ce_worker_blocks_run_under_the_callers_errstate():
+    # A worker thread does not inherit np.errstate on its own: the overflow
+    # in block 1, a worker's, would then warn and fail the range check.
+    logits = np.zeros((2, 3, 2))
+    logits[1, 2] = 1e308, -1e308  # pixel 5: block 1 of 3-pixel blocks
+    labels = np.zeros((2, 3), dtype=np.int64)
+    with mock.patch.object(losses, "_ce_threads", lambda: 2), \
+            mock.patch.object(losses, "_CE_BLOCK", 3), np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError):
+            weighted_bootstrapped_ce(logits, labels, np.ones((2, 3)), IGNORE)
+
+
 def _ce_in_forked_child(logits, labels, weights, want):
     got = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.15)
     if got.gradient.tobytes() != want:

@@ -21,7 +21,7 @@ from panopticore.metrics import (
     pq_from_histogram,
     pq_report_from_counts,
 )
-from panopticore.selftest import histogram_mismatch, random_valid_map
+from panopticore.selftest import histogram_mismatch, joint_histogram_oracle, random_valid_map
 from panopticore.synth import make_spec, random_scene
 
 SPEC = make_spec(num_stuff=2, num_things=2)
@@ -522,6 +522,49 @@ def test_joint_histogram_pair_rows_fallback(offset):
     }
     assert got == want
     assert list(got) == sorted(want)  # ascending (pred id, gt id) order
+
+
+@st.composite
+def histogram_cases(draw):
+    """(pred, gt) pairs for the run-length histogram: scenes, per-pixel
+    noise, runs that cross row ends, single rows and columns, u16, u32 and
+    int64 maps, and negative ids or ids past 2**40."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    height, width = draw(st.sampled_from([(height, width), (1, width), (height, 1)]))
+    gt = random_valid_map(rng, HIST_SPEC, height, width)
+    kind = draw(st.sampled_from(["scene", "noise", "wrapping"]))
+    if kind == "noise":  # every pixel its own run
+        gt = rng.choice(np.unique(gt), size=gt.shape)
+    elif kind == "wrapping":  # runs longer than a row
+        ids = rng.choice(np.unique(gt), size=gt.size)
+        gt = np.repeat(ids, rng.integers(1, 2 * width + 2, size=gt.size))[: gt.size]
+        gt = gt.reshape(height, width)
+    mix = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    pred = np.where(rng.random(gt.shape) < mix, random_valid_map(rng, HIST_SPEC, height, width), gt)
+    dtype = draw(st.sampled_from([np.uint16, np.uint32, np.int64]))
+    offset = draw(st.sampled_from([0, 0, -(2**40), 2**40]))
+    if offset:
+        pred, gt, dtype = pred + offset, gt * draw(st.sampled_from([1, 2**31])), np.int64
+    return pred.astype(dtype), gt.astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=histogram_cases())
+def test_joint_histogram_equals_pixel_oracle(case):
+    pred, gt = case
+    got, want = joint_histogram(pred, gt), joint_histogram_oracle(pred, gt)
+    for name, a, b in zip(want._fields, got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_joint_histogram_of_empty_maps_raises(shape):
+    empty = np.zeros(shape, dtype=np.uint32)
+    for histogram in (joint_histogram, joint_histogram_oracle):
+        with pytest.raises(ValueError):
+            histogram(empty, empty)
 
 
 def test_pq_duplicate_match_raises_runtime_error():

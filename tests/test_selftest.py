@@ -1,6 +1,6 @@
 import numpy as np
 
-from panopticore import core, losses, postprocess
+from panopticore import core, losses, metrics, postprocess
 from panopticore.cli import main
 from panopticore.selftest import run_selftest
 
@@ -60,16 +60,29 @@ def test_injected_ce_tie_fault_named(monkeypatch):
 
 
 def test_injected_segment_area_fault_named(monkeypatch):
-    real_count = core._count_ids
+    real_sums = core._sums
 
-    def off_by_one_count(flat, with_inverse=False):
-        *rest, areas = real_count(flat, with_inverse)
-        return (*rest, areas + 1)
+    def off_by_one_sums(index, weights, size):
+        return real_sums(index, weights, size) + 1
 
-    monkeypatch.setattr(core, "_count_ids", off_by_one_count)
+    monkeypatch.setattr(core, "_sums", off_by_one_sums)
     results = {r.name: r for r in run_selftest()}
     assert not results["segment_table_oracle"].passed
     assert "areas differs from np.unique" in results["segment_table_oracle"].detail
+
+
+def test_injected_joint_histogram_run_fault_named(monkeypatch):
+    real_runs = metrics._runs
+
+    def no_last_run(*flats, width=0):
+        # Drops the last run's pixels from every count.
+        starts, lengths = real_runs(*flats, width=width)
+        return starts, np.concatenate([lengths[:-1], [0]])
+
+    monkeypatch.setattr(metrics, "_runs", no_last_run)
+    results = {r.name: r for r in run_selftest()}
+    assert not results["joint_histogram_oracle"].passed
+    assert "differs from joint_histogram_oracle" in results["joint_histogram_oracle"].detail
 
 
 def test_injected_probability_tie_fault_named(monkeypatch):
