@@ -223,8 +223,9 @@ def _runs(*flats: np.ndarray, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
     ``width`` is set, at every multiple of ``width`` (each row start)."""
     size = flats[0].size
     # edge[i]: a run starts at pixel i, or i == size ends the last one.
-    edge = np.zeros(size + 1, dtype=bool)
-    for flat in flats:
+    edge = np.empty(size + 1, dtype=bool)
+    np.not_equal(flats[0][1:], flats[0][:-1], out=edge[1:size])
+    for flat in flats[1:]:
         edge[1:size] |= flat[1:] != flat[:-1]
     edge[:: width or max(size, 1)] = True  # pixel 0, each row start, the end
     edges = np.flatnonzero(edge)
@@ -234,9 +235,10 @@ def _runs(*flats: np.ndarray, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
 def _unique_index(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)`` of a 1-D array, bit for
     bit. Integer values in [0, max(bound, 65536)) are found with one
-    ``np.bincount`` over that range and indexed through a table; other
-    arrays take the ``np.unique`` sort, which also bounds the table's
-    memory."""
+    ``np.bincount`` over that range and indexed through a table, or are
+    their own index when every value in [0, max] occurs (then the index is
+    ``values`` itself if it is intp); other arrays take the ``np.unique``
+    sort, which also bounds the table's memory."""
     if not (
         np.issubdtype(values.dtype, np.integer)
         and values.size
@@ -246,15 +248,21 @@ def _unique_index(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarra
         return np.unique(values, return_inverse=True)
     dense = values.astype(np.intp, copy=False)
     present = np.flatnonzero(np.bincount(dense))
+    if present.size == present[-1] + 1:  # every value in [0, max]: no table
+        return present.astype(values.dtype), dense
     table = np.zeros(int(present[-1]) + 1, dtype=np.intp)
     table[present] = np.arange(present.size)
-    return present.astype(values.dtype), table[dense]
+    return present.astype(values.dtype), np.take(table, dense)
 
 
 def _sums(index: np.ndarray, weights, size: int) -> np.ndarray:
-    """Per-index sums of integer ``weights`` (counts without), as int64:
-    float64 adds integers below 2**53 exactly."""
-    return np.bincount(index, weights=weights, minlength=size).astype(np.int64)
+    """Per-index sums of int64 ``weights`` (counts without), as int64:
+    ``np.add.at`` adds them exactly, faster than a float64 ``np.bincount``."""
+    if weights is None:
+        return np.bincount(index, minlength=size)
+    sums = np.zeros(size, dtype=np.int64)
+    np.add.at(sums, index, weights)
+    return sums
 
 
 def segment_table(panoptic: np.ndarray, spec: DatasetSpec) -> SegmentTable:

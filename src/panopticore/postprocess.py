@@ -1,12 +1,14 @@
 """Inference pipeline: peak extraction, offset grouping, and label fusion.
 
 :func:`panoptic_inference` runs the five stages that ``bench`` times:
-inputs (each input checked once), nms (the centers of ``keypoint_nms`` +
+inputs (each input checked once; the label ids once per run, which also
+gives the thing mask), nms (the centers of ``keypoint_nms`` +
 ``extract_centers``, searched among the pixels above the threshold only),
-grouping (``thing_mask_from_semantic`` + ``group_pixels``), merge
-(``merge_panoptic`` + ``filter_small_stuff`` in one gather) and scores
-(``score_instances``). It runs private bodies of the public stages, which
-would check their inputs again.
+grouping (``group_pixels``), merge (``merge_panoptic`` +
+``filter_small_stuff`` in one table, counted over runs of equal (label,
+instance) pairs) and scores (``score_instances``, members found per run).
+It runs private bodies of the public stages, which would check their
+inputs again.
 
 Everything is integer- or comparison-based, so outputs are bit-identical
 across runs. Instance indices are 1-based positions in the extracted center
@@ -22,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .core import DatasetSpec, InstanceCenter, segment_table
+from .core import DatasetSpec, InstanceCenter, _runs, _sums, _unique_index, segment_table
 
 __all__ = [
     "PostprocParams",
@@ -54,6 +56,10 @@ _PEAK_DENSITY = 4
 # channel-major copy (1.2 MiB of float32 at C = 19) and scratch fit a 2 MiB
 # L2 cache; 4096 took ~20% longer at 1025x2049, through per-call overhead.
 _PROB_BLOCK = 16384
+
+# Pixels per block of the merge: its per-run buffers are reused from block to
+# block, where whole-map run arrays were allocated afresh on every call.
+_MERGE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -201,8 +207,16 @@ def _peak_centers(
 def thing_mask_from_semantic(semantic: np.ndarray, spec: DatasetSpec) -> np.ndarray:
     """True exactly where the semantic label is a thing category. Raises
     ValueError if a label is neither a spec category nor the ignore label."""
-    spec.check_known(semantic, "label map")
-    return spec.table.thing[semantic]
+    return _thing_mask(semantic, spec, "label map")
+
+
+def _thing_mask(labels: np.ndarray, spec: DatasetSpec, name: str) -> np.ndarray:
+    """:func:`thing_mask_from_semantic` per run of equal labels; the check names ``name``."""
+    flat = labels.reshape(-1)
+    starts, lengths = _runs(flat)
+    values = flat[starts]
+    spec.check_known(values, name)
+    return np.repeat(spec.table.thing[values], lengths).reshape(labels.shape)
 
 
 def _tile_candidates(
@@ -340,7 +354,8 @@ def merge_panoptic(
     (ties to the smallest category id) and is encoded as
     category * label_divisor + instance_index. Stuff pixels keep their
     semantic category with instance part 0; thing-category pixels left
-    ungrouped become VOID.
+    ungrouped become VOID. Raises ValueError if the instance ids are not
+    integers, or are negative or not below ``label_divisor``.
     """
     if semantic.shape != instance_ids.shape:
         raise ValueError(
@@ -354,78 +369,68 @@ def _merge_panoptic(
     semantic: np.ndarray, instance_ids: np.ndarray, spec: DatasetSpec, min_stuff_area: int
 ) -> PanopticResult:
     """``filter_small_stuff(merge_panoptic(...), threshold=min_stuff_area)`` of
-    a semantic map already checked against the spec, in one gather."""
-    max_instance = int(instance_ids.max()) if instance_ids.size else 0
-    if max_instance >= spec.label_divisor:
-        raise ValueError(
-            f"instance index {max_instance} >= label_divisor {spec.label_divisor}"
-        )
-    num_channels = spec.num_categories
-    table = spec.table
-    ids_sorted = table.ids
+    a semantic map already checked against the spec.
 
-    flat_semantic = semantic.reshape(-1)
-    flat_instance = instance_ids.reshape(-1).astype(np.int32, copy=False)
-
-    # Vote histogram in one bincount; channel num_channels is a sink bin for
-    # the ignore label.
-    code_dtype = (
-        np.int32
-        if (max_instance + 1) * (num_channels + 1) <= np.iinfo(np.int32).max
-        else np.int64
-    )
-    codes = flat_instance.astype(code_dtype, copy=False) * code_dtype(
-        num_channels + 1
-    ) + table.channel.astype(code_dtype)[flat_semantic]
-    votes_full = np.bincount(
-        codes, minlength=(max_instance + 1) * (num_channels + 1)
-    ).reshape(max_instance + 1, num_channels + 1)
-    votes = votes_full[:, :num_channels]
+    Counts runs of equal (label, instance) pairs by length, block by block:
+    a run's code is its instance's row among the ids in the block and its
+    label's channel. The block histograms add up to one with a row per id
+    present; the map repeats each run's entry of one lookup table.
+    """
+    if not np.issubdtype(instance_ids.dtype, np.integer):
+        raise ValueError(f"instance ids must be integers, got {instance_ids.dtype}")
+    width = spec.num_categories + 1  # the last channel is a sink for the ignore label
+    table, divisor = spec.table, spec.label_divisor
+    channel = table.channel.astype(np.min_scalar_type(width))
+    flat_semantic, flat_instance = semantic.reshape(-1), instance_ids.reshape(-1)
+    bounds = range(0, max(flat_semantic.size, 1), _MERGE_BLOCK)
+    blocks = []
+    for start in bounds:
+        labels = flat_semantic[start : start + _MERGE_BLOCK]
+        instance = flat_instance[start : start + _MERGE_BLOCK]
+        starts, lengths = _runs(labels, instance)
+        # Codes built in place on the fresh row index.
+        present, codes = _unique_index(np.take(instance, starts), instance.size)
+        codes *= width
+        codes += np.take(channel, np.take(labels, starts))
+        votes = _sums(codes, lengths, present.size * width).reshape(-1, width)
+        narrow = np.min_scalar_type(votes.size), np.min_scalar_type(_MERGE_BLOCK)
+        blocks.append((present, votes, codes.astype(narrow[0]), lengths.astype(narrow[1])))
+    present, row = np.unique(np.concatenate([b[0] for b in blocks]), return_inverse=True)
+    if present.size and not 0 <= present[0] <= present[-1] < divisor:
+        bad = present[0] if present[0] < 0 else present[-1]
+        raise ValueError(f"instance ids must be in [0, label_divisor {divisor}), got {bad}")
+    votes_full = np.zeros((present.size, width), dtype=np.int64)
+    np.add.at(votes_full, row, np.concatenate([b[1] for b in blocks]))
     # Majority vote counts thing categories only; ties go to the smallest id.
-    thing_channels = table.thing[ids_sorted]
-    votes = votes * thing_channels[None, :]
-    voted_channel = votes.argmax(axis=1)
-    has_votes = votes.sum(axis=1) > 0
-    category_of_instance = np.where(has_votes, ids_sorted[voted_channel], -1)
-    category_of_instance[0] = -1  # index 0 is "no instance"
+    thing = table.thing[table.ids]
+    votes = votes_full[:, :-1] * thing
+    grouped = present > 0  # instance 0 is "no instance"
+    category = np.where(grouped & votes.any(axis=1), table.ids[votes.argmax(axis=1)], -1)
 
-    # Whole-map assembly with a single gather over the (instance, channel)
-    # codes already built for voting: instances that won a category encode as
-    # category * divisor + index, instances without thing votes fall to VOID;
-    # ungrouped pixels take their stuff code, with thing and ignore labels
-    # going to VOID.
-    instance_code = np.where(
-        category_of_instance >= 0,
-        category_of_instance * spec.label_divisor
-        + np.arange(max_instance + 1, dtype=np.int64),
-        spec.void_id,
-    )
-    channel_code = np.full(num_channels + 1, spec.void_id, dtype=np.int64)
-    stuff_channels = ~thing_channels
-    channel_code[:num_channels][stuff_channels] = (
-        ids_sorted[stuff_channels] * spec.label_divisor
-    )
-    # Instance rows encode a thing category or VOID, so row 0 holds every
-    # stuff pixel of the fused map: its counts are the stuff areas.
-    small = stuff_channels & (votes_full[0, :num_channels] < min_stuff_area)
-    channel_code[:num_channels][small] = spec.void_id
-    pan_lut = np.repeat(instance_code, num_channels + 1)
-    pan_lut[: num_channels + 1] = channel_code  # instance 0: semantic path
-    panoptic = pan_lut[codes].reshape(semantic.shape)
+    # One code per (instance row, channel): instances that won a category
+    # encode as category * divisor + index, the others as VOID. The row of
+    # instance 0 holds every stuff pixel of the fused map, so its counts are
+    # the stuff areas: stuff at or above the threshold keeps its code, and
+    # thing and ignore labels, and smaller stuff, go to VOID.
+    pan_lut = np.empty((present.size, width), dtype=np.int64)
+    row_code = category * divisor + present.astype(np.int64)
+    pan_lut[:] = np.where(category >= 0, row_code, spec.void_id)[:, None]
+    kept = ~thing & (votes_full[~grouped, :-1].sum(axis=0) >= min_stuff_area)
+    pan_lut[~grouped] = np.append(np.where(kept, table.ids * divisor, spec.void_id), spec.void_id)
+    panoptic = np.empty(flat_semantic.size, dtype=np.int64)
+    block_rows = np.split(row, np.cumsum([b[0].size for b in blocks])[:-1])
+    for start, (_, _, codes, lengths), rows in zip(bounds, blocks, block_rows):
+        panoptic[start : start + _MERGE_BLOCK] = np.repeat(np.take(pan_lut[rows], codes), lengths)
 
     # Every pixel of a claimed instance carries its code, so the histogram
     # row sums are exact areas.
-    areas = votes_full.sum(axis=1)
+    areas = votes_full.sum(axis=1).tolist()
     records = tuple(
-        InstanceRecord(
-            instance_index=int(k),
-            category=int(category_of_instance[k]),
-            area=int(areas[k]),
-        )
-        for k in range(1, max_instance + 1)
-        if areas[k] > 0 and category_of_instance[k] >= 0
+        InstanceRecord(instance_index=k, category=c, area=a)
+        for k, c, a in zip(present.tolist(), category.tolist(), areas)
+        if c >= 0
     )
-    return PanopticResult(panoptic=panoptic, instances=records)
+    return PanopticResult(panoptic=panoptic.reshape(semantic.shape), instances=records)
 
 
 def filter_small_stuff(
@@ -458,9 +463,12 @@ def _class_scores(
     ``semantic_probs`` may be a (H, W, C) probability grid (channels in
     ascending category-id order) or a (H, W) label map, which is treated as
     its one-hot equivalent. The members of instance k are the pixels holding
-    its panoptic id (voted category * label_divisor + k). They are found
-    with one lookup over the map, and only their rows are read and summed,
-    in row-major order.
+    its panoptic id (voted category * label_divisor + k). They are found per
+    run of the map (of the map and the labels, for a label map): a run's id
+    is looked up among the sorted member ids. On labels the sums are the
+    lengths of member runs whose label is the voted category; on
+    probabilities the member rows are expanded from the runs in ascending
+    order, so they are read and summed in row-major order.
     """
     if not result.instances:
         return {}
@@ -468,42 +476,36 @@ def _class_scores(
         raise ValueError(
             f"semantic probabilities must be (H, W) or (H, W, C), got shape {semantic_probs.shape}"
         )
-    divisor = spec.label_divisor
-    max_index = max(r.instance_index for r in result.instances)
-    category_lut = np.zeros(max_index + 1, dtype=np.int64)
-    for r in result.instances:
-        category_lut[r.instance_index] = r.category
-    index = np.unique([r.instance_index for r in result.instances])
-    index = index[(index >= 1) & (index < divisor)]
-    ids = category_lut[index] * divisor + index
+    voted = {r.instance_index: r.category for r in result.instances}
+    index, category = np.array(sorted(voted.items()), dtype=np.int64).T
     flat = result.panoptic.reshape(-1)
-    top = int(ids.max(initial=0))
-    if ids.min(initial=0) >= 0 and top < max(flat.size, 1 << 16):
-        # Ids above the table clip to its last entry and negative ids to
-        # entry 0; neither is a member id.
-        lut = np.zeros(top + 2, dtype=np.min_scalar_type(max_index))
-        lut[ids] = index
-        owner = np.take(lut, flat, mode="clip")
-    else:  # ids too sparse for a table
-        order = np.argsort(ids)
-        sorted_ids, sorted_index = ids[order], index[order]
-        where = np.searchsorted(sorted_ids, flat).clip(max=ids.size - 1)
-        owner = np.where(sorted_ids[where] == flat, sorted_index[where], 0)
-    rows = np.flatnonzero(owner)
-    owner = owner[rows]
-    if semantic_probs.ndim == 2:
-        voted = semantic_probs.reshape(-1)[rows] == category_lut[owner]
-        weights = voted.astype(np.float64)
+    labels = semantic_probs.reshape(-1) if semantic_probs.ndim == 2 else None
+    starts, lengths = _runs(flat) if labels is None else _runs(flat, labels)
+    # Member ids in ascending order, with the position of their record.
+    valid = np.flatnonzero((index >= 1) & (index < spec.label_divisor))
+    ids = category[valid] * spec.label_divisor + index[valid]
+    order = np.argsort(ids)
+    sorted_ids, owner_of = np.append(ids[order], 0), valid[order]
+    values = np.take(flat, starts)
+    at = np.searchsorted(sorted_ids[:-1], values)
+    member = np.flatnonzero((at < owner_of.size) & (np.take(sorted_ids, at) == values))
+    owner = np.take(owner_of, np.take(at, member))
+    first, lengths = np.take(starts, member), np.take(lengths, member)
+    counts = _sums(owner, lengths, index.size)
+    if labels is not None:
+        hits = lengths * (np.take(labels, first) == np.take(category, owner))
+        sums = np.bincount(owner, weights=hits, minlength=index.size)
     else:
         num_channels = semantic_probs.shape[2]
-        channel = spec.table.channel[category_lut][owner]
-        weights = np.take(semantic_probs.reshape(-1), rows * num_channels + channel)
-    sums = np.bincount(owner, weights=weights, minlength=max_index + 1)
-    counts = np.bincount(owner, minlength=max_index + 1)
-    return {
-        r.instance_index: float(sums[r.instance_index] / max(1, counts[r.instance_index]))
-        for r in result.instances
-    }
+        # Pixel j of a run starting at row s reads (s + j) * C + channel.
+        base = (first - np.cumsum(lengths) + lengths) * num_channels
+        base += np.take(spec.table.channel[category], owner)
+        at_pixels = np.arange(0, lengths.sum() * num_channels, num_channels)
+        at_pixels += np.repeat(base, lengths)
+        weights = np.take(semantic_probs.reshape(-1), at_pixels)
+        sums = np.bincount(np.repeat(owner, lengths), weights=weights, minlength=index.size)
+    scores = dict(zip(index.tolist(), (sums / np.maximum(counts, 1)).tolist()))
+    return {r.instance_index: scores[r.instance_index] for r in result.instances}
 
 
 def _probability_labels(
@@ -617,16 +619,14 @@ def _score_instances(
     if mode in ("class", "product"):
         class_scores = _class_scores(result, semantic_probs, spec)
 
-    scored = []
-    for record in result.instances:
-        if mode == "objectness":
-            score = float(center_scores[record.instance_index])
-        elif mode == "class":
-            score = class_scores[record.instance_index]
-        else:
-            score = float(center_scores[record.instance_index]) * class_scores[record.instance_index]
-        scored.append(replace(record, score=score))
-    return PanopticResult(panoptic=result.panoptic, instances=tuple(scored))
+    def score(k: int) -> float:
+        if mode == "class":
+            return class_scores[k]
+        objectness = float(center_scores[k])
+        return objectness if mode == "objectness" else objectness * class_scores[k]
+
+    scored = tuple(replace(r, score=score(r.instance_index)) for r in result.instances)
+    return PanopticResult(panoptic=result.panoptic, instances=scored)
 
 
 def panoptic_inference(
@@ -645,7 +645,7 @@ def panoptic_inference(
     rows summing to 1, the heatmap and the offsets finite. Centers are the
     peaks of ``extract_centers(keypoint_nms(heatmap))``, searched among the
     pixels above the threshold only. Stuff segments smaller than the area
-    threshold become VOID in the same gather that assembles the map.
+    threshold become VOID in the same lookup table that assembles the map.
     """
     *_, result = _inference_stages(semantic, heatmap, offsets, spec, params)
     return result
@@ -683,15 +683,15 @@ def _inference_stages(
     else:
         if not np.issubdtype(semantic.dtype, np.integer):
             raise ValueError(f"semantic label map must hold integer ids, got {semantic.dtype}")
-        spec.check_known(semantic, "semantic map")
         labels = semantic
+    thing = _thing_mask(labels, spec, "semantic map")
     yield "inputs"
 
     centers = _peak_centers(
         heatmap, params.nms_kernel, params.center_threshold, params.top_k
     )
     yield "nms"
-    instance_ids = group_pixels(centers, offsets, table.thing[labels])
+    instance_ids = group_pixels(centers, offsets, thing)
     yield "grouping"
     threshold = params.stuff_area_threshold
     if threshold is None:

@@ -26,6 +26,8 @@ __all__ = [
     "probability_labels_oracle",
     "segment_table_oracle",
     "joint_histogram_oracle",
+    "merge_oracle",
+    "random_merge_inputs",
     "random_scored_result",
     "exact_inputs",
     "round_trip_pq",
@@ -249,6 +251,86 @@ def joint_histogram_oracle(pred: np.ndarray, gt: np.ndarray) -> metrics.JointHis
     )
 
 
+def merge_oracle(
+    semantic: np.ndarray, instance_ids: np.ndarray, spec: DatasetSpec, min_stuff_area: int
+) -> postprocess.PanopticResult:
+    """``postprocess._merge_panoptic`` as first written: one vote code per
+    pixel, one ``np.bincount`` over them and one gather of the lookup table
+    over every pixel. The semantic map must be checked against the spec and
+    the instance ids must fit int32."""
+    max_instance = int(instance_ids.max()) if instance_ids.size else 0
+    if max_instance >= spec.label_divisor:
+        raise ValueError(
+            f"instance index {max_instance} >= label_divisor {spec.label_divisor}"
+        )
+    num_channels = spec.num_categories
+    table = spec.table
+    ids_sorted = table.ids
+
+    flat_semantic = semantic.reshape(-1)
+    flat_instance = instance_ids.reshape(-1).astype(np.int32, copy=False)
+
+    # Vote histogram in one bincount; channel num_channels is a sink bin for
+    # the ignore label.
+    code_dtype = (
+        np.int32
+        if (max_instance + 1) * (num_channels + 1) <= np.iinfo(np.int32).max
+        else np.int64
+    )
+    codes = flat_instance.astype(code_dtype, copy=False) * code_dtype(
+        num_channels + 1
+    ) + table.channel.astype(code_dtype)[flat_semantic]
+    votes_full = np.bincount(
+        codes, minlength=(max_instance + 1) * (num_channels + 1)
+    ).reshape(max_instance + 1, num_channels + 1)
+    votes = votes_full[:, :num_channels]
+    # Majority vote counts thing categories only; ties go to the smallest id.
+    thing_channels = table.thing[ids_sorted]
+    votes = votes * thing_channels[None, :]
+    voted_channel = votes.argmax(axis=1)
+    has_votes = votes.sum(axis=1) > 0
+    category_of_instance = np.where(has_votes, ids_sorted[voted_channel], -1)
+    category_of_instance[0] = -1  # index 0 is "no instance"
+
+    # Whole-map assembly with a single gather over the (instance, channel)
+    # codes already built for voting: instances that won a category encode as
+    # category * divisor + index, instances without thing votes fall to VOID;
+    # ungrouped pixels take their stuff code, with thing and ignore labels
+    # going to VOID.
+    instance_code = np.where(
+        category_of_instance >= 0,
+        category_of_instance * spec.label_divisor
+        + np.arange(max_instance + 1, dtype=np.int64),
+        spec.void_id,
+    )
+    channel_code = np.full(num_channels + 1, spec.void_id, dtype=np.int64)
+    stuff_channels = ~thing_channels
+    channel_code[:num_channels][stuff_channels] = (
+        ids_sorted[stuff_channels] * spec.label_divisor
+    )
+    # Instance rows encode a thing category or VOID, so row 0 holds every
+    # stuff pixel of the fused map: its counts are the stuff areas.
+    small = stuff_channels & (votes_full[0, :num_channels] < min_stuff_area)
+    channel_code[:num_channels][small] = spec.void_id
+    pan_lut = np.repeat(instance_code, num_channels + 1)
+    pan_lut[: num_channels + 1] = channel_code  # instance 0: semantic path
+    panoptic = pan_lut[codes].reshape(semantic.shape)
+
+    # Every pixel of a claimed instance carries its code, so the histogram
+    # row sums are exact areas.
+    areas = votes_full.sum(axis=1)
+    records = tuple(
+        postprocess.InstanceRecord(
+            instance_index=int(k),
+            category=int(category_of_instance[k]),
+            area=int(areas[k]),
+        )
+        for k in range(1, max_instance + 1)
+        if areas[k] > 0 and category_of_instance[k] >= 0
+    )
+    return postprocess.PanopticResult(panoptic=panoptic, instances=records)
+
+
 def random_scored_result(
     rng: np.random.Generator, spec: DatasetSpec, height: int = 16, width: int = 16
 ) -> tuple[postprocess.PanopticResult, np.ndarray, np.ndarray]:
@@ -350,6 +432,29 @@ def random_valid_map(
     blocks = rng.integers(0, len(choices), size=(height // 4 + 1, width // 4 + 1))
     grown = np.kron(blocks, np.ones((4, 4), dtype=np.int64))[:height, :width]
     return choices[grown]
+
+
+def random_merge_inputs(
+    rng: np.random.Generator, spec: DatasetSpec, height: int, width: int, kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels known to the spec and int32 instance ids in [0, 200] for the
+    merge. ``kind`` is ``blocks`` (:func:`random_valid_map` categories, ids
+    in 4x4 blocks, half of them 0), ``noise`` (every pixel drawn alone) or
+    ``flat`` (one label and one id: a single run across every row)."""
+    ids = np.asarray(spec.category_ids + (spec.ignore_label,))
+    shape = (height, width)
+    if kind == "noise":
+        labels = ids[rng.integers(ids.size, size=shape)]
+        instance = rng.integers(0, 201, size=shape)
+    elif kind == "flat":
+        labels = np.full(shape, ids[rng.integers(ids.size)])
+        instance = np.full(shape, rng.integers(0, 201))
+    else:
+        labels = random_valid_map(rng, spec, height, width) // spec.label_divisor
+        blocks = rng.integers(0, 201, size=(height // 4 + 1, width // 4 + 1))
+        blocks *= rng.random(blocks.shape) < 0.5
+        instance = np.kron(blocks, np.ones((4, 4), dtype=np.int64))[:height, :width]
+    return labels, instance.astype(np.int32)
 
 
 def histogram_mismatch(pred, gt, spec, scores=None, max_dets=200) -> str:
@@ -698,6 +803,31 @@ def _check_joint_histogram(seed: int = 0, cases: int = 60) -> str:
     return ""
 
 
+def _check_merge(seed: int = 0, cases: int = 60) -> str:
+    """The blocked run-length merge == the per-pixel ``merge_oracle``:
+    panoptic bytes and dtype, and the records' repr. Blocks, per-pixel
+    noise and flat maps; 1xN, Nx1, 0xN and a 257x300 map (two blocks);
+    u8/u16/int64 labels; stuff thresholds 0, 1 and 2048."""
+    spec = make_spec(num_stuff=2, num_things=3)
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        height, width = (int(n) for n in rng.integers(1, 40, size=2))
+        shapes = ((height, width), (1, 3 * width), (3 * height, 1), (0, width), (257, 300))
+        height, width = shapes[i % 5]
+        kind = ("blocks", "noise", "flat")[i % 3]
+        labels, instance = random_merge_inputs(rng, spec, height, width, kind)
+        labels = labels.astype((np.uint8, np.uint16, np.int64)[i // 5 % 3])
+        threshold = (0, 1, 2048)[i // 3 % 3]
+        got = postprocess._merge_panoptic(labels, instance, spec, threshold)
+        want = merge_oracle(labels, instance, spec, threshold)
+        where = f"case {i} ({height}x{width} {kind}, threshold {threshold})"
+        if not _same_array(got.panoptic, want.panoptic):
+            return f"{where}: panoptic differs from merge_oracle"
+        if repr(got.instances) != repr(want.instances):
+            return f"{where}: records differ from merge_oracle"
+    return ""
+
+
 def _check_pq_formula() -> str:
     spec = make_spec(num_stuff=1, num_things=1)
     thing = sorted(spec.thing_ids)[0]
@@ -778,6 +908,7 @@ PROPERTIES = (
     ("probability_labels_oracle", _check_probability_labels),
     ("segment_table_oracle", _check_segment_table),
     ("joint_histogram_oracle", _check_joint_histogram),
+    ("merge_oracle", _check_merge),
     ("pq_formula", _check_pq_formula),
     ("pq_identity_and_uniqueness", _check_pq_identity),
     ("score_mode_invariance", _check_score_modes),

@@ -199,7 +199,7 @@ def test_heatmap_encoding_quantitative():
 
 
 def test_performance_budget():
-    """Full inference < 1.0 s and merge < 100 ms on 1025x2049, 200 centers."""
+    """Full inference < 1.0 s and merge < 50 ms on 1025x2049, 200 centers."""
     semantic, heatmap, offsets, spec = bench_inputs(1025, 2049, 200)
     suppressed = postprocess.keypoint_nms(heatmap, 7)
     centers = postprocess.extract_centers(suppressed, 0.1, 200)
@@ -222,10 +222,10 @@ def test_performance_budget():
 
     print(
         f"ACCEPTANCE performance: end_to_end {total_s*1000:.0f} ms (budget 1000), "
-        f"merge {merge_ms:.1f} ms (budget 100)"
+        f"merge {merge_ms:.1f} ms (budget 50)"
     )
     assert total_s < 1.0, f"end-to-end {total_s:.3f}s exceeds 1.0s"
-    assert merge_ms < 100.0, f"merge {merge_ms:.1f}ms exceeds 100ms"
+    assert merge_ms < 50.0, f"merge {merge_ms:.1f}ms exceeds 50ms"
 
 
 def test_probability_input_budget():

@@ -10,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 from panopticore import postprocess
 from panopticore.core import InstanceCenter, decode_panoptic_id
 from panopticore.postprocess import (
+    SCORE_MODES,
+    InstanceRecord,
     PanopticResult,
     extract_centers,
     filter_small_stuff,
@@ -25,8 +27,10 @@ from panopticore.selftest import (
     class_scores_oracle,
     exact_inputs,
     group_oracle,
+    merge_oracle,
     nms_oracle,
     probability_labels_oracle,
+    random_merge_inputs,
     random_scored_result,
     random_valid_map,
 )
@@ -400,6 +404,78 @@ def test_merge_instance_index_over_divisor_rejected():
         merge_panoptic(semantic, np.full((1, 1), 10, dtype=np.int32), spec)
 
 
+def test_merge_rejects_float_instance_ids():
+    semantic = np.full((1, 3), THING[0], dtype=np.int64)
+    with pytest.raises(ValueError, match="instance ids must be integers, got float64"):
+        merge_panoptic(semantic, np.array([[1.7, 1.2, 0.0]]), SPEC)
+
+
+def test_merge_rejects_negative_instance_ids():
+    semantic = np.full((1, 3), THING[0], dtype=np.int64)
+    with pytest.raises(ValueError, match=r"must be in \[0, label_divisor 1000\), got -1"):
+        merge_panoptic(semantic, np.array([[1, -1, 0]], dtype=np.int32), SPEC)
+
+
+def test_merge_sizes_votes_by_the_instances_present():
+    # Sized by value, this histogram would need (2**32 + 2) * 6 int64 bins.
+    spec = dataclasses.replace(SPEC, label_divisor=2**40)
+    big = 2**32 + 1
+    semantic = np.full((1, 4), THING[0], dtype=np.int64)
+    result = merge_panoptic(semantic, np.array([[0, big, big, 5]], dtype=np.int64), spec)
+    assert [(r.instance_index, r.category, r.area) for r in result.instances] == [
+        (5, THING[0], 1),
+        (big, THING[0], 2),
+    ]
+    assert result.panoptic.tolist() == [
+        [spec.void_id, THING[0] * 2**40 + big, THING[0] * 2**40 + big, THING[0] * 2**40 + 5]
+    ]
+
+
+@st.composite
+def merge_inputs(draw):
+    """(labels, instance ids, spec): a scene's own labels and instances, or
+    4x4 blocks, per-pixel noise and flat maps with ids up to 200 (top_k) on
+    any shape from 0x0 up, single rows and columns included."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["scene", "blocks", "noise", "flat"]))
+    rng = np.random.default_rng(seed)
+    if kind == "scene":
+        scene = random_scene(seed, max_size=64)
+        spec = scene.spec
+        labels, instance = np.divmod(scene.panoptic, spec.label_divisor)
+        instance = instance.astype(np.int32)
+    else:
+        spec = make_spec(num_stuff=2, num_things=3)
+        height, width = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+        height, width = draw(st.sampled_from([(height, width), (1, width), (height, 1)]))
+        labels, instance = random_merge_inputs(rng, spec, height, width, kind)
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.int64]))
+    return labels.astype(dtype), instance, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=merge_inputs(),
+    threshold=st.sampled_from([0, 1, 2048, "area", "area + 1"]),
+    block=st.sampled_from([3, 16, postprocess._MERGE_BLOCK]),
+    data=st.data(),
+)
+def test_merge_equals_pixel_oracle(case, threshold, block, data):
+    labels, instance, spec = case
+    if isinstance(threshold, str):  # at or just above a stuff area
+        unfiltered = merge_oracle(labels, instance, spec, 0).panoptic
+        areas = [int(np.count_nonzero(unfiltered == c * spec.label_divisor)) for c in spec.stuff_ids]
+        area = data.draw(st.sampled_from([a for a in areas if a] or [0]))
+        threshold = area + (threshold == "area + 1")
+    with mock.patch.object(postprocess, "_MERGE_BLOCK", block):
+        got = postprocess._merge_panoptic(labels, instance, spec, threshold)
+    want = merge_oracle(labels, instance, spec, threshold)
+    assert got.panoptic.dtype == want.panoptic.dtype
+    assert got.panoptic.shape == want.panoptic.shape
+    assert got.panoptic.tobytes() == want.panoptic.tobytes()
+    assert repr(got.instances) == repr(want.instances)
+
+
 # ---------------------------------------------------------------------------
 # filter_small_stuff
 
@@ -642,6 +718,46 @@ def test_class_scores_sparse_ids_equal_oracle():
     for semantic in (labels, probs):
         got = postprocess._class_scores(result, semantic, spec)
         assert repr(got) == repr(class_scores_oracle(result, semantic, spec))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    height=st.integers(0, 20),
+    width=st.integers(0, 20),
+    noise=st.booleans(),
+    mode=st.sampled_from(SCORE_MODES),
+)
+def test_score_instances_equal_oracle(seed, height, width, noise, mode):
+    spec = make_spec(num_stuff=2, num_things=3)
+    rng = np.random.default_rng(seed)
+    result, labels, probs = random_scored_result(rng, spec, height, width)
+    if noise:  # every pixel its own run
+        ids = np.unique(result.panoptic)
+        if ids.size:
+            panoptic = ids[rng.integers(ids.size, size=result.panoptic.shape)]
+            result = PanopticResult(panoptic, result.instances)
+    center_scores = {r.instance_index: float(rng.random()) for r in result.instances}
+    for semantic in (labels, probs):
+        classes = class_scores_oracle(result, semantic, spec)
+        score = {
+            "objectness": lambda k: float(center_scores[k]),
+            "class": lambda k: classes[k],
+            "product": lambda k: float(center_scores[k]) * classes[k],
+        }[mode]
+        got = score_instances(result, center_scores, semantic, mode, spec)
+        want = tuple(dataclasses.replace(r, score=score(r.instance_index)) for r in result.instances)
+        assert repr(got.instances) == repr(want)
+        assert got.panoptic is result.panoptic
+
+
+def test_class_scores_of_an_id_below_every_run_value():
+    # A record whose panoptic id sorts below every id of the map (here a
+    # negative category) has no member pixel, not even where the map is 0.
+    result = PanopticResult(np.zeros((2, 3), dtype=np.int64), (InstanceRecord(1, -1, 0),))
+    labels = np.zeros((2, 3), dtype=np.int64)
+    got = postprocess._class_scores(result, labels, SPEC)
+    assert got == class_scores_oracle(result, labels, SPEC) == {1: 0.0}
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 4096])

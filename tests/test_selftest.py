@@ -98,3 +98,15 @@ def test_injected_probability_tie_fault_named(monkeypatch):
     results = {r.name: r for r in run_selftest()}
     assert not results["probability_labels_oracle"].passed
     assert "labels differ" in results["probability_labels_oracle"].detail
+
+
+def test_injected_merge_vote_fault_named(monkeypatch):
+    real_sums = postprocess._sums
+
+    def off_by_one_sums(index, weights, size):
+        return real_sums(index, weights, size) + 1
+
+    monkeypatch.setattr(postprocess, "_sums", off_by_one_sums)
+    results = {r.name: r for r in run_selftest()}
+    assert not results["merge_oracle"].passed
+    assert "from merge_oracle" in results["merge_oracle"].detail
