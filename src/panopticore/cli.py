@@ -191,8 +191,9 @@ def _ap_payload(report: metrics.ApReport) -> dict:
 
 def _eval_stages(pred, gt, spec, modes, scores):
     """The metrics of one (pred, gt) pair: yields each stage's name as it
-    finishes (``histogram``, then each of ``modes``), then the outputs by
-    mode; ``ap`` holds the pair's match tables."""
+    finishes (``histogram``, each of ``modes``, then ``report``), then the
+    pair's report row and the outputs by mode; ``ap`` holds the pair's
+    match tables."""
     hist = metrics.joint_histogram(pred, gt)
     yield "histogram"
     outputs: dict = {}
@@ -204,7 +205,9 @@ def _eval_stages(pred, gt, spec, modes, scores):
         else:
             outputs[mode] = metrics.ap_matches_from_histogram(hist, spec, scores)
         yield mode
-    yield outputs
+    row = _image_payload(outputs)
+    yield "report"
+    yield row, outputs
 
 
 def _image_payload(outputs: dict) -> dict:
@@ -221,17 +224,23 @@ def _eval_one(pred_path, gt_path, scores_path, spec, modes):
     scores = None  # every instance scores 1.0 without a fuse report
     if scores_path and "ap" in modes:
         doc = json.loads(Path(scores_path).read_text())
-        scores = {int(r["instance_index"]): float(r["score"]) for r in doc["instances"]}
+        try:
+            scores = {int(r["instance_index"]): float(r["score"]) for r in doc["instances"]}
+        except KeyError as e:
+            raise ValueError(f"{scores_path} has no {e.args[0]!r} field") from None
+        except TypeError as e:  # a field of the wrong type
+            raise ValueError(f"{scores_path} is not a fuse instance report: {e}") from None
     try:
-        *_, outputs = _eval_stages(pred, gt, spec, modes, scores)
+        *_, (row, outputs) = _eval_stages(pred, gt, spec, modes, scores)
     except KeyError as e:
         message = f"{scores_path} has no score for instance index {e.args[0]}"
         raise ValueError(message) from None
-    row = {"pred": str(pred_path), "gt": str(gt_path), **_image_payload(outputs)}
-    return row, outputs
+    return {"pred": str(pred_path), "gt": str(gt_path), **row}, outputs
 
 
 def cmd_eval(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     spec = _load_spec(args.spec)
     preds = args.pred
     gts = args.gt
@@ -297,8 +306,9 @@ def cmd_bench(args) -> int:
 
         digest_key = "report_sha256"
 
-        def digest(outputs) -> bytes:
-            return json.dumps(_image_payload(outputs), sort_keys=True).encode()
+        def digest(result) -> bytes:
+            row, _ = result
+            return json.dumps(row, sort_keys=True).encode()
     else:
         if args.workload == "fuse-probs":
             # The one-hot float32 grid of the same labels.

@@ -335,45 +335,46 @@ class ApReport:
 
 
 def _greedy_matches(
-    dt_cats, dt_scores, dt_area, gt_cats, gt_crowd, gt_area, inter_of, thresholds, max_dets
+    dt_cats, dt_scores, dt_area, gt_cats, gt_crowd, gt_area, overlap, thresholds, max_dets
 ) -> dict[int, dict]:
     """Greedy per-category matching of one image's detections.
 
-    ``inter_of(i, j)`` is the pixel overlap of detection i and gt j; areas
-    are integer arrays. Per category, detections rank by descending score
-    and only the first ``max_dets`` count; regular gts go before crowds;
-    ties keep input order. At each threshold a detection takes the free
-    regular gt of highest IoU >= the threshold (the first on ties); failing
-    that, a crowd gt with IoU >= the threshold absorbs it as ignored.
+    ``overlap`` is the (detections, gts) matrix of pixel overlaps; it is
+    read only between a category's detections and gts. The other arguments
+    are arrays with one entry per detection or gt; areas are integers and
+    scores must be finite. Per category, detections rank by descending
+    score, ties in input order, and only the first ``max_dets`` count. At
+    each threshold a detection takes the free regular gt of highest IoU >=
+    the threshold (the first in input order on ties); failing that, a crowd
+    gt with IoU >= the threshold absorbs it as ignored.
     """
+    if not np.isfinite(dt_scores).all():
+        raise ValueError("prediction scores must be finite")
+    ranked = np.argsort(-dt_scores, kind="stable")
+    thresh = np.asarray(thresholds, dtype=np.float64)[:, None]
     out: dict[int, dict] = {}
-    for category in sorted(set(dt_cats) | set(gt_cats)):
-        dts = [i for i, c in enumerate(dt_cats) if c == category]
-        dts = sorted(dts, key=lambda i: -dt_scores[i])[:max_dets]
-        gts = [j for j, c in enumerate(gt_cats) if c == category]
-        gts = sorted(gts, key=lambda j: gt_crowd[j])
-        inter = np.array([[inter_of(i, j) for j in gts] for i in dts], dtype=np.int64)
-        inter = inter.reshape(len(dts), len(gts))
+    for category in np.union1d(dt_cats, gt_cats).tolist():
+        dts = ranked[dt_cats[ranked] == category][:max_dets]
+        gts = np.flatnonzero(gt_cats == category)
+        inter = overlap[np.ix_(dts, gts)]
         crowd, area = gt_crowd[gts], dt_area[dts][:, None]
         # Crowd regions score against the detection area alone.
         union = np.where(crowd, area, area + gt_area[gts] - inter)
         ious = np.divide(inter, union, out=np.zeros(inter.shape), where=inter > 0)
         # All thresholds at once: row t of ``free`` is the gt state at threshold t.
-        thresh = np.asarray(thresholds, dtype=np.float64)[:, None]
         free = np.repeat(~crowd[None, :], thresh.shape[0], axis=0)
-        tp = np.zeros((thresh.shape[0], len(dts)), dtype=bool)
+        tp = np.zeros((thresh.shape[0], dts.size), dtype=bool)
         ignored = np.zeros_like(tp)
-        for di in range(len(dts) if gts else 0):  # argmax needs at least one gt
+        for di in range(dts.size if gts.size else 0):  # argmax needs at least one gt
             hits = ious[di] >= thresh
             candidate = hits & free
             tp[:, di] = candidate.any(axis=1)
             best = np.where(candidate, ious[di], -1.0).argmax(axis=1)
             free[tp[:, di], best[tp[:, di]]] = False
             ignored[:, di] = ~tp[:, di] & (hits & crowd).any(axis=1)
-        scores = np.array([dt_scores[i] for i in dts], dtype=np.float64)
         n_positive = int(np.count_nonzero(~crowd))
         out[category] = {
-            "scores": scores, "tp": tp, "ignored": ignored, "n_positive": n_positive
+            "scores": dt_scores[dts], "tp": tp, "ignored": ignored, "n_positive": n_positive
         }
     return out
 
@@ -390,13 +391,17 @@ def match_detections(
     flags and ignore flags (crowd absorptions), and the non-crowd gt count.
     The output is poolable across images before computing AP.
     """
-    dt_area = np.array([int(m.sum()) for m, _, _ in preds], dtype=np.int64)
-    gt_area = np.array([int(m.sum()) for m, _, _ in gts], dtype=np.int64)
-    crowd = np.array([bool(c) for _, _, c in gts], dtype=bool)
+    dt_cats = np.array([int(c) for _, c, _ in preds], dtype=np.int64)
+    gt_cats = np.array([int(c) for _, c, _ in gts], dtype=np.int64)
+    overlap = np.zeros((dt_cats.size, gt_cats.size), dtype=np.int64)
+    for i, j in zip(*np.nonzero(dt_cats[:, None] == gt_cats[None, :])):
+        overlap[i, j] = np.count_nonzero(preds[i][0] & gts[j][0])
     return _greedy_matches(
-        [int(c) for _, c, _ in preds], [float(s) for _, _, s in preds], dt_area,
-        [int(c) for _, c, _ in gts], crowd, gt_area,
-        lambda i, j: int((preds[i][0] & gts[j][0]).sum()), thresholds, max_dets,
+        dt_cats, np.array([float(s) for _, _, s in preds], dtype=np.float64),
+        np.array([int(m.sum()) for m, _, _ in preds], dtype=np.int64),
+        gt_cats, np.array([bool(c) for _, _, c in gts], dtype=bool),
+        np.array([int(m.sum()) for m, _, _ in gts], dtype=np.int64),
+        overlap, thresholds, max_dets,
     )
 
 
@@ -418,97 +423,75 @@ def ap_matches_from_histogram(
     gt_cats, _, gt_thing, gt_crowd, _ = classify_segments(hist.gt_ids, spec, "gt map")
     dt, gt = np.flatnonzero(pred_thing), np.flatnonzero(gt_thing | gt_crowd)
     dt_scores = [1.0 if scores is None else float(scores[i]) for i in pred_inst[dt].tolist()]
-    pairs = zip(hist.pred_index.tolist(), hist.gt_index.tolist())
-    overlap = dict(zip(pairs, hist.counts.tolist()))
-    dt_list, gt_list = dt.tolist(), gt.tolist()
+    # Each segment's row (column) in the overlap matrix; -1 off the matrix.
+    row, col = np.full(hist.pred_ids.size, -1), np.full(hist.gt_ids.size, -1)
+    row[dt], col[gt] = np.arange(dt.size), np.arange(gt.size)
+    r, c = row[hist.pred_index], col[hist.gt_index]
+    k = np.flatnonzero((r >= 0) & (c >= 0))
+    overlap = np.zeros((dt.size, gt.size), dtype=np.int64)
+    overlap[r[k], c[k]] = hist.counts[k]
     return _greedy_matches(
-        pred_cats[dt].tolist(), dt_scores, hist.pred_areas[dt],
-        gt_cats[gt].tolist(), gt_crowd[gt], hist.gt_areas[gt],
-        lambda i, j: overlap.get((dt_list[i], gt_list[j]), 0),
-        DEFAULT_AP_THRESHOLDS, max_dets,
+        pred_cats[dt], np.array(dt_scores, dtype=np.float64), hist.pred_areas[dt],
+        gt_cats[gt], gt_crowd[gt], hist.gt_areas[gt], overlap, DEFAULT_AP_THRESHOLDS, max_dets,
     )
 
 
-def _average_precision(scores, tp, ignored, n_positive) -> float:
-    """101-point interpolated AP for one category at one threshold."""
-    if n_positive == 0:
-        return -1.0
-    keep = ~ignored
-    scores = scores[keep]
-    tp = tp[keep]
-    if scores.size == 0:
-        return 0.0
+_RECALL_POINTS = np.linspace(0.0, 1.0, 101)
+
+
+def _average_precision(scores, tp, ignored, n_positive) -> np.ndarray:
+    """101-point interpolated AP of one category at every threshold, from
+    (thresholds, detections) ``tp`` and ``ignored`` flags; n_positive > 0."""
     order = np.argsort(-scores, kind="stable")
-    tp = tp[order]
-    tp_cum = np.cumsum(tp)
-    fp_cum = np.cumsum(~tp)
-    recall = tp_cum / n_positive
-    precision = tp_cum / (tp_cum + fp_cum)
+    kept = ~ignored[:, order]
+    tp_cum = np.cumsum(tp[:, order] & kept, axis=1)
+    # Ignored ranks keep precision 0, which leaves the envelope at the kept
+    # ranks as it is; recall steps only at kept hits.
+    precision = np.zeros((kept.shape[0], kept.shape[1] + 1))  # and 0 past the last rank
+    np.divide(tp_cum, np.cumsum(kept, axis=1), out=precision[:, :-1], where=kept)
     # Precision envelope: best precision at any recall >= r.
-    precision = np.maximum.accumulate(precision[::-1])[::-1]
-    recall_points = np.linspace(0.0, 1.0, 101)
-    indices = np.searchsorted(recall, recall_points, side="left")
-    sampled = np.zeros(101)
-    valid = indices < precision.size
-    sampled[valid] = precision[indices[valid]]
-    return float(sampled.mean())
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    recall = tp_cum / n_positive
+    return np.array([
+        envelope[t, np.searchsorted(recall[t], _RECALL_POINTS, side="left")].mean()
+        for t in range(kept.shape[0])
+    ])
 
 
 def ap_report_from_matches(
     matches: Sequence[dict[int, dict]],
     thresholds: Sequence[float] = DEFAULT_AP_THRESHOLDS,
 ) -> ApReport:
-    """Pool per-image match tables and derive the AP report."""
-    pooled: dict[int, dict] = {}
+    """Pool per-image match tables and derive the AP report. A category
+    without a regular gt has no AP and is left out of every mean."""
+    pooled: dict[int, list[dict]] = {}
     for table in matches:
         for category, row in table.items():
-            slot = pooled.setdefault(
-                category,
-                {"scores": [], "tp": [], "ignored": [], "n_positive": 0},
-            )
-            slot["scores"].append(row["scores"])
-            slot["tp"].append(row["tp"])
-            slot["ignored"].append(row["ignored"])
-            slot["n_positive"] += row["n_positive"]
+            pooled.setdefault(category, []).append(row)
 
-    n_thr = len(thresholds)
     per_category: dict[int, float] = {}
-    per_threshold_lists: dict[float, list[float]] = {float(t): [] for t in thresholds}
-    for category, slot in sorted(pooled.items()):
-        scores = np.concatenate(slot["scores"]) if slot["scores"] else np.zeros(0)
-        tp = (
-            np.concatenate(slot["tp"], axis=1)
-            if slot["tp"]
-            else np.zeros((n_thr, 0), dtype=bool)
-        )
-        ignored = (
-            np.concatenate(slot["ignored"], axis=1)
-            if slot["ignored"]
-            else np.zeros((n_thr, 0), dtype=bool)
-        )
-        aps = [
-            _average_precision(scores, tp[ti], ignored[ti], slot["n_positive"])
-            for ti in range(n_thr)
-        ]
-        defined = [a for a in aps if a >= 0]
-        if defined:
-            per_category[category] = float(np.mean(defined))
-            for ti, t in enumerate(thresholds):
-                if aps[ti] >= 0:
-                    per_threshold_lists[float(t)].append(aps[ti])
+    aps = []  # one (thresholds,) row per category in per_category
+    for category, rows in sorted(pooled.items()):
+        n_positive = sum(row["n_positive"] for row in rows)
+        if n_positive == 0:
+            continue
+        aps.append(_average_precision(
+            np.concatenate([row["scores"] for row in rows]),
+            np.concatenate([row["tp"] for row in rows], axis=1),
+            np.concatenate([row["ignored"] for row in rows], axis=1),
+            n_positive,
+        ))
+        per_category[category] = float(aps[-1].mean())
 
+    # Row t holds threshold t's APs in ascending category order, contiguous:
+    # its 1-D mean sums them in the same order as a mean over a list.
+    by_threshold = np.array(aps).reshape(len(aps), len(thresholds)).T.copy()
     per_threshold = {
-        t: (float(np.mean(v)) if v else 0.0) for t, v in per_threshold_lists.items()
+        float(t): (float(v.mean()) if v.size else 0.0) for t, v in zip(thresholds, by_threshold)
     }
-    mean_ap = (
-        float(np.mean(list(per_category.values()))) if per_category else 0.0
-    )
-    return ApReport(
-        thresholds=tuple(float(t) for t in thresholds),
-        mean_ap=mean_ap,
-        per_threshold=per_threshold,
-        per_category=per_category,
-    )
+    mean_ap = float(np.mean(list(per_category.values()))) if per_category else 0.0
+    thresholds = tuple(float(t) for t in thresholds)
+    return ApReport(thresholds, mean_ap, per_threshold, per_category)
 
 
 def mask_ap(
@@ -524,9 +507,6 @@ def mask_ap(
     greedy highest-IoU matching at each threshold and 101-point interpolated
     precision-recall area, averaged over thresholds and categories.
     """
-    for mask, _, score in preds:
-        if not np.isfinite(score):
-            raise ValueError("prediction scores must be finite")
     return ap_report_from_matches(
         [match_detections(preds, gts, thresholds, max_dets)], thresholds
     )

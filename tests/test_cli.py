@@ -515,7 +515,7 @@ def test_bench_eval_workload_times_the_stages_eval_runs(tmp_path):
     assert set(doc) == {"centers", "dims", "report_sha256", "repetitions", "stages_ms", "workload"}
     assert doc["workload"] == "eval"
     stages = doc["stages_ms"]
-    assert set(stages) == {"histogram", "pq", "miou", "ap", "end_to_end"}
+    assert set(stages) == {"histogram", "pq", "miou", "ap", "report", "end_to_end"}
     for run in range(2):
         total = sum(stages[name]["runs"][run] for name in stages if name != "end_to_end")
         assert total == pytest.approx(stages["end_to_end"]["runs"][run], rel=1e-9, abs=1e-9)
@@ -579,14 +579,18 @@ def test_eval_ap_uses_fuse_scores(scene_files):
     assert "mean_ap" in doc["aggregate"]["ap"]
 
 
-def test_eval_pred_scores_missing_instance_exit_1(scene_files, capsys):
-    scene, gt_path, spec_path, tmp = scene_files
+def _instance_indices(scene):
     div = scene.spec.label_divisor
-    instances = sorted(
+    return sorted(
         int(i) % div
         for i in np.unique(scene.panoptic)
         if int(i) // div in scene.spec.thing_ids and int(i) % div
     )
+
+
+def test_eval_pred_scores_missing_instance_exit_1(scene_files, capsys):
+    scene, gt_path, spec_path, tmp = scene_files
+    instances = _instance_indices(scene)
     missing = instances[-1]
     scores_path = tmp / "partial_scores.json"
     rows = [{"instance_index": k, "score": 0.5} for k in instances if k != missing]
@@ -601,6 +605,62 @@ def test_eval_pred_scores_missing_instance_exit_1(scene_files, capsys):
     # PQ and mIoU never read the scores; without --pred-scores AP scores 1.0.
     assert main(argv + ["--mode", "pq"]) == 0
     assert main(argv[:7] + ["--mode", "ap", "--report", str(tmp / "eval.json")]) == 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_eval_non_finite_pred_score_exit_1(scene_files, capsys, value):
+    scene, gt_path, spec_path, tmp = scene_files
+    rows = [{"instance_index": k, "score": 0.5} for k in _instance_indices(scene)]
+    rows[0]["score"] = value  # written as NaN, Infinity or -Infinity
+    scores_path = tmp / "scores.json"
+    scores_path.write_text(json.dumps({"instances": rows}))
+    report = tmp / "eval.json"
+    argv = ["eval", "--pred", str(gt_path), "--gt", str(gt_path), "--spec", str(spec_path),
+            "--pred-scores", str(scores_path), "--report", str(report)]
+    for mode in ("ap", "all"):
+        assert main(argv + ["--mode", mode]) == 1
+        assert "prediction scores must be finite" in capsys.readouterr().err
+        assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [({"records": []}, "instances"), ({"instances": [{"instance_index": 1}]}, "score")],
+)
+def test_eval_pred_scores_missing_field_exit_1(scene_files, capsys, doc, field):
+    scene, gt_path, spec_path, tmp = scene_files
+    scores_path = tmp / "scores.json"
+    scores_path.write_text(json.dumps(doc))
+    argv = ["eval", "--pred", str(gt_path), "--gt", str(gt_path), "--spec", str(spec_path),
+            "--pred-scores", str(scores_path), "--report", str(tmp / "eval.json")]
+    assert main(argv) == 1
+    assert f"{scores_path} has no '{field}' field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[], {"instances": 3}, {"instances": [{"instance_index": 1, "score": None}]}],
+    ids=["list", "instances-not-a-list", "null-score"],
+)
+def test_eval_pred_scores_wrong_types_exit_1(scene_files, capsys, doc):
+    scene, gt_path, spec_path, tmp = scene_files
+    scores_path = tmp / "scores.json"
+    scores_path.write_text(json.dumps(doc))
+    argv = ["eval", "--pred", str(gt_path), "--gt", str(gt_path), "--spec", str(spec_path),
+            "--pred-scores", str(scores_path), "--report", str(tmp / "eval.json")]
+    assert main(argv) == 1
+    assert f"{scores_path} is not a fuse instance report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_eval_rejects_threads_below_one(scene_files, capsys, threads):
+    scene, gt_path, spec_path, tmp = scene_files
+    report = tmp / "eval.json"
+    argv = ["eval", "--pred", str(gt_path), "--gt", str(gt_path), "--spec", str(spec_path),
+            "--threads", threads, "--report", str(report)]
+    assert main(argv) == 1
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("mode", ["pq", "miou", "ap", "all"])

@@ -8,6 +8,7 @@ from panopticore.metrics import (
     DEFAULT_AP_THRESHOLDS,
     _average_precision,
     ap_matches_from_histogram,
+    ApReport,
     ap_report_from_matches,
     combine_miou,
     combine_pq,
@@ -376,6 +377,19 @@ def test_ap_nonfinite_score_rejected():
         mask_ap([(np.ones((2, 2), dtype=bool), 1, float("nan"))], [])
 
 
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+def test_ap_nonfinite_score_rejected_by_both_matchers(score):
+    mask = np.ones((2, 2), dtype=bool)
+    with pytest.raises(ValueError, match="finite"):
+        match_detections([(mask, 1, 0.5), (mask, 2, score)], [(mask, 1, False)])
+    gt = np.full((8, 8), STUFF[0] * DIV, dtype=np.int64)
+    gt[0:4, 0:4] = THING[0] * DIV + 1
+    pred = gt.copy()
+    pred[4:8, 4:8] = THING[1] * DIV + 2
+    with pytest.raises(ValueError, match="finite"):
+        ap_matches_from_histogram(joint_histogram(pred, gt), SPEC, {1: 0.9, 2: score})
+
+
 def test_ap_pooled_across_images():
     gt_a = [(_box_mask(0, 8, 0, 8), 1, False)]
     gt_b = [(_box_mask(0, 8, 0, 8), 1, False)]
@@ -647,30 +661,96 @@ def test_greedy_matching_equals_reference_loop():
                 assert np.array_equal(row[key], want[category][key]), (case, category, key)
 
 
+def _reference_average_precision(scores, tp, ignored, n_positive):
+    """AP at one threshold: the kept detections in rank order, then the
+    explicit backward loop for the precision envelope."""
+    keep = ~ignored
+    ranked = tp[keep][np.argsort(-scores[keep], kind="stable")]
+    if not ranked.size:
+        return 0.0
+    tp_cum = np.cumsum(ranked)
+    recall = tp_cum / n_positive
+    precision = tp_cum / (tp_cum + np.cumsum(~ranked))
+    for i in range(precision.size - 1, 0, -1):
+        precision[i - 1] = max(precision[i - 1], precision[i])
+    idx = np.searchsorted(recall, np.linspace(0.0, 1.0, 101), side="left")
+    sampled = np.zeros(101)
+    sampled[idx < precision.size] = precision[idx[idx < precision.size]]
+    return float(sampled.mean())
+
+
 def test_precision_envelope_equals_reference_loop():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        n = int(rng.integers(1, 30))
+        n, rows = int(rng.integers(0, 30)), int(rng.integers(1, 11))
         scores = rng.choice([0.1, 0.5, 0.9], size=n)
-        tp = rng.random(n) < 0.5
-        ignored = rng.random(n) < 0.2
+        tp = rng.random((rows, n)) < 0.5
+        ignored = rng.random((rows, n)) < 0.2
         n_positive = int(rng.integers(1, 10))
-        # Reference: the explicit backward loop over the sorted detections.
-        keep = ~ignored
-        ranked = tp[keep][np.argsort(-scores[keep], kind="stable")]
-        if ranked.size:
-            tp_cum = np.cumsum(ranked)
-            recall = tp_cum / n_positive
-            precision = tp_cum / (tp_cum + np.cumsum(~ranked))
-            for i in range(precision.size - 1, 0, -1):
-                precision[i - 1] = max(precision[i - 1], precision[i])
-            idx = np.searchsorted(recall, np.linspace(0.0, 1.0, 101), side="left")
-            sampled = np.zeros(101)
-            sampled[idx < precision.size] = precision[idx[idx < precision.size]]
-            want = float(sampled.mean())
-        else:
-            want = 0.0
-        assert _average_precision(scores, tp, ignored, n_positive) == want
+        got = _average_precision(scores, tp, ignored, n_positive)
+        assert got.shape == (rows,)
+        for t in range(rows):
+            assert got[t] == _reference_average_precision(scores, tp[t], ignored[t], n_positive)
+
+
+def _reference_ap_report(matches, thresholds):
+    """The report loop that pooled (thresholds, detections) rows replaced:
+    one AP per (category, threshold), -1 where the category has no
+    regular gt, and each mean over a list of the defined APs."""
+    pooled = {}
+    for table in matches:
+        for category, row in table.items():
+            slot = pooled.setdefault(category, {"scores": [], "tp": [], "ignored": [], "n": 0})
+            for key in ("scores", "tp", "ignored"):
+                slot[key].append(row[key])
+            slot["n"] += row["n_positive"]
+    per_category, per_threshold = {}, {float(t): [] for t in thresholds}
+    for category, slot in sorted(pooled.items()):
+        scores = np.concatenate(slot["scores"])
+        tp, ignored = (np.concatenate(slot[key], axis=1) for key in ("tp", "ignored"))
+        aps = [
+            _reference_average_precision(scores, tp[t], ignored[t], slot["n"]) if slot["n"] else -1.0
+            for t in range(len(thresholds))
+        ]
+        defined = [a for a in aps if a >= 0]
+        if defined:
+            per_category[category] = float(np.mean(defined))
+            for t, a in zip(thresholds, aps):
+                if a >= 0:
+                    per_threshold[float(t)].append(a)
+    return ApReport(
+        thresholds=tuple(float(t) for t in thresholds),
+        mean_ap=float(np.mean(list(per_category.values()))) if per_category else 0.0,
+        per_threshold={t: float(np.mean(v)) if v else 0.0 for t, v in per_threshold.items()},
+        per_category=per_category,
+    )
+
+
+def test_ap_report_equals_reference_loop():
+    """Pooled tables with categories without a regular gt, detections
+    ignored at every threshold, images without detections, and tied or
+    signed-zero scores."""
+    rng = np.random.default_rng(15)
+    for case in range(400):
+        thresholds = (DEFAULT_AP_THRESHOLDS, (0.5,), (0.25, 0.75))[case % 3]
+        rows = len(thresholds)
+        matches = []
+        for _ in range(rng.integers(0, 4)):
+            table = {}
+            for category in rng.choice(5, size=rng.integers(0, 5), replace=False).tolist():
+                n = int(rng.choice([0, 1, 3, 12]))
+                kind = rng.choice(["mixed", "all_ignored", "no_hits"])
+                ignored = rng.random((rows, n)) < (1.0 if kind == "all_ignored" else 0.3)
+                tp = (rng.random((rows, n)) < (0.0 if kind == "no_hits" else 0.5)) & ~ignored
+                table[category] = {
+                    "scores": rng.choice([0.9, 0.5, 0.0, -0.0], size=n).astype(np.float64),
+                    "tp": tp,
+                    "ignored": ignored,
+                    "n_positive": int(rng.choice([0, 0, 1, 4])),
+                }
+            matches.append(table)
+        got = ap_report_from_matches(matches, thresholds)
+        assert repr(got) == repr(_reference_ap_report(matches, thresholds)), case
 
 
 @pytest.mark.parametrize("seed", range(4))
