@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import statistics
 import sys
 import time
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, postprocess, selftest, targets, tensor_io
-from .core import DatasetSpec, validate
+from .core import validate
 from .synth import bench_inputs
 
 EXIT_OK = 0
@@ -48,16 +49,6 @@ def _emit(report: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_spec(path: str) -> DatasetSpec:
-    return tensor_io.read_spec(path)
-
-
-def _require_valid(array: np.ndarray, spec: DatasetSpec, kind: str) -> None:
-    violations = validate(array, spec, kind)
-    if violations:
-        raise ValueError(f"invalid {kind} input: " + "; ".join(violations[:5]))
-
-
 def _instances_payload(result: postprocess.PanopticResult) -> list[dict]:
     payload = []
     for record in result.instances:
@@ -78,9 +69,11 @@ def _instances_payload(result: postprocess.PanopticResult) -> list[dict]:
 
 
 def cmd_targets(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = tensor_io.read_spec(args.spec)
     panoptic = tensor_io._map_tensor(args.panoptic).astype(np.int64)
-    _require_valid(panoptic, spec, "panoptic")
+    violations = validate(panoptic, spec, "panoptic")
+    if violations:
+        raise ValueError("invalid panoptic input: " + "; ".join(violations[:5]))
     params = targets.TargetParams(
         sigma=args.sigma,
         truncation_radius=args.truncation_radius,
@@ -112,7 +105,7 @@ def cmd_targets(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = tensor_io.read_spec(args.spec)
     if args.top_k >= spec.label_divisor:
         raise ValueError(
             f"--top-k {args.top_k} must be below the spec's label_divisor "
@@ -230,6 +223,10 @@ def _eval_one(pred_path, gt_path, scores_path, spec, modes):
             raise ValueError(f"{scores_path} has no {e.args[0]!r} field") from None
         except TypeError as e:  # a field of the wrong type
             raise ValueError(f"{scores_path} is not a fuse instance report: {e}") from None
+        bad = [k for k, v in scores.items() if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{scores_path}: prediction scores must be finite, "
+                             f"instance index {bad[0]} has {scores[bad[0]]}")
     try:
         *_, (row, outputs) = _eval_stages(pred, gt, spec, modes, scores)
     except KeyError as e:
@@ -241,9 +238,8 @@ def _eval_one(pred_path, gt_path, scores_path, spec, modes):
 def cmd_eval(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    spec = _load_spec(args.spec)
-    preds = args.pred
-    gts = args.gt
+    spec = tensor_io.read_spec(args.spec)
+    preds, gts = args.pred, args.gt
     if len(preds) != len(gts):
         raise ValueError(
             f"pred list has {len(preds)} entries but gt list has {len(gts)}"
@@ -290,9 +286,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     if args.repetitions < 1:
         raise ValueError(f"--repetitions must be >= 1, got {args.repetitions}")
-    semantic, heatmap, offsets, spec = bench_inputs(
-        args.height, args.width, args.centers, seed=args.seed
-    )
+    semantic, heatmap, offsets, spec = bench_inputs(args.height, args.width, args.centers)
     params = postprocess.PostprocParams()
     if args.workload == "eval":
         # The fused map as gt, shifted by (3, -5) pixels as pred.
@@ -428,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=2049)
     p.add_argument("--centers", type=int, default=200)
     p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workload", choices=("fuse-labels", "fuse-probs", "eval"),
                    default="fuse-labels",
                    help="fuse on (H, W) labels or on their one-hot (H, W, C) float32 grid, "

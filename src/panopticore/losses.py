@@ -27,19 +27,15 @@ __all__ = [
 @dataclass(frozen=True)
 class LossWeights:
     """Scalar weights combining the three losses; the semantic weight is
-    carried per-pixel by the weight map instead."""
+    carried per-pixel by the weight map, and the CE takes its own top-K
+    fraction."""
 
     lambda_heatmap: float = 200.0
     lambda_offset: float = 0.01
-    top_k_fraction: float = 0.15
 
     def __post_init__(self):
         if self.lambda_heatmap <= 0 or self.lambda_offset <= 0:
             raise ValueError("loss weights must be positive")
-        if not 0 < self.top_k_fraction <= 1:
-            raise ValueError(
-                f"top_k_fraction must be in (0, 1], got {self.top_k_fraction}"
-            )
 
 
 @dataclass(frozen=True)

@@ -206,17 +206,13 @@ def _peak_centers(
 
 def thing_mask_from_semantic(semantic: np.ndarray, spec: DatasetSpec) -> np.ndarray:
     """True exactly where the semantic label is a thing category. Raises
-    ValueError if a label is neither a spec category nor the ignore label."""
-    return _thing_mask(semantic, spec, "label map")
-
-
-def _thing_mask(labels: np.ndarray, spec: DatasetSpec, name: str) -> np.ndarray:
-    """:func:`thing_mask_from_semantic` per run of equal labels; the check names ``name``."""
-    flat = labels.reshape(-1)
+    ValueError naming the ``semantic map`` if a label is neither a spec
+    category nor the ignore label."""
+    flat = semantic.reshape(-1)
     starts, lengths = _runs(flat)
     values = flat[starts]
-    spec.check_known(values, name)
-    return np.repeat(spec.table.thing[values], lengths).reshape(labels.shape)
+    spec.check_known(values, "semantic map")
+    return np.repeat(spec.table.thing[values], lengths).reshape(semantic.shape)
 
 
 def _tile_candidates(
@@ -684,7 +680,7 @@ def _inference_stages(
         if not np.issubdtype(semantic.dtype, np.integer):
             raise ValueError(f"semantic label map must hold integer ids, got {semantic.dtype}")
         labels = semantic
-    thing = _thing_mask(labels, spec, "semantic map")
+    thing = thing_mask_from_semantic(labels, spec)
     yield "inputs"
 
     centers = _peak_centers(

@@ -143,8 +143,12 @@ def bench_inputs(
 
     Returns (semantic labels, heatmap, offsets, spec) with roughly 40%
     thing pixels, ``num_centers`` well-separated peaks above the default
-    extraction threshold, and noise offsets.
+    extraction threshold, and noise offsets. Raises ValueError for a side
+    below 8 pixels, where no thing box has a pixel, or negative centers.
     """
+    if min(height, width) < 8 or num_centers < 0:
+        need = "bench inputs need height and width >= 8 and centers >= 0"
+        raise ValueError(f"{need}, got {height}x{width} with {num_centers} centers")
     rng = np.random.default_rng(seed)
     spec = make_spec(num_stuff=11, num_things=8)
     stuff_ids = sorted(spec.stuff_ids)

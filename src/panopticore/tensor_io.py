@@ -112,31 +112,13 @@ def write_tensor(grid: np.ndarray, path: str | Path) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read a container back into a native-endian array.
-
-    The payload is read straight into the returned array. Raises
-    :class:`PayloadLengthError` unless the file holds exactly the payload
-    its header describes.
-    """
-    try:
-        with open(path, "rb", buffering=0) as f:
-            dims, dtype, _ = _read_header(f, path)
-            data = np.empty(dims, dtype=dtype.newbyteorder("<"))
-            view = memoryview(data.reshape(-1).view(np.uint8))
-            while view:
-                got = f.readinto(view)
-                if not got:
-                    raise PayloadLengthError(f"{path}: payload ends {len(view)} bytes short")
-                view = view[got:]
-            if f.read(1):
-                raise PayloadLengthError(f"{path}: trailing bytes after the payload")
-    except OSError as e:
-        raise TensorIoError(f"cannot read tensor from {path}: {e}") from e
-    return data if data.dtype.isnative else data.astype(dtype)
+    """Read a container back into a writable, native-endian array it owns:
+    :func:`_map_tensor`'s checks and errors, then a copy of the payload."""
+    return np.array(_map_tensor(path))
 
 
 def _map_tensor(path: str | Path) -> np.ndarray:
-    """Like :func:`read_tensor`, but a read-only array mapped over the payload.
+    """Check the header and the file size, then map the payload read-only.
 
     Pages are read from the page cache when first touched, not copied. A
     write by :func:`write_tensor` renames a new file over ``path`` and so
@@ -163,7 +145,7 @@ def _map_tensor(path: str | Path) -> np.ndarray:
 
 def _read_header(f, path) -> tuple[tuple[int, ...], np.dtype, int]:
     """Check the header and the file size; return dims, dtype and the
-    payload's byte offset, with ``f`` positioned there."""
+    payload's byte offset."""
     head = f.read(8)
     if len(head) < 8 or head[:4] != MAGIC:
         raise BadMagicError(f"{path}: not a tensor container (bad magic)")

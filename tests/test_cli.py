@@ -477,6 +477,29 @@ def test_bench_rejects_repetitions_below_one(tmp_path, capsys, monkeypatch, repe
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "height, width, centers",
+    [(7, 96, 4), (64, 4, 4), (3, 96, 4), (64, 0, 4), (-1, 96, 4), (64, 96, -3)],
+)
+def test_bench_rejects_small_grids_and_negative_centers(tmp_path, capsys, height, width, centers):
+    # Below 8 pixels no thing box has a pixel, so the painting loop could not end.
+    with pytest.raises(ValueError, match="height and width >= 8 and centers >= 0"):
+        bench_inputs(height, width, centers)
+    report = tmp_path / "bench.json"
+    code = main(["bench", "--height", str(height), "--width", str(width), "--centers",
+                 str(centers), "--repetitions", "1", "--report", str(report)])
+    assert code == 1
+    assert "height and width >= 8 and centers >= 0" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("workload", ["fuse-labels", "fuse-probs", "eval"])
+def test_bench_runs_on_the_smallest_grid(tmp_path, workload):
+    code = main(["bench", "--height", "8", "--width", "8", "--centers", "0", "--repetitions",
+                 "1", "--workload", workload, "--report", str(tmp_path / "bench.json")])
+    assert code == 0
+
+
 def test_bench_probability_workload(tmp_path):
     docs = {}
     for workload in ("fuse-labels", "fuse-probs"):
@@ -619,7 +642,10 @@ def test_eval_non_finite_pred_score_exit_1(scene_files, capsys, value):
             "--pred-scores", str(scores_path), "--report", str(report)]
     for mode in ("ap", "all"):
         assert main(argv + ["--mode", mode]) == 1
-        assert "prediction scores must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "prediction scores must be finite" in err
+        assert str(scores_path) in err
+        assert f"instance index {rows[0]['instance_index']}" in err
         assert not report.exists()
 
 

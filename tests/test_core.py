@@ -264,7 +264,7 @@ def _unknown_id_cases():
     no_instances = np.zeros((6, 6), dtype=np.int32)
     return spec, {
         "thing_mask_from_semantic": (
-            "label map",
+            "semantic map",
             lambda c: postprocess.thing_mask_from_semantic(semantic(c), spec),
         ),
         "merge_panoptic": (

@@ -432,10 +432,6 @@ def test_total_loss_monotone():
 def test_loss_weights_validation():
     with pytest.raises(ValueError):
         LossWeights(lambda_heatmap=0)
-    with pytest.raises(ValueError):
-        LossWeights(top_k_fraction=0)
-    with pytest.raises(ValueError):
-        LossWeights(top_k_fraction=1.5)
 
 
 def test_gradients_finite_on_random_inputs():

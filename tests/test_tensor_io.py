@@ -201,15 +201,19 @@ def _blob(tmp_path):
     return path, path.read_bytes()
 
 
+# Each fault, the error both readers raise and its message after the path.
 HEADER_FAULTS = {
-    "bad magic": lambda b: b"NOPE" + b[4:],
-    "empty file": lambda b: b"",
-    "bad version": lambda b: b[:4] + b"\x09" + b[5:],
-    "unknown dtype code": lambda b: b[:6] + b"\x07" + b[7:],
-    "bad rank": lambda b: b[:7] + b"\x04" + b[8:],
-    "truncated dims": lambda b: b[:10],
-    "short payload": lambda b: b[:-4],
-    "trailing bytes": lambda b: b + b"\0",
+    "bad magic": (lambda b: b"NOPE" + b[4:], BadMagicError, "not a tensor container (bad magic)"),
+    "empty file": (lambda b: b"", BadMagicError, "not a tensor container (bad magic)"),
+    "bad version": (lambda b: b[:4] + b"\x09" + b[5:], UnsupportedVersionError,
+                    "unsupported version 9"),
+    "unknown dtype code": (lambda b: b[:6] + b"\x07" + b[7:], TensorIoError,
+                           "unknown dtype code 7"),
+    "bad rank": (lambda b: b[:7] + b"\x04" + b[8:], TensorIoError, "unsupported rank 4"),
+    "truncated dims": (lambda b: b[:10], PayloadLengthError, "truncated header"),
+    "short payload": (lambda b: b[:-4], PayloadLengthError, "payload is 20 bytes, expected 24"),
+    "trailing bytes": (lambda b: b + b"\0", PayloadLengthError,
+                       "payload is 25 bytes, expected 24"),
 }
 
 
@@ -218,14 +222,33 @@ def test_mapped_read_raises_what_read_tensor_raises(tmp_path, fault):
     path, blob = _blob(tmp_path)
     if fault == "missing file":
         path.unlink()
+        error = TensorIoError
+        message = f"cannot read tensor from {path}: [Errno 2] No such file or directory: '{path}'"
     else:
-        path.write_bytes(HEADER_FAULTS[fault](blob))
-    with pytest.raises(TensorIoError) as copied:
-        read_tensor(path)
-    with pytest.raises(TensorIoError) as mapped:
-        _map_tensor(path)
-    assert type(mapped.value) is type(copied.value)
-    assert str(mapped.value) == str(copied.value)
+        corrupt, error, reason = HEADER_FAULTS[fault]
+        path.write_bytes(corrupt(blob))
+        message = f"{path}: {reason}"
+    for reader in (read_tensor, _map_tensor):
+        with pytest.raises(TensorIoError) as raised:
+            reader(path)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_read_tensor_returns_an_owned_writable_copy(tmp_path):
+    path, blob = _blob(tmp_path)
+    got = read_tensor(path)
+    assert got.flags.owndata and got.flags.writeable and got.base is None
+    got[0, 0] = 99
+    assert path.read_bytes() == blob
+    write_tensor(np.full((2, 3), 9, dtype=np.uint32), path)
+    assert got.tolist() == [[99, 1, 2], [3, 4, 5]]
+    assert (read_tensor(path) == 9).all()
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        assert read_tensor(path).sum() == 54
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (2, 0, 5)])
