@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, postprocess, selftest, targets, tensor_io
+from . import losses, metrics, postprocess, selftest, targets, tensor_io
 from .core import validate
-from .synth import bench_inputs
+from .synth import bench_inputs, bench_logits
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -216,7 +216,10 @@ def _eval_one(pred_path, gt_path, scores_path, spec, modes):
     pred, gt = tensor_io._map_tensor(pred_path), tensor_io._map_tensor(gt_path)
     scores = None  # every instance scores 1.0 without a fuse report
     if scores_path and "ap" in modes:
-        doc = json.loads(Path(scores_path).read_text())
+        try:
+            doc = json.loads(Path(scores_path).read_text())
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise ValueError(f"{scores_path} is not a JSON document: {e}") from None
         try:
             scores = {int(r["instance_index"]): float(r["score"]) for r in doc["instances"]}
         except KeyError as e:
@@ -300,9 +303,33 @@ def cmd_bench(args) -> int:
 
         digest_key = "report_sha256"
 
-        def digest(result) -> bytes:
+        def digest(result) -> tuple:
             row, _ = result
-            return json.dumps(row, sort_keys=True).encode()
+            return (json.dumps(row, sort_keys=True).encode(),)
+    elif args.workload == "train":
+        # The fused map as gt. Its semantic labels are channel indices, as
+        # the spec's category ids are 0..C-1.
+        gt = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params).panoptic
+        logits = bench_logits(gt, spec)
+
+        def run():
+            bundle = targets.encode_targets(gt, spec)
+            yield "targets"
+            ce = losses.weighted_bootstrapped_ce(
+                logits, bundle.semantic_labels, bundle.semantic_weights, spec.ignore_label
+            )
+            yield "ce"
+            heat = losses.mse_heatmap_loss(heatmap, bundle.heatmap)
+            yield "heatmap"
+            off = losses.l1_offset_loss(offsets, bundle.offsets, bundle.thing_mask)
+            yield "offsets"
+            yield ce, heat, off
+
+        digest_key = "train_sha256"
+
+        def digest(result) -> tuple:
+            values = repr([loss.value for loss in result]).encode()
+            return (values, *(loss.gradient for loss in result))
     else:
         if args.workload == "fuse-probs":
             # The one-hot float32 grid of the same labels.
@@ -316,8 +343,8 @@ def cmd_bench(args) -> int:
 
         digest_key = "panoptic_sha256"
 
-        def digest(result) -> bytes:
-            return result.panoptic.astype(np.int64).tobytes()
+        def digest(result) -> tuple:
+            return (result.panoptic.astype(np.int64).tobytes(),)
 
     stages: dict[str, list[float]] = {}
     end_to_end = []
@@ -332,11 +359,14 @@ def cmd_bench(args) -> int:
                 last = now
         end_to_end.append(last - start)
     stages["end_to_end"] = end_to_end
+    sha = hashlib.sha256()
+    for part in digest(step):  # buffers, so gradients are not copied
+        sha.update(part)
     report = {
         "dims": [args.height, args.width],
         "centers": args.centers,
         "repetitions": args.repetitions,
-        digest_key: hashlib.sha256(digest(step)).hexdigest(),
+        digest_key: sha.hexdigest(),
         "stages_ms": {
             name: {
                 "median": statistics.median(times) * 1000.0,
@@ -422,10 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=2049)
     p.add_argument("--centers", type=int, default=200)
     p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--workload", choices=("fuse-labels", "fuse-probs", "eval"),
+    p.add_argument("--workload", choices=("fuse-labels", "fuse-probs", "eval", "train"),
                    default="fuse-labels",
                    help="fuse on (H, W) labels or on their one-hot (H, W, C) float32 grid, "
-                   "or eval --mode all of the fused map against itself shifted by (3, -5)")
+                   "eval --mode all of the fused map against itself shifted by (3, -5), "
+                   "or targets and the three losses with the fused map as gt")
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -126,6 +126,106 @@ def _shifted_logits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, np.log(np.exp(x).sum(axis=1))
 
 
+def _label_log_sum_exp(x: np.ndarray, picked: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Per row of the float32 (n, C) ``x``, log sum_c exp(fl32(x_c - x_label))
+    in float32, with the label's channel in ``picked``; and False where a
+    shifted value is -inf or NaN, which the exp could hide."""
+    num_classes = x.shape[1]
+    flat = x.reshape(-1)
+    # x_label repeated over each row's channels: an elementwise
+    # subtraction, far faster than broadcasting over rows of C.
+    shifted = np.repeat(flat[np.arange(0, flat.size, num_classes) + picked], num_classes)
+    np.subtract(flat, shifted, out=shifted)
+    finite = shifted.min() > -np.inf
+    np.exp(shifted, out=shifted)
+    return np.log(shifted.reshape(x.shape) @ np.ones(num_classes, dtype=np.float32)), finite
+
+
+def _loss_bounds(weight: np.ndarray, log_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 bounds b -+ delta on the exact losses, b = ``weight`` *
+    ``log_sum``, delta = 2**-10 * (weight + b) + 2**-126 (see
+    ``_ce_candidates``)."""
+    approx = weight * log_sum
+    slack = (weight + approx) * 2**-10 + 2**-126
+    return approx - slack, approx + slack
+
+
+def _ce_candidates(
+    flat_logits: np.ndarray,
+    picked: np.ndarray,
+    flat_weights: np.ndarray,
+    ignored: np.ndarray,
+    k: int,
+) -> np.ndarray | None:
+    """The rows, ascending, whose exact loss may be among the k largest;
+    None where the float32 filter below cannot tell.
+
+    Per row, the filter takes a~ = log sum_c exp(fl32(x_c - x_label)) in
+    float32; the label's term is exp(0) = 1, so the sum is >= 1 and needs no
+    max. The exact loss w * a, a = log sum_c exp(x_c - x_label), then lies
+    within b -+ delta, b = w * a~, delta = 2**-10 * (w + b) + 2**-126, with
+    16x slack. The bounds are kept in float32.
+
+    The error, with u = 2**-24 and s = x_c - x_label: the float32 sum is off
+    by a factor 1 +- e, where e adds up
+      - the rounded difference, a factor exp(s * eta), |eta| <= u, on the
+        term exp(s): <= 89u of the sum from terms with 0 < s < 88.8 (beyond,
+        the exp overflows and the filter gives up), and <= 0.37u each from
+        terms with s = -t < 0, as e**-t * (e**(t u) - 1) <= u / e;
+      - the exp, within 4 ulp: 8u, and < u more where it flushes to 0;
+      - the sum, in any order (a BLAS dot product): (C - 1)u.
+    So |log sum - a| <= 1.01 e = 1.01 (98 + 1.37 (C - 1))u, and the float32
+    log adds 4 ulp, 8u * a~. For C <= 512 that is < 830u * (1 + a), and
+    delta / 16 >= 1024u * w * (1 + a~). Rounding b, the bounds and the exact
+    loss in float64, and the bounds to float32, adds relative errors far
+    below that, and absolute ones below 2**-149 near zero, which the
+    2**-126 covers.
+
+    A pixel whose upper bound falls below L, the k-th largest lower bound,
+    has an exact loss < L, while k pixels have one >= L: it is neither
+    among the k largest nor tied with the k-th. The filter gives up (None)
+    on NaN or inf in any row, ignored ones included, since the full pass
+    raises there; on a bound beyond the float32 range, since the full pass
+    may overflow there; and when more than half of the rows are candidates.
+    """
+    size = flat_logits.shape[0]
+    lower = np.empty(size, dtype=np.float32)
+    upper = np.empty(size, dtype=np.float32)
+    fit = np.empty(-(-size // _CE_BLOCK), dtype=bool)
+
+    def filter_block(j: int) -> None:
+        block = slice(j * _CE_BLOCK, (j + 1) * _CE_BLOCK)
+        log_sum, finite = _label_log_sum_exp(flat_logits[block], picked[block])
+        lower[block], upper[block] = _loss_bounds(flat_weights[block], log_sum)
+        fit[j] = finite and upper[block].max() < np.inf  # False for NaN too
+
+    with np.errstate(all="ignore"):
+        _run_blocks(filter_block, fit.size)
+    if not fit.all():
+        return None
+    lower[ignored] = upper[ignored] = -np.inf
+    kth = size - k
+    lower.partition(kth)
+    rows = np.flatnonzero(upper >= lower[kth])
+    return rows if 2 * rows.size <= size else None
+
+
+def _top_k(loss: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """A mask of the k largest entries of ``loss``, those tied with the
+    k-th largest taken in index order, and their float64 mean."""
+    kth = loss.size - k
+    threshold = np.partition(loss, kth)[kth]
+    selected = loss > threshold
+    ties = np.flatnonzero(loss == threshold)
+    selected[ties[: k - int(np.count_nonzero(selected))]] = True
+    # A full sort by (-loss, index) orders equal losses by index. Equal
+    # losses are equal terms, apart from +0 and -0, which leave any sum they
+    # join unchanged; so the selected values in descending order give the
+    # same float64 mean.
+    descending = -np.sort(-loss[selected])
+    return selected, float(descending.mean(dtype=np.float64))
+
+
 def weighted_bootstrapped_ce(
     logits: np.ndarray,
     labels: np.ndarray,
@@ -142,6 +242,12 @@ def weighted_bootstrapped_ce(
     in row-major order. The gradient (w.r.t. logits) is nonzero only at
     selected pixels. NaN or inf anywhere in ``logits`` or ``weights``, and
     labels of a non-integer dtype, raise.
+
+    On float32 logits, a float32 filter first finds the pixels that can be
+    among the top K (``_ce_candidates``), and the exact float64 steps run
+    on those alone, gradient rows included. The value and gradient bits,
+    the errors and the warnings are those of the exact pass over every
+    pixel, which runs where the filter cannot tell.
 
     Blocks of pixels run on up to min(4, CPUs) threads, the caller
     included; each block writes only its own pixels, so the value and
@@ -160,61 +266,64 @@ def weighted_bootstrapped_ce(
 
     num_classes = logits.shape[2]
     flat_logits = logits.reshape(-1, num_classes)
-    flat_labels = labels.reshape(-1).astype(np.int64)
+    picked = labels.reshape(-1).astype(np.int64)  # each label's channel; 0 where ignored
     flat_weights = weights.reshape(-1).astype(np.float64)
     if not np.isfinite(flat_weights).all():
         raise ValueError("weights must be finite (no NaN or inf)")
     if (flat_weights < 0).any():
         raise ValueError("weights must be >= 0")
 
-    ignored = flat_labels == ignore_label
+    ignored = picked == ignore_label
     num_valid = ignored.size - int(np.count_nonzero(ignored))
     if num_valid == 0:
         raise ValueError("all pixels carry the ignore label; loss undefined")
-    picked = np.where(ignored, 0, flat_labels)
+    picked[ignored] = 0
     if picked.min() < 0 or picked.max() >= num_classes:
         raise ValueError("labels contain indices outside [0, num_classes)")
 
-    # Per-pixel loss, the same float64 steps per row as a whole-grid softmax.
-    pixel_loss = np.empty(flat_labels.size)
-
-    def value_block(j: int) -> None:
-        block = slice(j * _CE_BLOCK, (j + 1) * _CE_BLOCK)
-        x, log_norm = _shifted_logits(flat_logits[block])
-        log_prob = x[np.arange(len(x)), picked[block]] - log_norm
-        pixel_loss[block] = -flat_weights[block] * log_prob
-
-    _run_blocks(value_block, -(-flat_labels.size // _CE_BLOCK))
-    pixel_loss[ignored] = -np.inf  # below every valid loss, which is >= 0
-
     k = max(1, int(np.ceil(top_k_fraction * num_valid)))
-    kth = pixel_loss.size - k
-    threshold = np.partition(pixel_loss, kth)[kth]  # K-th largest loss
-    selected = pixel_loss > threshold
-    ties = np.flatnonzero(pixel_loss == threshold)
-    selected[ties[: k - int(np.count_nonzero(selected))]] = True  # row-major
-    rows = np.flatnonzero(selected)
-    # A full sort by (-loss, row) orders equal losses by row. Equal losses
-    # are equal terms, apart from +0 and -0, which leave any sum they join
-    # unchanged; so the selected values in descending order give the same
-    # float64 mean.
-    descending = -np.sort(-pixel_loss[rows])
-    value = float(descending.mean(dtype=np.float64))
 
-    gradient = None
-    if with_gradient:
-        gradient = np.zeros((flat_labels.size, num_classes))
+    def exact(rows: np.ndarray | None, loss: np.ndarray, gradient: np.ndarray | None) -> None:
+        """The loss of each of ``rows`` (every pixel for None) into ``loss``,
+        with the same float64 steps per row as a whole-grid softmax; and its
+        gradient row into ``gradient``, unless that is None."""
 
-        def gradient_block(j: int) -> None:
-            block = rows[j * _CE_BLOCK : (j + 1) * _CE_BLOCK]
+        def block_body(j: int) -> None:
+            part = slice(j * _CE_BLOCK, (j + 1) * _CE_BLOCK)
+            block = part if rows is None else rows[part]
             x, log_norm = _shifted_logits(flat_logits[block])
-            x -= log_norm[:, None]
-            probs = np.exp(x, out=x)
-            probs[np.arange(block.size), flat_labels[block]] -= 1.0
-            probs *= (flat_weights[block] / k)[:, None]
-            gradient[block] = probs
+            at = np.arange(len(x)), picked[block]
+            loss[part] = -flat_weights[block] * (x[at] - log_norm)
+            if gradient is not None:
+                x -= log_norm[:, None]
+                probs = np.exp(x, out=x)
+                probs[at] -= 1.0
+                probs *= (flat_weights[block] / k)[:, None]
+                gradient[block] = probs
 
-        _run_blocks(gradient_block, -(-rows.size // _CE_BLOCK))
+        _run_blocks(block_body, -(-loss.size // _CE_BLOCK))
+
+    # The filter's bounds hold for float32 logits and C <= 512. With
+    # underflow signalled, the full pass would signal it at pixels the
+    # filter skips.
+    rows = None
+    if logits.dtype == np.float32 and num_classes <= 512 and np.geterr()["under"] == "ignore":
+        rows = _ce_candidates(flat_logits, picked, flat_weights, ignored, k)
+    gradient = np.zeros((picked.size, num_classes)) if with_gradient else None
+    if rows is None:  # every pixel, then the gradient of the selected ones
+        pixel_loss = np.empty(picked.size)
+        exact(None, pixel_loss, None)
+        pixel_loss[ignored] = -np.inf  # below every valid loss, which is >= 0
+        selected, value = _top_k(pixel_loss, k)
+        if with_gradient:
+            exact(np.flatnonzero(selected), np.empty(k), gradient)
+    else:  # the candidates with their gradient rows, then the others' rows cleared
+        row_loss = np.empty(rows.size)
+        exact(rows, row_loss, gradient)
+        selected, value = _top_k(row_loss, k)
+        if with_gradient:
+            gradient[rows[~selected]] = 0.0
+    if with_gradient:
         gradient = gradient.reshape(logits.shape)
     return LossValue(value=value, gradient=gradient)
 

@@ -660,10 +660,11 @@ def _check_gradients(seeds=(0, 1, 2)) -> str:
 def _check_bootstrapped_ce(seed: int = 0, cases: int = 60) -> str:
     """Blocked top-K CE == the full-sort oracle, value and gradient bytes;
     integer logits and weights make exact ties at the K-th loss common. The
-    last 4 grids span more than 3 blocks, so the block threads run too."""
+    last 6 grids span more than 3 blocks, so the block threads run too; the
+    last 2 hold normal float32 logits, which take the float32 filter."""
     rng = np.random.default_rng(seed)
     ignore = 99
-    for i in range(cases):
+    for i in range(cases + 2):
         height, width = rng.integers(1, 24, size=2)
         num_classes = int(rng.integers(1, 8))
         if i >= cases - 4:
@@ -673,6 +674,8 @@ def _check_bootstrapped_ce(seed: int = 0, cases: int = 60) -> str:
         )
         if i % 3 == 0:
             logits += rng.normal(0, 2, size=logits.shape).astype(logits.dtype)
+        if i >= cases:
+            logits = rng.normal(0, 2, size=logits.shape).astype(np.float32)
         labels = rng.integers(0, num_classes, size=(height, width))
         labels[rng.random((height, width)) < 0.2] = ignore
         labels[0, 0] = 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import CategorySpec, DatasetSpec, segment_table
 
-__all__ = ["Scene", "random_scene", "bench_inputs"]
+__all__ = ["Scene", "random_scene", "bench_inputs", "bench_logits"]
 
 
 @dataclass(frozen=True)
@@ -184,3 +184,18 @@ def bench_inputs(
             break
     offsets = rng.normal(0.0, 16.0, size=(height, width, 2)).astype(np.float32)
     return semantic, heatmap, offsets, spec
+
+
+def bench_logits(panoptic: np.ndarray, spec: DatasetSpec) -> np.ndarray:
+    """(H, W, C) float32 logits leaning towards the channel of each pixel's
+    category in ``panoptic``: U(0, 3) noise, plus U(1, 3) on that channel.
+    VOID pixels lean towards the last channel."""
+    channel = spec.table.channel[panoptic // spec.label_divisor]
+    channel = np.minimum(channel, spec.num_categories - 1)[..., None]
+    rng = np.random.default_rng(0)
+    logits = rng.random(panoptic.shape + (spec.num_categories,), dtype=np.float32)
+    logits *= np.float32(3.0)
+    lean = np.take_along_axis(logits, channel, axis=2)
+    lean += rng.uniform(1.0, 3.0, lean.shape).astype(np.float32)
+    np.put_along_axis(logits, channel, lean, axis=2)
+    return logits

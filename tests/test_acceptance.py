@@ -245,7 +245,7 @@ def test_probability_input_budget():
 
 
 def test_bootstrapped_ce_budget():
-    """Bootstrapped CE with gradient on (1025, 2049, 19) f32 logits < 1.0 s."""
+    """Bootstrapped CE with gradient on (1025, 2049, 19) f32 logits < 0.75 s."""
     rng = np.random.default_rng(1025)
     logits = rng.normal(0, 3, size=(1025, 2049, 19)).astype(np.float32)
     labels = rng.integers(0, 19, size=(1025, 2049)).astype(np.int32)
@@ -258,8 +258,8 @@ def test_bootstrapped_ce_budget():
         times.append(time.perf_counter() - t0)
         del loss
     total_s = sorted(times)[1]
-    print(f"ACCEPTANCE bootstrapped_ce_budget: {total_s*1000:.0f} ms (budget 250)")
-    assert total_s < 1.0, f"bootstrapped CE {total_s:.3f}s exceeds 1.0s"
+    print(f"ACCEPTANCE bootstrapped_ce_budget: {total_s*1000:.0f} ms (budget 750)")
+    assert total_s < 0.75, f"bootstrapped CE {total_s:.3f}s exceeds 0.75s"
 
 
 def test_encode_targets_budget():

@@ -7,8 +7,11 @@ import pytest
 
 from panopticore import cli
 from panopticore.cli import TARGET_FILES, main
+from panopticore.losses import l1_offset_loss, mse_heatmap_loss
 from panopticore.postprocess import panoptic_inference
-from panopticore.synth import bench_inputs, random_scene
+from panopticore.selftest import bootstrapped_ce_oracle
+from panopticore.synth import bench_inputs, bench_logits, random_scene
+from panopticore.targets import encode_targets
 from panopticore.tensor_io import read_tensor, write_spec, write_tensor
 
 
@@ -493,7 +496,7 @@ def test_bench_rejects_small_grids_and_negative_centers(tmp_path, capsys, height
     assert not report.exists()
 
 
-@pytest.mark.parametrize("workload", ["fuse-labels", "fuse-probs", "eval"])
+@pytest.mark.parametrize("workload", ["fuse-labels", "fuse-probs", "eval", "train"])
 def test_bench_runs_on_the_smallest_grid(tmp_path, workload):
     code = main(["bench", "--height", "8", "--width", "8", "--centers", "0", "--repetitions",
                  "1", "--workload", workload, "--report", str(tmp_path / "bench.json")])
@@ -561,6 +564,38 @@ def test_bench_eval_workload_times_the_stages_eval_runs(tmp_path):
     del image["pred"], image["gt"]
     text = json.dumps(image, sort_keys=True)
     assert doc["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_bench_train_workload_times_targets_and_the_losses(tmp_path):
+    bench = tmp_path / "bench.json"
+    code = main(
+        ["bench", "--height", "64", "--width", "96", "--centers", "12",
+         "--repetitions", "2", "--workload", "train", "--report", str(bench)]
+    )
+    assert code == 0
+    doc = json.loads(bench.read_text())
+    assert set(doc) == {"centers", "dims", "train_sha256", "repetitions", "stages_ms", "workload"}
+    assert doc["workload"] == "train"
+    stages = doc["stages_ms"]
+    assert set(stages) == {"targets", "ce", "heatmap", "offsets", "end_to_end"}
+    for run in range(2):
+        total = sum(stages[name]["runs"][run] for name in stages if name != "end_to_end")
+        assert total == pytest.approx(stages["end_to_end"]["runs"][run], rel=1e-9, abs=1e-9)
+    # The digest is that of the losses on the same inputs, with the CE of
+    # the full-sort oracle.
+    semantic, heatmap, offsets, spec = bench_inputs(64, 96, 12)
+    gt = panoptic_inference(semantic, heatmap, offsets, spec).panoptic
+    bundle = encode_targets(gt, spec)
+    results = (
+        bootstrapped_ce_oracle(bench_logits(gt, spec), bundle.semantic_labels,
+                               bundle.semantic_weights, spec.ignore_label),
+        mse_heatmap_loss(heatmap, bundle.heatmap),
+        l1_offset_loss(offsets, bundle.offsets, bundle.thing_mask),
+    )
+    sha = hashlib.sha256(repr([loss.value for loss in results]).encode())
+    for loss in results:
+        sha.update(loss.gradient.tobytes())
+    assert doc["train_sha256"] == sha.hexdigest()
 
 
 def test_fuse_probability_semantic_input(scene_files):
@@ -647,6 +682,26 @@ def test_eval_non_finite_pred_score_exit_1(scene_files, capsys, value):
         assert str(scores_path) in err
         assert f"instance index {rows[0]['instance_index']}" in err
         assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(b'{"instances": [', "Expecting value: line 1 column 16 (char 15)"),
+     (b"\xff{}", "can't decode byte 0xff")],
+    ids=["truncated", "not-utf-8"],
+)
+def test_eval_malformed_pred_scores_names_the_file_exit_1(scene_files, capsys, text, message):
+    scene, gt_path, spec_path, tmp = scene_files
+    scores_path = tmp / "scores.json"
+    scores_path.write_bytes(text)
+    report = tmp / "eval.json"
+    argv = ["eval", "--pred", str(gt_path), "--gt", str(gt_path), "--spec", str(spec_path),
+            "--pred-scores", str(scores_path), "--report", str(report)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{scores_path} is not a JSON document" in err
+    assert message in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(

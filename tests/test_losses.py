@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -539,3 +540,282 @@ def test_mse_difference_bits_unchanged():
     loss = mse_heatmap_loss(pred, target)
     assert repr(loss.value) == repr(float((diff * diff).sum(dtype=np.float64) / diff.size))
     assert loss.gradient.tobytes() == ((2.0 / diff.size) * diff).tobytes()
+
+
+def ce_with_path(logits, labels, weights, fraction=0.15, with_gradient=True):
+    """The CE and the path it took: "filter" when the float32 filter gave
+    candidates, "full" when every pixel ran the exact pass."""
+    results = []
+    candidates = losses._ce_candidates
+
+    def spy(*args):
+        results.append(candidates(*args))
+        return results[-1]
+
+    with mock.patch.object(losses, "_ce_candidates", spy):
+        got = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, fraction, with_gradient)
+    return got, "filter" if results and results[0] is not None else "full"
+
+
+def full_pass(logits, labels, weights, fraction=0.15):
+    """The CE with the filter turned off: the exact pass over every pixel."""
+    with mock.patch.object(losses, "_ce_candidates", lambda *args: None):
+        return weighted_bootstrapped_ce(logits, labels, weights, IGNORE, fraction)
+
+
+def assert_equals_oracle(got, logits, labels, weights, fraction=0.15):
+    want = bootstrapped_ce_oracle(logits, labels, weights, IGNORE, fraction)
+    assert repr(got.value) == repr(want.value)
+    assert got.gradient.tobytes() == want.gradient.tobytes()
+
+
+def normal_case(height=64, width=96, num_classes=19, seed=21):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0, 1, size=(height, width, num_classes)).astype(np.float32)
+    labels = rng.integers(0, num_classes, size=(height, width))
+    labels[rng.random((height, width)) < 0.05] = IGNORE
+    weights = np.where(rng.random((height, width)) < 0.1, 3.0, 1.0)
+    return logits, labels, weights
+
+
+def test_ce_filter_path_runs_on_normal_float32_logits():
+    logits, labels, weights = normal_case()
+    for with_gradient in (True, False):
+        got, path = ce_with_path(logits, labels, weights, with_gradient=with_gradient)
+        assert path == "filter"
+        want = bootstrapped_ce_oracle(logits, labels, weights, IGNORE, 0.15, with_gradient)
+        assert repr(got.value) == repr(want.value)
+        if with_gradient:
+            assert got.gradient.tobytes() == want.gradient.tobytes()
+
+
+def test_ce_filter_refines_few_pixels():
+    logits, labels, weights = normal_case()
+    rows = []
+    shifted_logits = losses._shifted_logits
+
+    def count(block):
+        rows.append(len(block))
+        return shifted_logits(block)
+
+    with mock.patch.object(losses, "_shifted_logits", count):
+        weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.15)
+    valid = np.count_nonzero(labels != IGNORE)
+    assert math.ceil(0.15 * valid) <= sum(rows) < 0.5 * labels.size
+
+
+@pytest.mark.parametrize("case", ["float64", "all-equal", "share-above-half", "classes-above-512"])
+def test_ce_falls_back_to_the_full_pass(case):
+    logits, labels, weights = normal_case()
+    fraction = 0.15
+    if case == "float64":
+        logits = logits.astype(np.float64)
+    elif case == "all-equal":
+        logits[:] = 0.5
+    elif case == "share-above-half":
+        fraction = 0.6
+    else:
+        logits, labels, weights = normal_case(4, 5, 513)
+    got, path = ce_with_path(logits, labels, weights, fraction)
+    assert path == "full"
+    assert_equals_oracle(got, logits, labels, weights, fraction)
+
+
+@st.composite
+def filter_rows(draw):
+    """float32 rows with their labels and weights: normal logits, +-60
+    margins, and rows with a channel up to 88.7 above the label, where the
+    float32 exp nears overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 64))
+    num_classes = draw(st.sampled_from([1, 2, 5, 19, 133, 512]))
+    kind = draw(st.sampled_from(["normal", "margin", "near-overflow"]))
+    labels = rng.integers(0, num_classes, size=rows)
+    if kind == "normal":
+        logits = rng.normal(0, draw(st.sampled_from([0.1, 1.0, 4.0, 30.0])), (rows, num_classes))
+    elif kind == "margin":
+        logits = rng.integers(-1, 2, size=(rows, num_classes)) * 60.0
+    else:
+        logits = rng.normal(0, 1, (rows, num_classes))
+        logits[np.arange(rows), rng.integers(0, num_classes, rows)] += rng.uniform(80, 88.7, rows)
+    logits = logits.astype(np.float32)
+    weights = rng.choice([0.0, 1.0, 3.0, float(rng.uniform(0, 5)), 1e-300, 1e30], size=rows)
+    return logits, labels, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=filter_rows())
+def test_ce_filter_error_is_within_a_sixteenth_of_its_slack(case):
+    logits, labels, weights = case
+    with np.errstate(all="ignore"):  # as in the filter
+        log_sum, finite = losses._label_log_sum_exp(logits, labels)
+    assert finite
+    exact = _ce_pixel_losses(logits[None], labels[None], weights[None], -1)  # none ignored
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = weights * log_sum
+        lower, upper = losses._loss_bounds(weights, log_sum)
+    used = np.isfinite(upper.astype(np.float32))  # elsewhere the filter gives up
+    assert (np.abs(approx - exact)[used] <= (upper - lower)[used] / 32).all()  # delta / 16
+    assert (lower.astype(np.float32) <= exact)[used].all()
+    assert (exact <= upper.astype(np.float32))[used].all()
+
+
+def ties_case():
+    """40% of the pixels share one hard row, so the K-th loss, K = 15% of
+    the valid pixels, falls among thousands of ties."""
+    logits, labels, weights = normal_case(80, 100, seed=22)
+    labels[labels == IGNORE] = 0
+    logits[np.arange(80)[:, None], np.arange(100), labels] += np.float32(6.0)
+    hard = np.random.default_rng(23).random((80, 100)) < 0.4
+    logits[hard] = logits[hard][0]
+    labels[hard] = labels[hard][0]
+    weights[hard] = 1.0
+    logits[hard, labels[hard][0]] -= np.float32(8.0)
+    return logits, labels, weights
+
+
+def adversarial_cases():
+    ties = ties_case()
+    logits, labels, weights = normal_case(seed=24)
+    many_ignored = labels.copy()
+    many_ignored[np.random.default_rng(25).random(labels.shape) < 0.7] = IGNORE
+    one_valid = np.full_like(labels, IGNORE)
+    one_valid[40, 50] = 3
+    one_weight = np.zeros_like(weights)
+    one_weight[10, 20] = 2.0
+    return {
+        "ties": (*ties, 0.15),
+        "fraction-one": (logits, many_ignored, weights, 1.0),
+        "fraction-1e-9": (logits, labels, weights, 1e-9),
+        "one-valid-pixel": (logits, one_valid, weights, 0.15),
+        "zero-weights-but-one": (logits, labels, one_weight, 0.15),
+    }
+
+
+@pytest.mark.parametrize("name", list(adversarial_cases()))
+def test_ce_adversarial_cases_equal_the_oracle(name):
+    logits, labels, weights, fraction = adversarial_cases()[name]
+    got, path = ce_with_path(logits, labels, weights, fraction)
+    if name == "ties":
+        k = math.ceil(fraction * np.count_nonzero(labels != IGNORE))
+        pixel = np.sort(_ce_pixel_losses(logits, labels, weights, IGNORE))[::-1]
+        assert np.count_nonzero(pixel == pixel[k - 1]) > 1000
+    if name != "zero-weights-but-one":  # every zero loss ties: the share is above half
+        assert path == "filter"
+    assert_equals_oracle(got, logits, labels, weights, fraction)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ce_non_finite_logit_off_the_label_of_an_ignored_pixel_raises(value):
+    logits, labels, weights = normal_case()
+    labels[30, 40] = IGNORE
+    logits[30, 40, 7] = value  # channel 0 is the one the filter shifts by
+    with pytest.raises(ValueError, match="logits must be finite"):
+        weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.15)
+
+
+def margin_case():
+    """+-60 margins: the filter's float32 exp overflows on some rows."""
+    rng = np.random.default_rng(26)
+    logits = (rng.integers(-1, 2, size=(40, 50, 7)) * 60.0).astype(np.float32)
+    labels = rng.integers(0, 7, size=(40, 50))
+    return logits, labels, np.ones((40, 50))
+
+
+def deep_margin_case():
+    """Half of the pixels made easy, with a channel 800 below the label's
+    logit: the exact pass's float64 exp underflows there, while the
+    filter, which leaves them out, sees a finite 0."""
+    logits, labels, weights = normal_case()
+    easy = np.flatnonzero(np.random.default_rng(30).random(labels.size) < 0.5)
+    rows = logits.reshape(-1, 19)[easy]
+    channel = np.where(labels.reshape(-1)[easy] == IGNORE, 0, labels.reshape(-1)[easy])
+    at = np.arange(easy.size)
+    rows[at, channel] += np.float32(10.0)
+    rows[at, (channel + 1) % 19] = rows[at, channel] - np.float32(800.0)
+    logits.reshape(-1, 19)[easy] = rows
+    return logits, labels, weights
+
+
+def heavy_weight_case():
+    """Weights near the float64 max: the exact pass's product overflows."""
+    logits, labels, weights = normal_case()
+    weights[5, 6] = 1e308
+    return logits, labels, weights
+
+
+CE_SIGNAL_CASES = {
+    "normal": normal_case,
+    "margins": margin_case,
+    "deep-margins": deep_margin_case,
+    "heavy-weight": heavy_weight_case,
+}
+
+
+def ce_outcome(call):
+    """The CE's value and gradient bytes, or the exception it raised, with
+    the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            loss = call()
+            outcome = (repr(loss.value), loss.gradient.tobytes())
+        except (ValueError, FloatingPointError, RuntimeWarning) as e:
+            outcome = (type(e), str(e))
+    return outcome, sorted(str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("name", list(CE_SIGNAL_CASES))
+def test_ce_warns_exactly_as_the_full_pass(name):
+    logits, labels, weights = CE_SIGNAL_CASES[name]()
+    got = ce_outcome(lambda: weighted_bootstrapped_ce(logits, labels, weights, IGNORE))
+    assert got == ce_outcome(lambda: full_pass(logits, labels, weights))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under python -W error
+        assert ce_outcome(lambda: weighted_bootstrapped_ce(logits, labels, weights, IGNORE)) \
+            == ce_outcome(lambda: full_pass(logits, labels, weights))
+
+
+@pytest.mark.parametrize("under", ["raise", "ignore"])
+@pytest.mark.parametrize("name", list(CE_SIGNAL_CASES))
+def test_ce_raises_under_errstate_exactly_as_the_full_pass(name, under):
+    logits, labels, weights = CE_SIGNAL_CASES[name]()
+    with np.errstate(all="raise", under=under):
+        got = ce_outcome(lambda: weighted_bootstrapped_ce(logits, labels, weights, IGNORE))
+        want = ce_outcome(lambda: full_pass(logits, labels, weights))
+    assert got == want
+    raised = isinstance(want[0][0], type)
+    assert raised == (name == "heavy-weight" or (name == "deep-margins" and under == "raise"))
+
+
+def test_ce_filter_path_bytes_do_not_depend_on_thread_count():
+    rng = np.random.default_rng(27)
+    logits = rng.normal(0, 3, size=(23, 29, 19)).astype(np.float32)
+    labels = rng.integers(0, 19, size=(23, 29))
+    labels[rng.random((23, 29)) < 0.05] = IGNORE
+    weights = rng.integers(0, 4, size=(23, 29)).astype(np.float32)
+    want = bootstrapped_ce_oracle(logits, labels, weights, IGNORE, 0.15)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave between numpy calls
+    try:
+        for threads in (1, 2, 3):
+            for block in (1, 3, 64):
+                with mock.patch.object(losses, "_ce_threads", lambda: threads), \
+                        mock.patch.object(losses, "_CE_BLOCK", block):
+                    got, path = ce_with_path(logits, labels, weights)
+                assert path == "filter", (threads, block)
+                assert repr(got.value) == repr(want.value), (threads, block)
+                assert got.gradient.tobytes() == want.gradient.tobytes(), (threads, block)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_ce_filter_path_on_a_strided_view_of_the_logits():
+    rng = np.random.default_rng(28)
+    wide = rng.normal(0, 1, size=(30, 40, 32)).astype(np.float32)
+    logits = wide[..., 5:24]  # rows of 19 channels, 32 apart
+    labels = rng.integers(0, 19, size=(30, 40))
+    weights = np.ones((30, 40))
+    got, path = ce_with_path(logits, labels, weights)
+    assert path == "filter"
+    assert_equals_oracle(got, logits, labels, weights)
