@@ -12,6 +12,7 @@ bytes regardless of thread count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -64,22 +65,27 @@ def _instances_payload(result: postprocess.PanopticResult) -> list[dict]:
     return payload
 
 
+def _params(cls, args):
+    """The parameter dataclass ``cls`` from the options named like its fields.
+    A rejected value's message starts with its field name; the error names
+    the field's flag too."""
+    try:
+        return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+    except ValueError as e:
+        raise ValueError(f"--{str(e).split()[0].replace('_', '-')}: {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # targets
 
 
 def cmd_targets(args) -> int:
+    params = _params(targets.TargetParams, args)
     spec = tensor_io.read_spec(args.spec)
     panoptic = tensor_io._map_tensor(args.panoptic).astype(np.int64)
     violations = validate(panoptic, spec, "panoptic")
     if violations:
         raise ValueError("invalid panoptic input: " + "; ".join(violations[:5]))
-    params = targets.TargetParams(
-        sigma=args.sigma,
-        truncation_radius=args.truncation_radius,
-        small_instance_area=args.small_instance_area,
-        small_instance_weight=args.small_instance_weight,
-    )
     bundle = targets.encode_targets(panoptic, spec, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -111,13 +117,7 @@ def cmd_fuse(args) -> int:
             f"--top-k {args.top_k} must be below the spec's label_divisor "
             f"{spec.label_divisor}, which bounds the instance part of a panoptic id"
         )
-    params = postprocess.PostprocParams(
-        nms_kernel=args.nms_kernel,
-        center_threshold=args.center_threshold,
-        top_k=args.top_k,
-        stuff_area_threshold=args.stuff_area_threshold,
-        score_mode=args.score_mode,
-    )
+    params = _params(postprocess.PostprocParams, args)
     semantic = tensor_io._map_tensor(args.semantic)
     heatmap = tensor_io._map_tensor(args.heatmap)
     offsets = tensor_io._map_tensor(args.offsets)
@@ -182,40 +182,44 @@ def _ap_payload(report: metrics.ApReport) -> dict:
     }
 
 
+# The eval modes in report order. Each maps the joint histogram of one
+# (pred, gt) pair and its prediction scores to a tally, and a list of
+# tallies, one image's or every image's, to its report payload. The metrics
+# are looked up at call time, so a wrapper installed on them sees each call.
+_EVAL_MODES = {
+    "pq": (lambda hist, spec, scores: metrics.pq_from_histogram(hist, spec),
+           lambda tallies, spec: _pq_payload(metrics.combine_pq(tallies, spec))),
+    "miou": (lambda hist, spec, scores: metrics.miou_from_histogram(hist, spec),
+             lambda tallies, spec: _miou_payload(metrics.combine_miou(tallies, spec))),
+    "ap": (lambda hist, spec, scores: metrics.ap_matches_from_histogram(hist, spec, scores),
+           lambda tallies, spec: _ap_payload(metrics.ap_report_from_matches(tallies))),
+}
+
+
+def _report(tallies: dict, spec) -> dict:
+    """The payload of each mode from its list of tallies."""
+    return {mode: _EVAL_MODES[mode][1](rows, spec) for mode, rows in tallies.items()}
+
+
 def _eval_stages(pred, gt, spec, modes, scores):
     """The metrics of one (pred, gt) pair: yields each stage's name as it
     finishes (``histogram``, each of ``modes``, then ``report``), then the
-    pair's report row and the outputs by mode; ``ap`` holds the pair's
-    match tables."""
+    pair's report row and its tallies by mode."""
     hist = metrics.joint_histogram(pred, gt)
     yield "histogram"
-    outputs: dict = {}
+    tallies: dict = {}
     for mode in modes:
-        if mode == "pq":
-            outputs[mode] = metrics.pq_from_histogram(hist, spec)
-        elif mode == "miou":
-            outputs[mode] = metrics.miou_from_histogram(hist, spec)
-        else:
-            outputs[mode] = metrics.ap_matches_from_histogram(hist, spec, scores)
+        tallies[mode] = _EVAL_MODES[mode][0](hist, spec, scores)
         yield mode
-    row = _image_payload(outputs)
+    row = _report({mode: [tally] for mode, tally in tallies.items()}, spec)
     yield "report"
-    yield row, outputs
-
-
-def _image_payload(outputs: dict) -> dict:
-    payloads = {
-        "pq": _pq_payload,
-        "miou": _miou_payload,
-        "ap": lambda matches: _ap_payload(metrics.ap_report_from_matches([matches])),
-    }
-    return {mode: payloads[mode](output) for mode, output in outputs.items()}
+    yield row, tallies
 
 
 def _eval_one(pred_path, gt_path, scores_path, spec, modes):
     pred, gt = tensor_io._map_tensor(pred_path), tensor_io._map_tensor(gt_path)
     scores = None  # every instance scores 1.0 without a fuse report
-    if scores_path and "ap" in modes:
+    if scores_path:
         try:
             doc = json.loads(Path(scores_path).read_text())
         except ValueError as e:  # not UTF-8, or not JSON
@@ -231,11 +235,11 @@ def _eval_one(pred_path, gt_path, scores_path, spec, modes):
             raise ValueError(f"{scores_path}: prediction scores must be finite, "
                              f"instance index {bad[0]} has {scores[bad[0]]}")
     try:
-        *_, (row, outputs) = _eval_stages(pred, gt, spec, modes, scores)
+        *_, result = _eval_stages(pred, gt, spec, modes, scores)
     except KeyError as e:
         message = f"{scores_path} has no score for instance index {e.args[0]}"
         raise ValueError(message) from None
-    return {"pred": str(pred_path), "gt": str(gt_path), **row}, outputs
+    return result
 
 
 def cmd_eval(args) -> int:
@@ -252,7 +256,7 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"pred-scores list has {len(scores)} entries but pred list has {len(preds)}"
         )
-    modes = ("pq", "miou", "ap") if args.mode == "all" else (args.mode,)
+    modes = tuple(_EVAL_MODES) if args.mode == "all" else (args.mode,)
 
     jobs = [(pred, gt, score, spec, modes) for pred, gt, score in zip(preds, gts, scores)]
     # One thread runs in the caller: a worker thread would get its own malloc
@@ -263,22 +267,12 @@ def cmd_eval(args) -> int:
     else:
         rows = [_eval_one(*job) for job in jobs]
 
-    report: dict = {"mode": args.mode, "images": [r for r, _ in rows]}
-    aggregate: dict = {}
-    if "pq" in modes:
-        aggregate["pq"] = _pq_payload(
-            metrics.combine_pq([o["pq"] for _, o in rows], spec)
-        )
-    if "miou" in modes:
-        aggregate["miou"] = _miou_payload(
-            metrics.combine_miou([o["miou"] for _, o in rows], spec)
-        )
-    if "ap" in modes:
-        aggregate["ap"] = _ap_payload(
-            metrics.ap_report_from_matches([o["ap"] for _, o in rows])
-        )
-    report["aggregate"] = aggregate
-    _emit(report, args.report)
+    images = [{"pred": str(p), "gt": str(g), **row} for p, g, (row, _) in zip(preds, gts, rows)]
+    # One image's tallies combine to its own row.
+    aggregate = rows[0][0] if len(rows) == 1 else _report(
+        {mode: [tallies[mode] for _, tallies in rows] for mode in modes}, spec
+    )
+    _emit({"mode": args.mode, "images": images, "aggregate": aggregate}, args.report)
     return EXIT_OK
 
 
@@ -299,7 +293,7 @@ def cmd_bench(args) -> int:
         scores = {r.instance_index: r.score for r in result.instances}
 
         def run():
-            return _eval_stages(pred, gt, spec, ("pq", "miou", "ap"), scores)
+            return _eval_stages(pred, gt, spec, tuple(_EVAL_MODES), scores)
 
         digest_key = "report_sha256"
 
@@ -440,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", nargs="+", required=True)
     p.add_argument("--gt", nargs="+", required=True)
     p.add_argument("--spec", required=True)
-    p.add_argument("--mode", choices=("pq", "miou", "ap", "all"), default="all")
+    p.add_argument("--mode", choices=(*_EVAL_MODES, "all"), default="all")
     p.add_argument("--pred-scores", nargs="+", default=None,
                    help="per-image instance reports from fuse (for AP scores)")
     p.add_argument("--threads", type=int, default=1)

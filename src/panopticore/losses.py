@@ -34,8 +34,10 @@ class LossWeights:
     lambda_offset: float = 0.01
 
     def __post_init__(self):
-        if self.lambda_heatmap <= 0 or self.lambda_offset <= 0:
-            raise ValueError("loss weights must be positive")
+        for name in ("lambda_heatmap", "lambda_offset"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

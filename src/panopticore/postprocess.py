@@ -78,8 +78,10 @@ class PostprocParams:
             raise ValueError(f"nms_kernel must be odd and >= 1, got {self.nms_kernel}")
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.center_threshold < 0:
-            raise ValueError(f"center_threshold must be >= 0, got {self.center_threshold}")
+        if not 0 <= self.center_threshold < np.inf:  # NaN fails too
+            raise ValueError(
+                f"center_threshold must be finite and >= 0, got {self.center_threshold}"
+            )
         if self.stuff_area_threshold is not None and self.stuff_area_threshold < 0:
             raise ValueError(f"stuff_area_threshold must be >= 0, got {self.stuff_area_threshold}")
         if self.score_mode not in SCORE_MODES:

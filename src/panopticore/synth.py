@@ -2,7 +2,7 @@
 
 ``random_scene`` builds ground-truth panoptic maps from a stuff Voronoi
 background plus elliptical thing instances. Scenes keep instance mass
-centers at least ``min_center_separation`` pixels apart so that exact
+centers at least 4 pixels apart so that exact
 targets survive the full inference round trip; overlapping paints and
 re-checks make that property hold on the final map, not the intent.
 """
@@ -29,7 +29,6 @@ def make_spec(
     num_things: int = 4,
     ignore_label: int = 255,
     label_divisor: int = 1000,
-    stuff_area_threshold: int = 0,
 ) -> DatasetSpec:
     categories = [
         CategorySpec(id=i, name=f"stuff_{i}", is_thing=False) for i in range(num_stuff)
@@ -41,7 +40,6 @@ def make_spec(
         categories=tuple(categories),
         ignore_label=ignore_label,
         label_divisor=label_divisor,
-        stuff_area_threshold=stuff_area_threshold,
     )
 
 
@@ -84,18 +82,15 @@ def random_scene(
     max_size: int = 256,
     max_instances: int = 20,
     min_stuff: int = 3,
-    min_center_separation: float = 4.0,
     allow_void: bool = True,
-    spec: DatasetSpec | None = None,
 ) -> Scene:
     """Generate one ground-truth panoptic scene.
 
-    Retries with derived seeds until the separation constraint holds on the
-    final (post-overlap) mass centers and at least ``min_stuff`` stuff
+    Retries with derived seeds until the mass centers stay 4 pixels apart on
+    the final (post-overlap) map and at least ``min_stuff`` stuff
     categories plus one instance survive.
     """
-    if spec is None:
-        spec = make_spec(num_stuff=max(4, min_stuff), num_things=4)
+    spec = make_spec(num_stuff=max(4, min_stuff), num_things=4)
     stuff_ids = sorted(spec.stuff_ids)
     thing_ids = sorted(spec.thing_ids)
 
@@ -127,7 +122,7 @@ def random_scene(
             for j in range(i + 1, len(centers)):
                 dr = centers[i][0] - centers[j][0]
                 dc = centers[i][1] - centers[j][1]
-                if dr * dr + dc * dc < min_center_separation**2:
+                if dr * dr + dc * dc < 16.0:  # closer than 4 pixels
                     ok = False
         # Each stuff category has one segment id, with instance part 0.
         stuff_present = spec.table.stuff[table.category] & (table.instance == 0)

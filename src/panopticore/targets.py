@@ -43,13 +43,16 @@ class TargetParams:
     small_instance_weight: float = 3.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.truncation_radius <= 0:
-            raise ValueError(f"truncation_radius must be > 0, got {self.truncation_radius}")
-        if self.small_instance_weight < 1:
+        # Written so that NaN fails every range test.
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not 0 < self.truncation_radius < math.inf:
             raise ValueError(
-                f"small_instance_weight must be >= 1, got {self.small_instance_weight}"
+                f"truncation_radius must be finite and > 0, got {self.truncation_radius}"
+            )
+        if not 1 <= self.small_instance_weight < math.inf:
+            raise ValueError(
+                f"small_instance_weight must be finite and >= 1, got {self.small_instance_weight}"
             )
 
 

@@ -289,6 +289,28 @@ def test_fuse_bad_params_exit_1_before_reading(scene_files, capsys, flag, value,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--sigma", "--truncation-radius", "--small-instance-weight"])
+def test_targets_non_finite_param_exit_1(scene_files, capsys, flag, value):
+    scene, gt_path, spec_path, tmp = scene_files
+    out = tmp / "targets"
+    assert run_targets(gt_path, spec_path, out, f"{flag}={value}") == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fuse_non_finite_center_threshold_exit_1(scene_files, capsys, value):
+    scene, gt_path, spec_path, tmp = scene_files
+    targets_dir = tmp / "targets"
+    assert run_targets(gt_path, spec_path, targets_dir) == 0
+    out, report = tmp / "o.pdlt", tmp / "r.json"
+    capsys.readouterr()
+    assert run_fuse(targets_dir, spec_path, out, report, f"--center-threshold={value}") == 1
+    assert "--center-threshold" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
 def test_eval_identical_maps(scene_files, tmp_path):
     scene, gt_path, spec_path, tmp = scene_files
     report_path = tmp / "eval.json"
@@ -396,6 +418,75 @@ def test_eval_multi_image_aggregation_identity(tmp_path):
         denominator = tp + 0.5 * fp + 0.5 * fn
         expected = (iou / tp) * (tp / denominator) if tp else 0.0
         assert agg_row["pq"] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.fixture()
+def eval_pairs(tmp_path):
+    """Two (pred, gt, scores) file triples on one spec: each gt a random
+    scene, its pred the scene shifted by (2, -3), with uneven scores."""
+    triples = []
+    for i, seed in enumerate((201, 202)):
+        scene = random_scene(seed, max_size=64)
+        paths = [tmp_path / f"{name}{i}" for name in ("pred.pdlt", "gt.pdlt", "scores.json")]
+        write_tensor(np.roll(scene.panoptic, (2, -3), axis=(0, 1)).astype(np.uint32), paths[0])
+        write_tensor(scene.panoptic.astype(np.uint32), paths[1])
+        rows = [{"instance_index": k, "score": 0.05 + 0.1 * (k % 7)}
+                for k in _instance_indices(scene)]
+        paths[2].write_text(json.dumps({"instances": rows}))
+        triples.append(paths)
+    write_spec(scene.spec, tmp_path / "spec.json")
+    return scene.spec, tmp_path / "spec.json", triples
+
+
+def run_eval(spec_path, triples, mode, report):
+    preds, gts, scores = ([str(t[k]) for t in triples] for k in range(3))
+    argv = ["eval", "--pred", *preds, "--gt", *gts, "--spec", str(spec_path),
+            "--mode", mode, "--pred-scores", *scores, "--report", str(report)]
+    assert main(argv) == 0
+    return json.loads(report.read_text())
+
+
+def test_eval_one_image_aggregate_is_its_row(eval_pairs, tmp_path):
+    spec, spec_path, triples = eval_pairs
+    doc = run_eval(spec_path, triples[:1], "all", tmp_path / "eval.json")
+    image = doc["images"][0]
+    assert (image.pop("pred"), image.pop("gt")) == tuple(map(str, triples[0][:2]))
+    assert set(image) == {"pq", "miou", "ap"}
+    assert doc["aggregate"] == image
+
+
+def test_eval_aggregate_combines_every_image(eval_pairs, tmp_path):
+    from panopticore import metrics
+
+    spec, spec_path, triples = eval_pairs
+    doc = run_eval(spec_path, triples, "all", tmp_path / "eval.json")
+    hists, scores = [], []
+    for pred, gt, scores_path in triples:
+        hists.append(metrics.joint_histogram(read_tensor(pred), read_tensor(gt)))
+        rows = json.loads(scores_path.read_text())["instances"]
+        scores.append({r["instance_index"]: r["score"] for r in rows})
+    expected = {
+        "pq": cli._pq_payload(
+            metrics.combine_pq([metrics.pq_from_histogram(h, spec) for h in hists], spec)),
+        "miou": cli._miou_payload(
+            metrics.combine_miou([metrics.miou_from_histogram(h, spec) for h in hists], spec)),
+        "ap": cli._ap_payload(metrics.ap_report_from_matches(
+            [metrics.ap_matches_from_histogram(h, spec, s) for h, s in zip(hists, scores)])),
+    }
+    assert doc["aggregate"] == json.loads(json.dumps(expected))
+    assert doc["aggregate"] != doc["images"][0]
+
+
+@pytest.mark.parametrize("images", [1, 2])
+def test_eval_each_mode_is_its_part_of_all(eval_pairs, tmp_path, images):
+    spec, spec_path, triples = eval_pairs
+    everything = run_eval(spec_path, triples[:images], "all", tmp_path / "all.json")
+    for mode in ("pq", "miou", "ap"):
+        doc = run_eval(spec_path, triples[:images], mode, tmp_path / f"{mode}.json")
+        assert doc["mode"] == mode
+        assert doc["aggregate"] == {mode: everything["aggregate"][mode]}
+        for image, whole in zip(doc["images"], everything["images"]):
+            assert image == {"pred": whole["pred"], "gt": whole["gt"], mode: whole[mode]}
 
 
 def test_eval_count_mismatch_exit_1(scene_files):
@@ -564,6 +655,17 @@ def test_bench_eval_workload_times_the_stages_eval_runs(tmp_path):
     del image["pred"], image["gt"]
     text = json.dumps(image, sort_keys=True)
     assert doc["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_bench_eval_digest_is_pinned(tmp_path):
+    # The digest at 9e56525, before the eval modes became one table: the
+    # report bytes stay.
+    report = tmp_path / "bench.json"
+    code = main(["bench", "--height", "64", "--width", "96", "--centers", "12",
+                 "--repetitions", "1", "--workload", "eval", "--report", str(report)])
+    assert code == 0
+    digest = "6da9fecc08a17bbb3713fd37153ac32d523beb5d23359158fde4f3559fa87efa"
+    assert json.loads(report.read_text())["report_sha256"] == digest
 
 
 def test_bench_train_workload_times_targets_and_the_losses(tmp_path):

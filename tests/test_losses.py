@@ -435,6 +435,13 @@ def test_loss_weights_validation():
         LossWeights(lambda_heatmap=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lambda_heatmap", "lambda_offset"])
+def test_loss_weights_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        LossWeights(**{field: value})
+
+
 def test_gradients_finite_on_random_inputs():
     rng = np.random.default_rng(3)
     logits = rng.normal(0, 10, size=(6, 6, 4))

@@ -80,6 +80,12 @@ def test_nms_even_kernel_rejected():
         keypoint_nms(np.zeros((4, 4), dtype=np.float32), 4)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_postproc_params_reject_non_finite_center_threshold(value):
+    with pytest.raises(ValueError, match="^center_threshold must be finite"):
+        postprocess.PostprocParams(center_threshold=value)
+
+
 def test_nms_matches_bruteforce_scan():
     rng = np.random.default_rng(42)
     for _ in range(50):

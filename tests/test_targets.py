@@ -111,6 +111,13 @@ def test_heatmap_center_outside_dims_rejected():
         encode_center_heatmap([InstanceCenter(10, 2)], Dims(4, 4))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["sigma", "truncation_radius", "small_instance_weight"])
+def test_target_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        TargetParams(**{field: value})
+
+
 def test_offsets_point_at_center():
     panoptic = panoptic_with([(10, 20), (16, 16), (13, 18)], height=32, width=32)
     # Mass center of the three pixels:
