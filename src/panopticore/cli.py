@@ -20,6 +20,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,12 +54,7 @@ def _emit(report: dict, path: str | None) -> None:
 def _instances_payload(result: postprocess.PanopticResult) -> list[dict]:
     payload = []
     for record in result.instances:
-        row = {
-            "instance_index": record.instance_index,
-            "category": record.category,
-            "area": record.area,
-            "score": record.score,
-        }
+        row = {name: value for name, value in vars(record).items() if name != "center"}
         if record.center is not None:
             row["center"] = [record.center.row, record.center.col]
         payload.append(row)
@@ -82,7 +78,7 @@ def _params(cls, args):
 def cmd_targets(args) -> int:
     params = _params(targets.TargetParams, args)
     spec = tensor_io.read_spec(args.spec)
-    panoptic = tensor_io._map_tensor(args.panoptic).astype(np.int64)
+    panoptic = tensor_io._map_tensor(args.panoptic)
     violations = validate(panoptic, spec, "panoptic")
     if violations:
         raise ValueError("invalid panoptic input: " + "; ".join(violations[:5]))
@@ -140,31 +136,9 @@ def cmd_fuse(args) -> int:
 
 
 def _pq_payload(report: metrics.PqReport) -> dict:
-    def agg(a):
-        return {
-            "pq": a.pq,
-            "sq": a.sq,
-            "rq": a.rq,
-            "num_categories": a.num_categories,
-        }
-
-    return {
-        "all": agg(report.all),
-        "things": agg(report.things),
-        "stuff": agg(report.stuff),
-        "per_category": {
-            str(cid): {
-                "pq": row.pq,
-                "sq": row.sq,
-                "rq": row.rq,
-                "tp": row.tp,
-                "fp": row.fp,
-                "fn": row.fn,
-                "iou_sum": row.iou_sum,
-            }
-            for cid, row in report.per_category.items()
-        },
-    }
+    payload = {name: vars(part) for name, part in vars(report).items() if name != "per_category"}
+    payload["per_category"] = {str(cid): vars(row) for cid, row in report.per_category.items()}
+    return payload
 
 
 def _miou_payload(report: metrics.IoUReport) -> dict:
@@ -218,6 +192,8 @@ def _eval_stages(pred, gt, spec, modes, scores):
 
 def _eval_one(pred_path, gt_path, scores_path, spec, modes):
     pred, gt = tensor_io._map_tensor(pred_path), tensor_io._map_tensor(gt_path)
+    metrics._check_map(pred, pred_path)
+    metrics._check_map(gt, gt_path)
     scores = None  # every instance scores 1.0 without a fuse report
     if scores_path:
         try:
@@ -280,66 +256,68 @@ def cmd_eval(args) -> int:
 # bench
 
 
+def _train_stages(gt, logits, heatmap, offsets, spec):
+    """Targets of ``gt``, then each loss against its prediction."""
+    bundle = targets.encode_targets(gt, spec)
+    yield "targets"
+    ce = losses.weighted_bootstrapped_ce(
+        logits, bundle.semantic_labels, bundle.semantic_weights, spec.ignore_label
+    )
+    yield "ce"
+    heat = losses.mse_heatmap_loss(heatmap, bundle.heatmap)
+    yield "heatmap"
+    off = losses.l1_offset_loss(offsets, bundle.offsets, bundle.thing_mask)
+    yield "offsets"
+    yield ce, heat, off
+
+
+def _bench_probs(semantic, heatmap, offsets, spec, params):
+    probs = np.zeros(semantic.shape + (spec.num_categories,), dtype=np.float32)
+    np.put_along_axis(probs, spec.table.channel[semantic][..., None], np.float32(1.0), axis=2)
+    return partial(postprocess._inference_stages, probs, heatmap, offsets, spec, params)
+
+
+def _bench_eval(semantic, heatmap, offsets, spec, params):
+    result = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params)
+    gt = result.panoptic.astype(np.uint32)
+    pred = np.roll(gt, (3, -5), axis=(0, 1))
+    scores = {r.instance_index: r.score for r in result.instances}
+    return partial(_eval_stages, pred, gt, spec, tuple(_EVAL_MODES), scores)
+
+
+def _bench_train(semantic, heatmap, offsets, spec, params):
+    # Its semantic labels are channel indices: the spec's ids are 0..C-1.
+    gt = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params).panoptic
+    return partial(_train_stages, gt, bench_logits(gt, spec), heatmap, offsets, spec)
+
+
+def _panoptic_buffers(result) -> tuple:
+    return (result.panoptic.astype(np.int64).tobytes(),)
+
+
+# The bench workloads by --workload name, the default first. Each builds,
+# from the bench_inputs grids, the factory of one run's stages (a generator
+# that yields each stage's name as it finishes, then the result), and names
+# its digest's report key and the buffers of a result that the digest hashes.
+_BENCH_WORKLOADS = {
+    "fuse-labels": (lambda *inputs: partial(postprocess._inference_stages, *inputs),
+                    "panoptic_sha256", _panoptic_buffers),
+    "fuse-probs": (_bench_probs, "panoptic_sha256", _panoptic_buffers),
+    "eval": (_bench_eval, "report_sha256",
+             lambda result: (json.dumps(result[0], sort_keys=True).encode(),)),
+    # Buffers, so the gradients are not copied.
+    "train": (_bench_train, "train_sha256",
+              lambda result: (repr([loss.value for loss in result]).encode(),
+                              *(loss.gradient for loss in result))),
+}
+
+
 def cmd_bench(args) -> int:
     if args.repetitions < 1:
         raise ValueError(f"--repetitions must be >= 1, got {args.repetitions}")
-    semantic, heatmap, offsets, spec = bench_inputs(args.height, args.width, args.centers)
-    params = postprocess.PostprocParams()
-    if args.workload == "eval":
-        # The fused map as gt, shifted by (3, -5) pixels as pred.
-        result = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params)
-        gt = result.panoptic.astype(np.uint32)
-        pred = np.roll(gt, (3, -5), axis=(0, 1))
-        scores = {r.instance_index: r.score for r in result.instances}
-
-        def run():
-            return _eval_stages(pred, gt, spec, tuple(_EVAL_MODES), scores)
-
-        digest_key = "report_sha256"
-
-        def digest(result) -> tuple:
-            row, _ = result
-            return (json.dumps(row, sort_keys=True).encode(),)
-    elif args.workload == "train":
-        # The fused map as gt. Its semantic labels are channel indices, as
-        # the spec's category ids are 0..C-1.
-        gt = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params).panoptic
-        logits = bench_logits(gt, spec)
-
-        def run():
-            bundle = targets.encode_targets(gt, spec)
-            yield "targets"
-            ce = losses.weighted_bootstrapped_ce(
-                logits, bundle.semantic_labels, bundle.semantic_weights, spec.ignore_label
-            )
-            yield "ce"
-            heat = losses.mse_heatmap_loss(heatmap, bundle.heatmap)
-            yield "heatmap"
-            off = losses.l1_offset_loss(offsets, bundle.offsets, bundle.thing_mask)
-            yield "offsets"
-            yield ce, heat, off
-
-        digest_key = "train_sha256"
-
-        def digest(result) -> tuple:
-            values = repr([loss.value for loss in result]).encode()
-            return (values, *(loss.gradient for loss in result))
-    else:
-        if args.workload == "fuse-probs":
-            # The one-hot float32 grid of the same labels.
-            probs = np.zeros(semantic.shape + (spec.num_categories,), dtype=np.float32)
-            channels = spec.table.channel[semantic][..., None]
-            np.put_along_axis(probs, channels, np.float32(1.0), axis=2)
-            semantic = probs
-
-        def run():
-            return postprocess._inference_stages(semantic, heatmap, offsets, spec, params)
-
-        digest_key = "panoptic_sha256"
-
-        def digest(result) -> tuple:
-            return (result.panoptic.astype(np.int64).tobytes(),)
-
+    build, digest_key, buffers = _BENCH_WORKLOADS[args.workload]
+    run = build(*bench_inputs(args.height, args.width, args.centers),
+                postprocess.PostprocParams())
     stages: dict[str, list[float]] = {}
     end_to_end = []
     for _ in range(args.repetitions):
@@ -354,7 +332,7 @@ def cmd_bench(args) -> int:
         end_to_end.append(last - start)
     stages["end_to_end"] = end_to_end
     sha = hashlib.sha256()
-    for part in digest(step):  # buffers, so gradients are not copied
+    for part in buffers(step):
         sha.update(part)
     report = {
         "dims": [args.height, args.width],
@@ -369,7 +347,7 @@ def cmd_bench(args) -> int:
             for name, times in stages.items()
         },
     }
-    if args.workload != "fuse-labels":  # the default report keeps its keys
+    if args.workload != next(iter(_BENCH_WORKLOADS)):  # the default names none
         report["workload"] = args.workload
     _emit(report, args.report)
     return EXIT_OK
@@ -446,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=2049)
     p.add_argument("--centers", type=int, default=200)
     p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--workload", choices=("fuse-labels", "fuse-probs", "eval", "train"),
-                   default="fuse-labels",
+    p.add_argument("--workload", choices=_BENCH_WORKLOADS, default=next(iter(_BENCH_WORKLOADS)),
                    help="fuse on (H, W) labels or on their one-hot (H, W, C) float32 grid, "
                    "eval --mode all of the fused map against itself shifted by (3, -5), "
                    "or targets and the three losses with the fused map as gt")

@@ -95,9 +95,18 @@ class JointHistogram(NamedTuple):
     counts: np.ndarray
 
 
+def _check_map(grid: np.ndarray, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``grid`` is a 2-D integer map."""
+    if grid.ndim != 2 or not np.issubdtype(grid.dtype, np.integer):
+        raise ValueError(f"{name} must be a 2-D integer panoptic map, got {grid.dtype} "
+                         f"of shape {grid.shape}")
+
+
 def joint_histogram(pred: np.ndarray, gt: np.ndarray) -> JointHistogram:
     """The joint histogram of two panoptic maps, from one pass over the
     pixels: each run of equal (pred id, gt id) pairs is counted once."""
+    _check_map(pred, "pred map")
+    _check_map(gt, "gt map")
     if pred.shape != gt.shape:
         raise ValueError(f"pred shape {pred.shape} != gt shape {gt.shape}")
     if pred.size == 0:

@@ -47,10 +47,16 @@ SCORE_MODES = ("objectness", "class", "product")
 _GROUP_TILE = 32
 
 # Peaks are searched among the pixels above the center threshold while
-# candidates x kernel**2 stays within this multiple of the pixel count;
-# denser heatmaps take the full window-max filter, which costs about as
-# much as the candidate search at this density.
+# (candidates + _PEAK_OFFSET_COST) x kernel**2 stays within _PEAK_DENSITY
+# times the pixel count; denser heatmaps take the full window-max filter,
+# which costs about as much as the search at this density. Each window
+# offset costs three numpy calls however few the candidates (~2 us, some
+# 400 candidates' reads on a 2-core VM); counting it as 16 sends kernels
+# near the image's size to the filter (the search takes at most ~1.3 s at
+# 1025x2049) and keeps 16x16 maps with a few candidates on the search at
+# kernels 3 to 7, where the oracles check it.
 _PEAK_DENSITY = 4
+_PEAK_OFFSET_COST = 16
 
 # Pixels per block of the pass over (H, W, C) probabilities. Its (C, block)
 # channel-major copy (1.2 MiB of float32 at C = 19) and scratch fit a 2 MiB
@@ -168,13 +174,16 @@ def _peak_centers(
     square ring of offsets at a time, nearest first; a candidate that meets
     a larger value is dropped before the next ring. The survivors, alone on
     an empty map, go through ``extract_centers``. Heatmaps with too many
-    candidates (see ``_PEAK_DENSITY``) or of a non-float dtype take the full
-    filter instead.
+    candidates for their kernel (see ``_PEAK_DENSITY``) or of a non-float
+    dtype take the full filter instead.
     """
     above = heatmap > threshold
+    count = np.count_nonzero(above)
+    if not count:
+        return []
     if (
         heatmap.dtype.kind != "f"
-        or np.count_nonzero(above) * kernel * kernel > _PEAK_DENSITY * heatmap.size
+        or (count + _PEAK_OFFSET_COST) * kernel * kernel > _PEAK_DENSITY * heatmap.size
     ):
         return extract_centers(keypoint_nms(heatmap, kernel), threshold, top_k)
     candidates = np.flatnonzero(above)
@@ -189,12 +198,12 @@ def _peak_centers(
     at = candidates + (candidates // width * (2 * radius) + radius * stride + radius)
     values = padded[at]
     for ring in range(1, radius + 1):
-        offsets = [
-            dy * stride + dx
-            for dy in range(-ring, ring + 1)
-            for dx in range(-ring, ring + 1)
-            if max(abs(dy), abs(dx)) == ring
-        ]
+        if not candidates.size:
+            return []
+        # The square ring: its top and bottom rows, then its side columns.
+        side = range(-ring, ring + 1)
+        offsets = [edge * stride + d for edge in (-ring, ring) for d in side]
+        offsets += [d * stride + edge for edge in (-ring, ring) for d in side[1:-1]]
         ring_max = padded[at + offsets[0]]
         for offset in offsets[1:]:
             np.maximum(ring_max, padded[at + offset], out=ring_max)
@@ -506,14 +515,11 @@ def _class_scores(
     return {r.instance_index: scores[r.instance_index] for r in result.instances}
 
 
-def _probability_labels(
-    probs: np.ndarray, ids: np.ndarray | None = None
-) -> np.ndarray | None:
-    """Check a (H, W, C) probability grid; with ``ids``, also reduce it to
-    labels.
+def _probability_labels(probs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Check a (H, W, C) probability grid and reduce it to labels.
 
-    Every pixel's channels must sum to 1 within 1e-5 (numpy's float64 row
-    sum) and be finite; with ``ids`` (the category id of each channel) the
+    ``ids`` holds the category id of each channel. Every pixel's channels
+    must sum to 1 within 1e-5 (numpy's float64 row sum) and be finite; the
     (H, W) map ``ids[argmax]`` is returned, ties going to the lowest channel.
 
     One pass in blocks of ``_PROB_BLOCK`` pixels. A float block is copied
@@ -531,8 +537,12 @@ def _probability_labels(
     row-wise pass (``selftest.probability_labels_oracle``).
     """
     num_channels = probs.shape[2]
+    if num_channels != ids.size:
+        raise ValueError(
+            f"probability grid has {num_channels} channels, spec has {ids.size} categories"
+        )
     flat = probs.reshape(-1, num_channels)
-    labels = None if ids is None else np.empty(flat.shape[0], dtype=ids.dtype)
+    labels = np.empty(flat.shape[0], dtype=ids.dtype)
     size = max(1, min(_PROB_BLOCK, flat.shape[0]))
     slack = num_channels * num_channels * 2.0**-50
     # Per-block scratch, allocated once. A channel c equal to the pixel's
@@ -546,15 +556,14 @@ def _probability_labels(
     sums = np.empty(size, dtype=np.float64)
     top = np.empty(size, dtype=probs.dtype)
     best = np.empty(size, dtype=key_dtype)
-    id_of_key = None if ids is None else np.concatenate((ids[:1], ids[::-1]))
+    id_of_key = np.concatenate((ids[:1], ids[::-1]))
     for start in range(0, flat.shape[0], size):
         block = flat[start : start + size]
         n = block.shape[0]
         if probs.dtype.kind == "f":
             channels = major[:, :n]
             np.copyto(channels, block.T)
-            # inf - inf or an overflow fails the block, and numpy's row sum
-            # below then warns as it always did.
+            # inf - inf or an overflow fails the block.
             with np.errstate(invalid="ignore", over="ignore"):
                 deviation = np.add.reduce(channels, axis=0, dtype=np.float64, out=sums[:n])
             high = np.maximum.reduce(channels, axis=0, out=top[:n])
@@ -563,20 +572,20 @@ def _probability_labels(
             np.abs(deviation, out=deviation)
             # A NaN or infinity anywhere makes the left side NaN or inf.
             if deviation.max() + slack * magnitude <= 1e-5:
-                if labels is not None:
-                    np.equal(channels, high, out=hits[:, :n])
-                    np.multiply(hits[:, :n], keys, out=keyed[:, :n])
-                    np.maximum.reduce(keyed[:, :n], axis=0, out=best[:n])
-                    np.take(id_of_key, best[:n], out=labels[start : start + n])
+                np.equal(channels, high, out=hits[:, :n])
+                np.multiply(hits[:, :n], keys, out=keyed[:, :n])
+                np.maximum.reduce(keyed[:, :n], axis=0, out=best[:n])
+                np.take(id_of_key, best[:n], out=labels[start : start + n])
                 continue
-        row_sums = block.sum(axis=1, dtype=np.float64)
+        # A sum that warns (inf - inf, an overflow) ends in the ValueError.
+        with np.errstate(invalid="ignore", over="ignore"):
+            row_sums = block.sum(axis=1, dtype=np.float64)
         if not np.all(np.abs(row_sums - 1.0) <= 1e-5):
             if not np.isfinite(block).all():
                 raise ValueError("semantic probabilities contain non-finite values")
             raise ValueError("semantic probabilities must sum to 1 per pixel")
-        if labels is not None:
-            labels[start : start + n] = ids[block.argmax(axis=1)]
-    return None if labels is None else labels.reshape(probs.shape[:2])
+        labels[start : start + n] = ids[block.argmax(axis=1)]
+    return labels.reshape(probs.shape[:2])
 
 
 def score_instances(
@@ -591,8 +600,8 @@ def score_instances(
     Objectness is the instance's center heatmap value (``center_scores``
     keyed by instance index); the class score is the mean probability of the
     voted category over the instance's pixels. ``mode`` picks objectness,
-    class, or their product. A (H, W, C) probability grid must be finite and
-    sum to 1 per pixel.
+    class, or their product. A (H, W, C) probability grid must have a channel
+    per spec category, be finite and sum to 1 per pixel.
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"score mode must be one of {SCORE_MODES}, got {mode!r}")
@@ -602,7 +611,7 @@ def score_instances(
         if semantic_probs is None:
             raise ValueError(f"score mode {mode!r} requires semantic probabilities")
         if semantic_probs.ndim == 3:
-            _probability_labels(semantic_probs)
+            _probability_labels(semantic_probs, spec.table.ids)
     return _score_instances(result, center_scores, semantic_probs, mode, spec)
 
 
@@ -671,11 +680,6 @@ def _inference_stages(
         raise ValueError("offsets contains non-finite values")
     table = spec.table
     if semantic.ndim == 3:
-        if semantic.shape[2] != spec.num_categories:
-            raise ValueError(
-                f"probability grid has {semantic.shape[2]} channels, "
-                f"spec has {spec.num_categories} categories"
-            )
         ids = table.ids.astype(np.min_scalar_type(int(table.ids.max())))
         labels = _probability_labels(semantic, ids)
     else:

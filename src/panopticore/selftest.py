@@ -193,24 +193,22 @@ def class_scores_oracle(
     }
 
 
-def probability_labels_oracle(
-    probs: np.ndarray, ids: np.ndarray | None = None
-) -> np.ndarray | None:
+def probability_labels_oracle(probs: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """``postprocess._probability_labels`` as first written: numpy's float64
     row sum and row argmax, block by block (``postprocess._PROB_BLOCK``
     pixels), so a grid with faults in two blocks fails on the first one."""
     flat = probs.reshape(-1, probs.shape[2])
-    labels = None if ids is None else np.empty(flat.shape[0], dtype=ids.dtype)
+    labels = np.empty(flat.shape[0], dtype=ids.dtype)
     for start in range(0, flat.shape[0], postprocess._PROB_BLOCK):
         block = flat[start : start + postprocess._PROB_BLOCK]
-        sums = block.sum(axis=1, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            sums = block.sum(axis=1, dtype=np.float64)
         if not np.all(np.abs(sums - 1.0) <= 1e-5):
             if not np.isfinite(block).all():
                 raise ValueError("semantic probabilities contain non-finite values")
             raise ValueError("semantic probabilities must sum to 1 per pixel")
-        if labels is not None:
-            labels[start : start + block.shape[0]] = ids[block.argmax(axis=1)]
-    return None if labels is None else labels.reshape(probs.shape[:2])
+        labels[start : start + block.shape[0]] = ids[block.argmax(axis=1)]
+    return labels.reshape(probs.shape[:2])
 
 
 def segment_table_oracle(panoptic: np.ndarray, spec: DatasetSpec) -> core.SegmentTable:
@@ -541,22 +539,30 @@ def _check_grouping(seed: int = 0, cases: int = 200) -> str:
     return ""
 
 
+def _central_differences(name, loss, pred, step, tol, skip=lambda idx: False) -> str:
+    """The gradient of ``loss(pred, True)`` against central differences of
+    ``loss(pred, False)`` at every entry of ``pred`` that ``skip`` keeps."""
+    grad = loss(pred, True).gradient
+    for idx in np.ndindex(pred.shape):
+        if skip(idx):
+            continue
+        plus, minus = pred.copy(), pred.copy()
+        plus[idx] += step
+        minus[idx] -= step
+        fd = (loss(plus, False).value - loss(minus, False).value) / (2 * step)
+        if relative_error(grad[idx], fd) > tol:
+            return f"{name} grad at {idx}: analytic {grad[idx]} vs fd {fd}"
+    return ""
+
+
 def _fd_mse(seed: int, step: float = 1e-4, tol: float = 1e-4) -> str:
     rng = np.random.default_rng(seed)
     pred = rng.random((8, 8))
     target = rng.random((8, 8))
-    grad = losses.mse_heatmap_loss(pred, target).gradient
-    for idx in np.ndindex(pred.shape):
-        plus, minus = pred.copy(), pred.copy()
-        plus[idx] += step
-        minus[idx] -= step
-        fd = (
-            losses.mse_heatmap_loss(plus, target, with_gradient=False).value
-            - losses.mse_heatmap_loss(minus, target, with_gradient=False).value
-        ) / (2 * step)
-        if relative_error(grad[idx], fd) > tol:
-            return f"mse grad at {idx}: analytic {grad[idx]} vs fd {fd}"
-    return ""
+    return _central_differences(
+        "mse", lambda p, grad: losses.mse_heatmap_loss(p, target, with_gradient=grad),
+        pred, step, tol,
+    )
 
 
 def _fd_l1(seed: int, step: float = 1e-4, tol: float = 1e-4) -> str:
@@ -564,20 +570,11 @@ def _fd_l1(seed: int, step: float = 1e-4, tol: float = 1e-4) -> str:
     pred = rng.normal(0, 2, size=(8, 8, 2))
     target = rng.normal(0, 2, size=(8, 8, 2))
     mask = rng.random((8, 8)) < 0.7
-    grad = losses.l1_offset_loss(pred, target, mask).gradient
-    for idx in np.ndindex(pred.shape):
-        if abs(pred[idx] - target[idx]) < max(1e-6, 2 * step):
-            continue  # sign boundary: not differentiable
-        plus, minus = pred.copy(), pred.copy()
-        plus[idx] += step
-        minus[idx] -= step
-        fd = (
-            losses.l1_offset_loss(plus, target, mask, with_gradient=False).value
-            - losses.l1_offset_loss(minus, target, mask, with_gradient=False).value
-        ) / (2 * step)
-        if relative_error(grad[idx], fd) > tol:
-            return f"l1 grad at {idx}: analytic {grad[idx]} vs fd {fd}"
-    return ""
+    return _central_differences(
+        "l1", lambda p, grad: losses.l1_offset_loss(p, target, mask, with_gradient=grad),
+        pred, step, tol,
+        skip=lambda idx: abs(pred[idx] - target[idx]) < max(1e-6, 2 * step),  # not differentiable
+    )
 
 
 def _ce_pixel_losses(logits, labels, weights, ignore_label):
@@ -607,54 +604,25 @@ def _fd_ce(
         labels[0, 0] = 0
     weights = rng.uniform(0.2, 2.0, size=(8, 8))
 
-    grad = losses.weighted_bootstrapped_ce(
-        logits, labels, weights, ignore, fraction
-    ).gradient
-
-    pixel = _ce_pixel_losses(logits, labels, weights, ignore)
+    pixel = _ce_pixel_losses(logits, labels, weights, ignore).reshape(8, 8)
     valid = pixel[pixel > -np.inf]
     k = max(1, int(np.ceil(fraction * valid.size)))
     ordered = np.sort(valid)[::-1]
     boundary_in = ordered[k - 1]
     boundary_out = ordered[k] if k < valid.size else -np.inf
 
-    flat_pixel = pixel.reshape(8, 8)
-    for r, c in np.ndindex(8, 8):
-        if labels[r, c] == ignore:
-            continue
-        # Skip pixels whose selection status could flip under the probe.
-        margin = 10 * weights[r, c] * step
-        if (
-            abs(flat_pixel[r, c] - boundary_in) < margin
-            or abs(flat_pixel[r, c] - boundary_out) < margin
-        ):
-            continue
-        for ch in range(num_classes):
-            plus, minus = logits.copy(), logits.copy()
-            plus[r, c, ch] += step
-            minus[r, c, ch] -= step
-            fd = (
-                losses.weighted_bootstrapped_ce(
-                    plus, labels, weights, ignore, fraction, with_gradient=False
-                ).value
-                - losses.weighted_bootstrapped_ce(
-                    minus, labels, weights, ignore, fraction, with_gradient=False
-                ).value
-            ) / (2 * step)
-            if relative_error(grad[r, c, ch], fd) > tol:
-                return (
-                    f"ce grad at {(r, c, ch)}: analytic {grad[r, c, ch]} vs fd {fd}"
-                )
-    return ""
+    def skip(idx) -> bool:
+        # Ignored pixels, and pixels whose selection status could flip under
+        # the probe.
+        at, margin = idx[:2], 10 * weights[idx[:2]] * step
+        return (labels[at] == ignore or abs(pixel[at] - boundary_in) < margin
+                or abs(pixel[at] - boundary_out) < margin)
 
-
-def _check_gradients(seeds=(0, 1, 2)) -> str:
-    for seed in seeds:
-        for check in (_fd_mse, _fd_l1, _fd_ce):
-            message = check(seed)
-            if message:
-                return message
-    return ""
+    return _central_differences(
+        "ce", lambda p, grad: losses.weighted_bootstrapped_ce(
+            p, labels, weights, ignore, fraction, with_gradient=grad
+        ), logits, step, tol, skip,
+    )
 
 
 def _check_bootstrapped_ce(seed: int = 0, cases: int = 60) -> str:
@@ -704,13 +672,13 @@ def _check_class_scores(seed: int = 0, cases: int = 100) -> str:
     return ""
 
 
-def _labels_outcome(function, probs: np.ndarray, ids: np.ndarray | None):
-    """Labels as (bytes, dtype, shape), None without ids, or the message."""
+def _labels_outcome(function, probs: np.ndarray, ids: np.ndarray):
+    """Labels as (bytes, dtype, shape), or the message."""
     try:
         labels = function(probs, ids)
     except ValueError as e:
         return "error", str(e)
-    return "ok", None if labels is None else (labels.tobytes(), labels.dtype, labels.shape)
+    return "ok", (labels.tobytes(), labels.dtype, labels.shape)
 
 
 def _check_probability_labels(seed: int = 0, cases: int = 60) -> str:
@@ -751,12 +719,11 @@ def _check_probability_labels(seed: int = 0, cases: int = 60) -> str:
                 row[:] = 0
                 row[0], row[small], row[one] = big, -big, 1
         ids = (np.arange(channels) * 3 + 1).astype(np.uint16)
-        for with_ids in (ids, None):
-            got = _labels_outcome(postprocess._probability_labels, probs, with_ids)
-            want = _labels_outcome(probability_labels_oracle, probs, with_ids)
-            if got != want:
-                what = "labels" if got[0] == want[0] == "ok" else "verdict or message"
-                return f"case {i} ({channels} channels, {np.dtype(dtype).name}): {what} differ from the oracle"
+        got = _labels_outcome(postprocess._probability_labels, probs, ids)
+        want = _labels_outcome(probability_labels_oracle, probs, ids)
+        if got != want:
+            what = "labels" if got[0] == want[0] == "ok" else "verdict or message"
+            return f"case {i} ({channels} channels, {np.dtype(dtype).name}): {what} differ from the oracle"
     return ""
 
 
@@ -905,7 +872,8 @@ PROPERTIES = (
     ("round_trip", lambda: _first_failure(_check_round_trip, range(5))),
     ("nms_bruteforce", _check_nms),
     ("grouping_bruteforce", _check_grouping),
-    ("loss_gradients", _check_gradients),
+    ("loss_gradients",
+     lambda: _first_failure(lambda seed: _fd_mse(seed) or _fd_l1(seed) or _fd_ce(seed), range(3))),
     ("bootstrapped_ce_oracle", _check_bootstrapped_ce),
     ("class_scores_oracle", _check_class_scores),
     ("probability_labels_oracle", _check_probability_labels),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ def test_targets_unknown_category_exit_1(scene_files, capsys):
     assert run_targets(bad_path, spec_path, tmp / "t") == 1
     err = capsys.readouterr().err
     assert "pixel 0" in err
+
+
+def test_targets_float_container_exit_1_writes_nothing(scene_files, capsys):
+    scene, gt_path, spec_path, tmp = scene_files
+    bad_path = tmp / "float.pdlt"
+    write_tensor(scene.panoptic.astype(np.float32), bad_path)
+    assert run_targets(bad_path, spec_path, tmp / "t") == 1
+    assert "panoptic: expected integer dtype, got float32" in capsys.readouterr().err
+    assert not (tmp / "t").exists()
 
 
 def test_targets_sigma_override(scene_files):
@@ -240,6 +250,25 @@ def test_fuse_non_finite_probabilities_exit_1(scene_files, capsys, mode, value):
     code = run_fuse(targets_dir, spec_path, tmp / "o.pdlt", tmp / "r.json", "--score-mode", mode)
     assert code == 1
     assert "semantic probabilities contain non-finite values" in capsys.readouterr().err
+
+
+def test_fuse_opposite_infinities_exit_1_under_warnings_as_errors(scene_files, capsys):
+    # inf + -inf in the row sum warns; the warning must not escape first.
+    scene, gt_path, spec_path, tmp = scene_files
+    targets_dir = tmp / "targets"
+    assert run_targets(gt_path, spec_path, targets_dir) == 0
+    semantic = read_tensor(targets_dir / TARGET_FILES["semantic"])
+    probs = _one_hot_probs(semantic, scene.spec)
+    probs[semantic.shape[0] // 2, 3, :2] = np.inf, -np.inf
+    write_tensor(probs, targets_dir / TARGET_FILES["semantic"])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_fuse(targets_dir, spec_path, tmp / "o.pdlt", tmp / "r.json") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: semantic probabilities contain non-finite values\n"
+    assert captured.out == ""
+    assert not (tmp / "o.pdlt").exists() and not (tmp / "r.json").exists()
 
 
 def test_fuse_unknown_semantic_id_exit_1(scene_files, capsys):
@@ -863,6 +892,24 @@ def test_eval_unknown_id_exit_1_in_every_mode(scene_files, capsys, mode, categor
             "--mode", mode, "--report", str(tmp / "eval.json")]
     assert main(argv) == 1
     assert f"{side} map contains ids unknown to the dataset spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["float", "3-D"])
+@pytest.mark.parametrize("side", ["pred", "gt", "both"])
+def test_eval_non_integer_or_3d_map_names_the_file_exit_1(scene_files, capsys, kind, side):
+    scene, gt_path, spec_path, tmp = scene_files
+    ids = scene.panoptic.astype(np.uint32)
+    bad = ids.astype(np.float32) + np.float32(0.25) if kind == "float" else np.stack([ids, ids], axis=2)
+    bad_path = tmp / "bad.pdlt"
+    write_tensor(bad, bad_path)
+    pred = gt_path if side == "gt" else bad_path
+    gt = gt_path if side == "pred" else bad_path
+    report = tmp / "eval.json"
+    argv = ["eval", "--pred", str(pred), "--gt", str(gt), "--spec", str(spec_path),
+            "--report", str(report)]
+    assert main(argv) == 1
+    assert f"error: {bad_path} must be a 2-D integer panoptic map" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_eval_one_thread_runs_in_the_calling_thread(scene_files, monkeypatch):

@@ -518,6 +518,18 @@ def test_histogram_ap_scores_required_for_every_detection():
     assert unscored[THING[0]]["scores"].tolist() == [1.0]
 
 
+@pytest.mark.parametrize("kind", ["float", "3-D"])
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_joint_histogram_rejects_non_integer_or_3d_maps(kind, side):
+    good = np.full((4, 6), STUFF[0] * DIV, dtype=np.uint32)
+    bad = good + np.float32(0.25) if kind == "float" else np.stack([good, good], axis=2)
+    pred, gt = (bad, good) if side == "pred" else (good, bad)
+    with pytest.raises(ValueError, match=f"{side} map must be a 2-D integer panoptic map"):
+        joint_histogram(pred, gt)
+    with pytest.raises(ValueError, match="pred map must be a 2-D integer panoptic map"):
+        joint_histogram(bad, bad)
+
+
 @pytest.mark.parametrize(
     "offset",
     [-(2**40), 2**40],  # negative ids; ids too large to pack into one int64 code

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -146,6 +147,21 @@ def test_dense_candidates_fall_back_to_the_full_filter():
     assert dense == extract_centers(keypoint_nms(heatmap, 7), 0.0, 200)
     assert sparse == extract_centers(keypoint_nms(heatmap, 7), 0.99, 200)
     assert postprocess._peak_centers(np.asfortranarray(heatmap), 7, 0.99, 200) == sparse
+
+
+@pytest.mark.parametrize(
+    "shape, kernel, peaks",
+    [((1025, 2049), 1001, 1), ((64, 96), 401, 0), ((64, 96), 2001, 0)],
+)
+def test_peak_search_of_large_kernels_within_budget(shape, kernel, peaks):
+    # One numpy call per window offset made these take 52 s, 3.8 s and more
+    # than a minute; the full filter takes ~40 ms on the largest.
+    heatmap = np.zeros(shape, dtype=np.float32)
+    heatmap[shape[0] // 2, shape[1] // 3] = peaks
+    start = time.perf_counter()
+    got = postprocess._peak_centers(heatmap, kernel, 0.1, 200)
+    assert time.perf_counter() - start < 1.0
+    assert got == extract_centers(keypoint_nms(heatmap, kernel), 0.1, 200)
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +712,14 @@ def test_score_bad_probability_rows_rejected():
         score_instances(result, {1: 0.8}, probs, "class", SPEC)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_score_probability_channels_must_match_the_spec(extra):
+    result = _one_instance_result()
+    probs = np.full((2, 2, SPEC.num_categories + extra), 1.0 / (SPEC.num_categories + extra))
+    with pytest.raises(ValueError, match="probability grid has .* channels, spec has"):
+        score_instances(result, {1: 0.8}, probs, "class", SPEC)
+
+
 def test_score_non_finite_probabilities_named():
     result = _one_instance_result()
     probs = _probs_for(np.full((2, 2), THING[0], dtype=np.int64))
@@ -862,9 +886,8 @@ def test_probability_labels_equal_oracle(channels, height, width, dtype, block, 
         probs = np.array(rows, dtype=dtype).reshape(height, width, channels)
     ids = (np.arange(channels) * 3 + 1).astype(np.uint16)
     with mock.patch.object(postprocess, "_PROB_BLOCK", block):
-        for with_ids in (ids, None):
-            got = _labels_outcome(postprocess._probability_labels, probs, with_ids)
-            assert got == _labels_outcome(probability_labels_oracle, probs, with_ids)
+        got = _labels_outcome(postprocess._probability_labels, probs, ids)
+        assert got == _labels_outcome(probability_labels_oracle, probs, ids)
 
 
 @pytest.mark.parametrize(

@@ -88,10 +88,8 @@ def test_injected_joint_histogram_run_fault_named(monkeypatch):
 def test_injected_probability_tie_fault_named(monkeypatch):
     real_labels = postprocess._probability_labels
 
-    def last_channel_labels(probs, ids=None):
+    def last_channel_labels(probs, ids):
         # Reversed channels: ties go to the highest channel instead.
-        if ids is None:
-            return real_labels(probs)
         return real_labels(probs[..., ::-1], ids[::-1])
 
     monkeypatch.setattr(postprocess, "_probability_labels", last_channel_labels)

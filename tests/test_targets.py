@@ -27,6 +27,17 @@ def panoptic_with(pixels, height=8, width=8, instance=1):
     return out
 
 
+@pytest.mark.parametrize("dtype", [np.uint32, np.int32, np.uint64])
+def test_encode_targets_of_any_integer_dtype_equal_int64(dtype):
+    scene = random_scene(5, max_size=96)
+    want = encode_targets(scene.panoptic.astype(np.int64), scene.spec)
+    got = encode_targets(scene.panoptic.astype(dtype), scene.spec)
+    for field in ("heatmap", "offsets", "semantic_weights", "semantic_labels", "thing_mask"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert repr((got.centers, got.areas)) == repr((want.centers, want.areas))
+
+
 def test_mass_center_two_pixels():
     centers = compute_mass_centers(panoptic_with([(0, 0), (0, 2)]), SPEC)
     assert len(centers) == 1
