@@ -19,6 +19,7 @@ claims become VOID (ignore_label * label_divisor).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,9 +43,13 @@ __all__ = [
 
 SCORE_MODES = ("objectness", "class", "product")
 
-# Side of the square source-pixel tiles whose candidate centers
-# group_pixels prunes together.
-_GROUP_TILE = 32
+# group_pixels prunes centers per square cell of landing points, _GROUP_TILE
+# pixels a side; a coarse cell of _GROUP_COARSE x _GROUP_COARSE cells seeds
+# its cells' lists. Per-pixel arrays live one block of _GROUP_BLOCK pixels
+# at a time: whole-image ones added 25 MiB to fuse's peak RSS.
+_GROUP_TILE = 8
+_GROUP_COARSE = 8
+_GROUP_BLOCK = 1 << 16
 
 # Peaks are searched among the pixels above the center threshold while
 # (candidates + _PEAK_OFFSET_COST) x kernel**2 stays within _PEAK_DENSITY
@@ -227,34 +232,67 @@ def thing_mask_from_semantic(semantic: np.ndarray, spec: DatasetSpec) -> np.ndar
 
 
 def _tile_candidates(
-    box_min: np.ndarray, box_max: np.ndarray, centers: np.ndarray
-) -> np.ndarray:
-    """(tiles, centers) mask of the centers that can be nearest in each tile.
-
-    ``box_min`` and ``box_max`` are (2, tiles) corners of each tile's box of
-    landing points and ``centers`` is (2, K), rows first, then columns.
-    ``lo`` is the squared distance from a center to the box, ``hi`` the
-    squared distance to its far corner, both computed as
-    ``(r - c)**2 + (col - cc)**2`` exactly like the grouping loop. Rounding
-    is monotone, so for every landing point in the box a center's computed
-    distance lies in [lo, hi]. A center with ``lo`` above the smallest ``hi``
-    is strictly farther than that center from every point of the tile: it can
-    neither win nor tie, and dropping it leaves the output unchanged.
-    """
-    low, high, c = box_min[:, :, None], box_max[:, :, None], centers[:, None, :]
-    near = np.minimum(np.maximum(c, low), high) - c
-    far = np.maximum(np.abs(low - c), np.abs(high - c))
+    allowed: np.ndarray, box: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (cell, center) pairs, among the ``allowed`` ones of a (cells, K)
+    mask with a center in every row, whose center can be nearest to a point
+    of the cell's closed box: ``box`` is (2, cells, 2), per axis (rows
+    first) [low, high], half-infinite outside the grid; ``centers`` is
+    (2, K). ``lo`` and ``hi``, the squared distances to the box and to its
+    far corner, are computed like the grouping's ``(r - c)**2 + (col -
+    cc)**2``. Rounding is monotone, so a center whose ``lo`` exceeds the
+    least ``hi`` of its cell can neither win nor tie anywhere in it."""
+    owner, k = allowed.nonzero()
+    counts = allowed.sum(axis=1)
+    box, c = box.take(owner, 1), centers.take(k, 1)
+    near = np.minimum(np.maximum(c, box[..., 0]), box[..., 1]) - c
+    far = np.maximum(c - box[..., 0], box[..., 1] - c)  # rounding is symmetric
     near *= near
     far *= far
-    lo = near[0] + near[1]
-    hi = far[0] + far[1]
-    return lo <= hi.min(axis=1, keepdims=True)
+    hi = np.minimum.reduceat(far[0] + far[1], counts.cumsum() - counts)
+    keep = near[0] + near[1] <= hi.repeat(counts)
+    return owner[keep], k[keep]
 
 
-def _tile_major(band: np.ndarray, tile: int) -> np.ndarray:
-    """(h, tiles * tile) band -> (tiles, h * tile) copy, one row per tile."""
-    height = band.shape[0]
-    return band.reshape(height, -1, tile).transpose(1, 0, 2).reshape(-1, height * tile)
+@lru_cache(maxsize=16)
+def _axis_cells(size: int, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One axis' cell boxes as [low, high] rows, each cell's coarse cell and
+    the coarse boxes (cached: read-only). The edges -inf, 0, side, ...,
+    n * side, inf give n cells over [0, size) and a half-infinite one on
+    each side. A coarse cell is an outside cell or spans _GROUP_COARSE inner
+    cells, up to n * side; with at most _GROUP_COARSE, one unbounded one."""
+    n = -(-size // side)
+    edges = np.r_[-np.inf, np.arange(n + 1) * float(side), np.inf]
+    bounds = np.r_[0, 1 : n + 1 : _GROUP_COARSE, n + 1, n + 2]
+    bounds = bounds[[0, -1]] if n <= _GROUP_COARSE else bounds
+    cached = (
+        np.column_stack((edges[:-1], edges[1:])),
+        np.searchsorted(bounds, np.arange(n + 2), "right") - 1,
+        np.column_stack((edges[bounds[:-1]], edges[bounds[1:]])),
+    )
+    for array in cached:
+        array.flags.writeable = False
+    return cached
+
+
+def _landing_cells(
+    land: np.ndarray, row_box: np.ndarray, col_box: np.ndarray, side: int
+) -> np.ndarray:
+    """Flat index, row-major, of the cell whose closed box holds each finite
+    landing point of ``land`` (2, points). ``floor(x / side)`` is exact for
+    an integer side: a float x below an edge k * side that is no power of
+    two lies an ulp of it or more below, over half an ulp of k after the
+    division, so rounding cannot reach k (a power of two divides exactly).
+    An x within side * 2**-1075 below 0 underflows to -0.0 and takes cell 0,
+    whose box holds 0: x - c rounds to -c, or both squares underflow to 0,
+    so its distances are those of 0 and the cell's bounds hold."""
+    index = land / side
+    np.floor(index, out=index)
+    np.maximum(index, -1, out=index)
+    np.minimum(index, [[len(row_box) - 2], [len(col_box) - 2]], out=index)
+    index[0] *= len(col_box)
+    index[0] += index[1] + (len(col_box) + 1)
+    return index[0].astype(np.intp)
 
 
 def group_pixels(
@@ -269,11 +307,11 @@ def group_pixels(
     landing point, ties going to the lowest center index. Non-thing pixels
     and pixels with no centers available get 0. Returns int32 (H, W).
 
-    The search is exact but pruned: pixels are taken in square tiles of the
-    source grid, and each tile is compared only with the centers that could
-    be nearest to some point of its landing-point box (see
-    :func:`_tile_candidates`). Raises ValueError if a landing point or a
-    center coordinate is not finite.
+    The search is exact but pruned: a landing point meets only the
+    candidates of its cell (see :func:`_tile_candidates`), a square of side
+    _GROUP_TILE or a half-infinite cell beside the grid, listed from its
+    coarse cell's list when a point first lands in it. Raises ValueError if
+    a thing pixel's landing point or a center is not finite.
     """
     if offsets.ndim != 3 or offsets.shape[2] != 2:
         raise ValueError(f"offsets must be (H, W, 2), got shape {offsets.shape}")
@@ -288,67 +326,75 @@ def group_pixels(
     center_coords = np.array([(c.row, c.col) for c in centers], dtype=np.float64).T
     if not np.isfinite(center_coords).all():
         raise ValueError("center coordinates must be finite")
-    center_rows, center_cols = center_coords
-    tile = _GROUP_TILE
-    padded = -(-width // tile) * tile
-    col_index = np.arange(padded, dtype=np.float64)
-    # Per-tile scratch, allocated once.
-    dist = np.empty(tile * tile, dtype=np.float64)
-    tmp = np.empty(tile * tile, dtype=np.float64)
-    best = np.empty(tile * tile, dtype=np.float64)
-    closer = np.empty(tile * tile, dtype=bool)
-
-    # One band of tile rows at a time, padded to whole tiles and laid out
-    # tile-major. Every band's arrays have the same size; variable-size
-    # band arrays fragmented the heap and raised peak RSS.
-    for top in range(0, height, tile):
-        h = min(tile, height - top)
-        band_mask = np.zeros((h, padded), dtype=bool)
-        band_mask[:, :width] = thing_mask[top : top + h]
-        mask = _tile_major(band_mask, tile)
-        occupied = mask.any(axis=1)
-        if not occupied.any():
+    side = _GROUP_TILE
+    row_box, row_coarse, row_coarse_box = _axis_cells(height, side)
+    col_box, col_coarse, col_coarse_box = _axis_cells(width, side)
+    # A coarse cell's list is its row; a lone coarse cell keeps every center.
+    coarse_cells = len(row_coarse_box) * len(col_coarse_box)
+    coarse_keep = np.full((coarse_cells, len(centers)), coarse_cells == 1)
+    # Per cell: 0 until listed, then its one candidate's instance index or
+    # minus its candidate count; the candidates sit from ``start`` on in
+    # ``store``, lowest center index first.
+    code = np.zeros(len(row_box) * len(col_box), dtype=np.int32)
+    start = np.zeros(code.size, dtype=np.intp)
+    store = np.empty(0, dtype=np.intp)
+    # Blocks of whole rows of about _GROUP_BLOCK pixels (at least one row).
+    block_rows = max(1, _GROUP_BLOCK // max(width, 1))
+    for top in range(0, height, block_rows):
+        at = np.flatnonzero(thing_mask[top : top + block_rows])
+        if not at.size:
             continue
-        # Landing points; cells off the thing mask get a zero offset.
-        rows = np.zeros((h, padded), dtype=np.float64)
-        cols = np.zeros((h, padded), dtype=np.float64)
-        on_mask = band_mask[:, :width]
-        np.copyto(rows[:, :width], offsets[top : top + h, :, 0], where=on_mask)
-        np.copyto(cols[:, :width], offsets[top : top + h, :, 1], where=on_mask)
-        rows += np.arange(top, top + h, dtype=np.float64)[:, None]
-        cols += col_index
-        rows, cols = _tile_major(rows, tile), _tile_major(cols, tile)
-        box = np.empty((2, 2, mask.shape[0]))
-        for axis, points in enumerate((rows, cols)):
-            box[0, axis] = np.where(mask, points, np.inf).min(axis=1)
-            box[1, axis] = np.where(mask, points, -np.inf).max(axis=1)
-        # min/max propagate NaN, so an occupied tile's box is finite iff
-        # every landing point in it is.
-        if not np.isfinite(box[:, :, occupied]).all():
+        src_row = at // width  # floor division by a scalar is fast; divmod is not
+        land = np.array((src_row + top, at - src_row * width), dtype=np.float64)
+        land += offsets[top : top + block_rows].reshape(-1, 2).take(at, axis=0).T
+        if not np.isfinite(land).all():
             raise ValueError("offsets give non-finite landing points")
-        keep = _tile_candidates(box[0], box[1], center_coords)
-
-        # Thing cells start at their tile's lowest kept center; tiles with
-        # more candidates run the distance loop over them in ascending order.
-        ids = (keep.argmax(axis=1).astype(np.int32) + 1)[:, None] * mask
-        n = h * tile
-        d, t, b, c = dist[:n], tmp[:n], best[:n], closer[:n]
-        for i in np.flatnonzero(occupied & (np.count_nonzero(keep, axis=1) > 1)).tolist():
-            tile_ids = ids[i]
-            b.fill(np.inf)
-            for k in np.flatnonzero(keep[i]).tolist():
-                np.subtract(rows[i], center_rows[k], out=d)
-                np.multiply(d, d, out=d)
-                np.subtract(cols[i], center_cols[k], out=t)
-                np.multiply(t, t, out=t)
-                np.add(d, t, out=d)
-                np.less(d, b, out=c)
-                np.copyto(b, d, where=c)
-                np.copyto(tile_ids, k + 1, where=c)
-            tile_ids *= mask[i]
-        instance_ids[top : top + h] = (
-            ids.reshape(-1, h, tile).transpose(1, 0, 2).reshape(h, padded)[:, :width]
-        )
+        if len(centers) == 1:
+            instance_ids[top : top + block_rows].reshape(-1)[at] = 1
+            continue
+        cell = _landing_cells(land, row_box, col_box, side)
+        ids = code.take(cell)
+        todo = (ids <= 0).nonzero()[0]
+        new = np.zeros(code.size, dtype=bool)
+        new[cell[todo]] = True
+        new = (new > (code != 0)).nonzero()[0]
+        if new.size:
+            # List the new cells, and their coarse cells first.
+            row, col = np.divmod(new, len(col_box))
+            parent = row_coarse.take(row) * len(col_coarse_box) + col_coarse.take(col)
+            unlisted = ~coarse_keep.take(parent, 0).any(axis=1)
+            if unlisted.any():
+                need = np.unique(parent[unlisted])
+                prow, pcol = np.divmod(need, len(col_coarse_box))
+                box = np.array((row_coarse_box.take(prow, 0), col_coarse_box.take(pcol, 0)))
+                every = np.ones((need.size, len(centers)), dtype=bool)
+                owner, k = _tile_candidates(every, box, center_coords)
+                coarse_keep[need[owner], k] = True
+            box = np.array((row_box.take(row, 0), col_box.take(col, 0)))
+            owner, kept = _tile_candidates(coarse_keep.take(parent, 0), box, center_coords)
+            counts = np.bincount(owner, minlength=new.size)
+            start[new] = first = counts.cumsum() - counts + store.size
+            store = np.concatenate((store, kept))
+            code[new] = np.where(counts > 1, -counts, store[first] + 1)
+            ids[todo] = code.take(cell[todo])
+            todo = todo[ids[todo] < 0]
+        # One candidate: its index is taken above. More: one (pixels, k)
+        # distance array per count k, whose first minimum is the lowest index.
+        if todo.size:
+            todo = todo[ids[todo].argsort()]
+            sizes, slot = -ids[todo], start.take(cell.take(todo))
+            rows, cols = land.take(todo, 1)
+            cuts = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), todo.size]
+            for lo, hi in zip(cuts, cuts[1:]):
+                cand = store.take(slot[lo:hi, None] + np.arange(sizes[lo]))
+                dist = rows[lo:hi, None] - center_coords[0].take(cand)
+                dist *= dist
+                other = cols[lo:hi, None] - center_coords[1].take(cand)
+                other *= other
+                dist += other
+                slot[lo:hi] += dist.argmin(axis=1)
+            ids[todo] = store.take(slot) + 1
+        instance_ids[top : top + block_rows].reshape(-1)[at] = ids
     return instance_ids
 
 

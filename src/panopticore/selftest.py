@@ -520,15 +520,16 @@ def _check_nms(seed: int = 0, cases: int = 100) -> str:
 
 
 def _check_grouping(seed: int = 0, cases: int = 200) -> str:
+    # Centers and landing points reach 8 pixels past every side of the grid.
     rng = np.random.default_rng(seed)
     for i in range(cases):
         height, width = 16, 16
         mask = rng.random((height, width)) < 0.6
-        offsets = rng.normal(0, 4, size=(height, width, 2)).astype(np.float32)
+        offsets = rng.normal(0, (4, 8)[i % 2], size=(height, width, 2)).astype(np.float32)
         n = int(rng.integers(0, 6))
         centers = [
             InstanceCenter(
-                row=float(rng.uniform(0, height)), col=float(rng.uniform(0, width))
+                row=float(rng.uniform(-8, height + 8)), col=float(rng.uniform(-8, width + 8))
             )
             for _ in range(n)
         ]

@@ -697,6 +697,18 @@ def test_bench_eval_digest_is_pinned(tmp_path):
     assert json.loads(report.read_text())["report_sha256"] == digest
 
 
+@pytest.mark.parametrize("workload", ["fuse-labels", "fuse-probs"])
+def test_bench_fuse_digest_is_pinned(tmp_path, workload):
+    # The digest at 4a25efc, before grouping looked its candidates up by
+    # landing cell: the panoptic bytes stay.
+    report = tmp_path / "bench.json"
+    code = main(["bench", "--height", "64", "--width", "96", "--centers", "12",
+                 "--repetitions", "1", "--workload", workload, "--report", str(report)])
+    assert code == 0
+    digest = "9dede838abd11c8416039fa335b98c10a62bba4f51f503ed56acb58ea2811822"
+    assert json.loads(report.read_text())["panoptic_sha256"] == digest
+
+
 def test_bench_train_workload_times_targets_and_the_losses(tmp_path):
     bench = tmp_path / "bench.json"
     code = main(

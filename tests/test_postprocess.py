@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -257,6 +258,13 @@ def test_group_empty_centers_all_zero():
     assert (out == 0).all()
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+def test_group_empty_grid(shape):
+    offsets = np.zeros(shape + (2,), dtype=np.float32)
+    out = group_pixels([InstanceCenter(1, 1), InstanceCenter(2, 2)], offsets, np.zeros(shape, bool))
+    assert out.shape == shape and out.dtype == np.int32
+
+
 def test_group_non_thing_pixels_zero():
     mask = np.zeros((4, 4), dtype=bool)
     mask[0, 0] = True
@@ -372,6 +380,88 @@ def test_group_non_finite_center_rejected():
     with pytest.raises(ValueError, match="center coordinates"):
         group_pixels([InstanceCenter(1, 1), InstanceCenter(np.nan, 2)], offsets,
                      np.ones((4, 4), dtype=bool))
+
+
+@st.composite
+def landing_cell_grouping(draw):
+    """Grids whose landing points sit on cell edges, beyond every side of the
+    grid, a subnormal step off zero or 1e30 away, with centers outside the
+    grid and several in one cell."""
+    side = draw(st.integers(1, 8))
+    height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((height, width)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    # Cell edges and half steps from 2 cells before the grid to 2 past it,
+    # and points at zero; every landing point is exact in float64.
+    reach = max(height, width) // side + 3
+
+    def coords(shape):
+        edge = rng.integers(-2, reach + 1, shape) * float(side)
+        half = rng.integers(-4 * side, 2 * reach * side + 1, shape) / 2
+        tiny = rng.choice([-5e-324, 5e-324, -0.0], shape)
+        return np.choose(rng.integers(0, 3, shape), (edge, half, tiny))
+
+    rows, cols = np.indices((height, width))
+    offsets = (coords((height, width, 2)) - np.stack((rows, cols), axis=-1)).astype(dtype)
+    far = rng.integers(-1, 2, (height, width, 2)) * (rng.random((height, width, 2)) < 0.2)
+    offsets[far != 0] = far[far != 0] * dtype(1e30)
+    # Centers anywhere in that range, and a few inside one cell.
+    corner = rng.integers(-1, reach + 1, 2) * side
+    in_cell = corner + rng.integers(0, 2 * side + 1, (draw(st.integers(2, 4)), 2)) / 2
+    points = np.concatenate((coords((draw(st.integers(1, 8)), 2)), in_cell))
+    centers = [InstanceCenter(float(r), float(c)) for r, c in rng.permutation(points)]
+    return side, centers, offsets, mask
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=landing_cell_grouping())
+def test_group_landing_cells_equal_oracle(case):
+    side, centers, offsets, mask = case
+    with mock.patch.object(postprocess, "_GROUP_TILE", side):
+        got = group_pixels(centers, offsets, mask)
+    assert np.array_equal(got, group_oracle(centers, offsets, mask))
+
+
+@pytest.mark.parametrize("side", range(1, 9))
+def test_landing_cell_boxes_hold_their_points(side):
+    # Edges and their float64 neighbours, past both ends too: each point's
+    # cell must hold it in its closed box.
+    edges = np.arange(-3, 3 * 41) * float(side)
+    near = edges[edges != 0]
+    values = np.concatenate(
+        (edges, np.nextafter(near, -np.inf), np.nextafter(near, np.inf), [-0.0, -1e30, 1e30])
+    )
+    # The float32 points nearest zero, and float64 subnormals above it.
+    values = np.concatenate((values, [-(2.0**-149), 2.0**-149, 5e-324, 1e-310]))
+    row_box, _, _ = postprocess._axis_cells(100, side)
+    col_box, _, _ = postprocess._axis_cells(17, side)
+    land = np.array(np.meshgrid(values, values)).reshape(2, -1)
+    row, col = np.divmod(postprocess._landing_cells(land, row_box, col_box, side), len(col_box))
+    for box, index, axis in ((row_box, row, land[0]), (col_box, col, land[1])):
+        assert (box[index, 0] <= axis).all() and (axis <= box[index, 1]).all()
+    # A point just below zero takes the outside cell (row 0), or the cell of
+    # 0 (row 1) once its quotient underflows to -0.0.
+    below = np.array([[-5e-324, -side * 2.0**-1075, -(2.0**-1074) * side], [0.0, 0.0, 0.0]])
+    rows = postprocess._landing_cells(below, row_box, col_box, side) // len(col_box)
+    assert (rows == np.where(below[0] / side < 0, 0, 1)).all()
+
+
+def test_group_peak_allocation_stays_block_local():
+    # Per-pixel arrays live one block at a time: a whole-image copy of the
+    # thing-pixel indices alone (6.7 MB) would break this bound. Measured:
+    # 7.0 MiB above the output on this input.
+    semantic, heatmap, offsets, spec = bench_inputs(1025, 2049, 200)
+    centers = extract_centers(keypoint_nms(heatmap, 7), 0.1, 200)
+    mask = thing_mask_from_semantic(semantic, spec)
+    group_pixels(centers, offsets, mask)
+    tracemalloc.start()
+    try:
+        out = group_pixels(centers, offsets, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
