@@ -8,7 +8,7 @@ stay independent of the optimized implementations they check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,10 @@ __all__ = [
     "segment_table_oracle",
     "joint_histogram_oracle",
     "merge_oracle",
+    "inference_oracle",
     "random_merge_inputs",
+    "random_inference_inputs",
+    "stuff_areas",
     "random_scored_result",
     "exact_inputs",
     "round_trip_pq",
@@ -329,6 +332,42 @@ def merge_oracle(
     return postprocess.PanopticResult(panoptic=panoptic, instances=records)
 
 
+def inference_oracle(
+    semantic: np.ndarray,
+    heatmap: np.ndarray,
+    offsets: np.ndarray,
+    spec: DatasetSpec,
+    params: postprocess.PostprocParams = postprocess.PostprocParams(),
+) -> postprocess.PanopticResult:
+    """``postprocess.panoptic_inference`` of valid inputs, chained from the
+    stage oracles: :func:`probability_labels_oracle` on a probability grid,
+    ``extract_centers`` over :func:`nms_oracle`, :func:`group_oracle` on the
+    pixels of a thing label, :func:`merge_oracle` at the stuff threshold (None
+    defers to the spec's) and :func:`class_scores_oracle`. Center k - 1 is
+    instance k: its record carries the center and the score of the mode."""
+    labels = semantic
+    if semantic.ndim == 3:
+        labels = probability_labels_oracle(semantic, spec.table.ids)
+    centers = postprocess.extract_centers(
+        nms_oracle(heatmap, params.nms_kernel), params.center_threshold, params.top_k
+    )
+    instance_ids = group_oracle(centers, offsets, np.isin(labels, sorted(spec.thing_ids)))
+    threshold = params.stuff_area_threshold
+    threshold = spec.stuff_area_threshold if threshold is None else threshold
+    merged = merge_oracle(labels, instance_ids, spec, threshold)
+    classes = class_scores_oracle(merged, semantic, spec)
+    records = []
+    for record in merged.instances:
+        center = centers[record.instance_index - 1]
+        score = {
+            "objectness": center.score,
+            "class": classes[record.instance_index],
+            "product": center.score * classes[record.instance_index],
+        }[params.score_mode]
+        records.append(replace(record, score=score, center=center))
+    return postprocess.PanopticResult(merged.panoptic, tuple(records))
+
+
 def random_scored_result(
     rng: np.random.Generator, spec: DatasetSpec, height: int = 16, width: int = 16
 ) -> tuple[postprocess.PanopticResult, np.ndarray, np.ndarray]:
@@ -453,6 +492,35 @@ def random_merge_inputs(
         blocks *= rng.random(blocks.shape) < 0.5
         instance = np.kron(blocks, np.ones((4, 4), dtype=np.int64))[:height, :width]
     return labels, instance.astype(np.int32)
+
+
+def random_inference_inputs(
+    rng: np.random.Generator, spec: DatasetSpec, height: int, width: int, kind: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(semantic, heatmap, offsets) for the pipeline. The semantic input is
+    :func:`random_merge_inputs` block labels (``kind`` ``labels``) or
+    float32 rows of small integer weights over the channels, normalised to
+    sum to 1, so argmax ties are common (``probabilities``). The heatmap
+    holds quantised values (plateaus and ties) on a random share of the
+    pixels, sparse or dense enough for the full window-max filter; offsets
+    are N(0, 4) float32."""
+    if kind == "probabilities":
+        weights = rng.integers(0, 3, size=(height, width, spec.num_categories))
+        weights[..., 0] += weights.sum(axis=2) == 0
+        semantic = (weights / weights.sum(axis=2, keepdims=True)).astype(np.float32)
+    else:
+        semantic = random_merge_inputs(rng, spec, height, width, "blocks")[0]
+    density = rng.choice([0.02, 0.1, 1.0])
+    heatmap = np.ceil(rng.random((height, width)) * 4) / 4 * (rng.random((height, width)) < density)
+    offsets = rng.normal(0, 4, size=(height, width, 2))
+    return semantic, heatmap.astype(np.float32), offsets.astype(np.float32)
+
+
+def stuff_areas(panoptic: np.ndarray, spec: DatasetSpec) -> list[int]:
+    """Pixel counts of the stuff segments of a panoptic map."""
+    ids, counts = np.unique(panoptic, return_counts=True)
+    stuff = np.isin(ids, [c * spec.label_divisor for c in spec.stuff_ids])
+    return counts[stuff].tolist()
 
 
 def histogram_mismatch(pred, gt, spec, scores=None, max_dets=200) -> str:
@@ -799,6 +867,41 @@ def _check_merge(seed: int = 0, cases: int = 60) -> str:
     return ""
 
 
+def _check_inference(seed: int = 0, cases: int = 60) -> str:
+    """``panoptic_inference`` == :func:`inference_oracle` on labels and on
+    probabilities: panoptic bytes and dtype, and the records' repr, over
+    kernels, thresholds, ``top_k``, stuff thresholds (None, 0, a stuff area
+    and one more) and every score mode."""
+    base = make_spec(num_stuff=2, num_things=3)
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        height, width = (int(n) for n in rng.integers(1, 20, size=2))
+        kind = ("labels", "probabilities")[i % 2]
+        semantic, heatmap, offsets = random_inference_inputs(rng, base, height, width, kind)
+        if kind == "labels":
+            semantic = semantic.astype((np.uint8, np.uint16, np.int64)[i // 2 % 3])
+        params = postprocess.PostprocParams(
+            nms_kernel=(1, 3, 5, 7)[i % 4],
+            center_threshold=(0.0, 0.3, 0.6)[i % 3],
+            top_k=(1, 3, 200)[i // 3 % 3],
+            stuff_area_threshold=0,
+            score_mode=postprocess.SCORE_MODES[i % 3],
+        )
+        areas = stuff_areas(inference_oracle(semantic, heatmap, offsets, base, params).panoptic, base)
+        area = int(rng.choice(areas)) if areas else 0
+        threshold = (None, 0, area, area + 1)[i // 4 % 4]
+        spec = replace(base, stuff_area_threshold=area)  # what None defers to
+        params = replace(params, stuff_area_threshold=threshold)
+        got = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params)
+        want = inference_oracle(semantic, heatmap, offsets, spec, params)
+        where = f"case {i} ({height}x{width} {kind}, {params})"
+        if not _same_array(got.panoptic, want.panoptic):
+            return f"{where}: panoptic differs from inference_oracle"
+        if repr(got.instances) != repr(want.instances):
+            return f"{where}: records differ from inference_oracle"
+    return ""
+
+
 def _check_pq_formula() -> str:
     spec = make_spec(num_stuff=1, num_things=1)
     thing = sorted(spec.thing_ids)[0]
@@ -881,6 +984,7 @@ PROPERTIES = (
     ("segment_table_oracle", _check_segment_table),
     ("joint_histogram_oracle", _check_joint_histogram),
     ("merge_oracle", _check_merge),
+    ("inference_oracle", _check_inference),
     ("pq_formula", _check_pq_formula),
     ("pq_identity_and_uniqueness", _check_pq_identity),
     ("score_mode_invariance", _check_score_modes),

@@ -29,12 +29,15 @@ from panopticore.selftest import (
     class_scores_oracle,
     exact_inputs,
     group_oracle,
+    inference_oracle,
     merge_oracle,
     nms_oracle,
     probability_labels_oracle,
+    random_inference_inputs,
     random_merge_inputs,
     random_scored_result,
     random_valid_map,
+    stuff_areas,
 )
 from panopticore.synth import bench_inputs, make_spec, random_scene
 
@@ -1032,6 +1035,46 @@ def test_inference_rejects_non_finite_probabilities_in_every_mode(mode, value):
 
 # ---------------------------------------------------------------------------
 # panoptic_inference
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    height=st.integers(1, 20),
+    width=st.integers(1, 20),
+    kind=st.sampled_from(["labels", "probabilities"]),
+    dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
+    kernel=st.sampled_from([1, 3, 5, 7]),
+    center_threshold=st.sampled_from([0.0, 0.3, 0.6]),
+    top_k=st.sampled_from([1, 3, 200]),
+    stuff=st.sampled_from([None, 0, "area", "area + 1"]),
+    mode=st.sampled_from(SCORE_MODES),
+    data=st.data(),
+)
+def test_inference_equals_chained_stage_oracles(
+    seed, height, width, kind, dtype, kernel, center_threshold, top_k, stuff, mode, data
+):
+    # The glue between the stages: center order as the instance index, a
+    # None stuff threshold deferring to the spec, each record's center and
+    # score.
+    spec = make_spec(num_stuff=2, num_things=3)
+    rng = np.random.default_rng(seed)
+    semantic, heatmap, offsets = random_inference_inputs(rng, spec, height, width, kind)
+    if kind == "labels":
+        semantic = semantic.astype(dtype)
+    params = postprocess.PostprocParams(kernel, center_threshold, top_k, 0, mode)
+    areas = stuff_areas(inference_oracle(semantic, heatmap, offsets, spec, params).panoptic, spec)
+    area = data.draw(st.sampled_from(areas or [0]))
+    spec = dataclasses.replace(spec, stuff_area_threshold=area)  # what None defers to
+    if isinstance(stuff, str):  # at or just above a stuff area
+        stuff = area + (stuff == "area + 1")
+    params = dataclasses.replace(params, stuff_area_threshold=stuff)
+    got = panoptic_inference(semantic, heatmap, offsets, spec, params)
+    want = inference_oracle(semantic, heatmap, offsets, spec, params)
+    assert got.panoptic.dtype == want.panoptic.dtype
+    assert got.panoptic.shape == want.panoptic.shape
+    assert got.panoptic.tobytes() == want.panoptic.tobytes()
+    assert repr(got.instances) == repr(want.instances)
 
 
 def test_inference_zero_heatmap_only_stuff_and_void():
