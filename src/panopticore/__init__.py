@@ -37,12 +37,10 @@ from .postprocess import (
     PanopticResult,
     PostprocParams,
     extract_centers,
-    filter_small_stuff,
     group_pixels,
     keypoint_nms,
     merge_panoptic,
     panoptic_inference,
-    score_instances,
     thing_mask_from_semantic,
 )
 from .targets import (
@@ -83,12 +81,10 @@ __all__ = [
     "PanopticResult",
     "PostprocParams",
     "extract_centers",
-    "filter_small_stuff",
     "group_pixels",
     "keypoint_nms",
     "merge_panoptic",
     "panoptic_inference",
-    "score_instances",
     "thing_mask_from_semantic",
     "TargetBundle",
     "TargetParams",

@@ -1,14 +1,15 @@
 """Inference pipeline: peak extraction, offset grouping, and label fusion.
 
 :func:`panoptic_inference` runs the five stages that ``bench`` times:
-inputs (each input checked once; the label ids once per run, which also
-gives the thing mask), nms (the centers of ``keypoint_nms`` +
-``extract_centers``, searched among the pixels above the threshold only),
-grouping (``group_pixels``), merge (``merge_panoptic`` +
-``filter_small_stuff`` in one table, counted over runs of equal (label,
-instance) pairs) and scores (``score_instances``, members found per run).
-It runs private bodies of the public stages, which would check their
-inputs again.
+
+* inputs: each input checked once; a probability grid reduced to labels,
+  and the label ids checked once per run by ``thing_mask_from_semantic``
+* nms: the centers of ``keypoint_nms`` + ``extract_centers``, searched
+  among the pixels above the threshold only
+* grouping: ``group_pixels``
+* merge: ``merge_panoptic``, whose lookup table also voids small stuff,
+  counted over runs of equal (label, instance) pairs
+* scores: ``_class_scores`` (members found per run) with the score mode
 
 Everything is integer- or comparison-based, so outputs are bit-identical
 across runs. Instance indices are 1-based positions in the extracted center
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
 
-from .core import DatasetSpec, InstanceCenter, _runs, _sums, _unique_index, segment_table
+from .core import DatasetSpec, InstanceCenter, _runs, _sums, _unique_index
 
 __all__ = [
     "PostprocParams",
@@ -36,8 +37,6 @@ __all__ = [
     "thing_mask_from_semantic",
     "group_pixels",
     "merge_panoptic",
-    "filter_small_stuff",
-    "score_instances",
     "panoptic_inference",
 ]
 
@@ -399,41 +398,45 @@ def group_pixels(
 
 
 def merge_panoptic(
-    semantic: np.ndarray, instance_ids: np.ndarray, spec: DatasetSpec
+    semantic: np.ndarray,
+    instance_ids: np.ndarray,
+    spec: DatasetSpec,
+    stuff_area_threshold: int = 0,
 ) -> PanopticResult:
     """Fuse semantic labels with instance indices by majority vote.
 
     Each instance takes the most frequent thing category among its pixels
     (ties to the smallest category id) and is encoded as
     category * label_divisor + instance_index. Stuff pixels keep their
-    semantic category with instance part 0; thing-category pixels left
-    ungrouped become VOID. Raises ValueError if the instance ids are not
-    integers, or are negative or not below ``label_divisor``.
+    semantic category with instance part 0, unless that category covers
+    fewer than ``stuff_area_threshold`` stuff pixels of the fused map; those,
+    and thing-category pixels left ungrouped, become VOID. Raises ValueError
+    naming the ``semantic map`` if a label is not a spec category or the
+    ignore label, or if the labels or instance ids are not integers, or the
+    instance ids are negative or not below ``label_divisor``.
+
+    Counts runs of equal (label, instance) pairs by length, block by block:
+    a run's code is its instance's row among the ids in the block and its
+    label's channel. Labels are looked up shifted by one in a channel table
+    whose first and last entries and gaps are a sink for unknown ids, with
+    ``np.take``'s clipping: an id past the table clips to its end, and a
+    negative one (a uint64 id from 2**63 on turns negative as intp, and
+    int64's largest wraps when shifted) to its start. The block histograms
+    add up to one with a row per id present; the map repeats each run's
+    entry of one lookup table.
     """
     if semantic.shape != instance_ids.shape:
         raise ValueError(
             f"semantic shape {semantic.shape} != instance shape {instance_ids.shape}"
         )
-    spec.check_known(semantic, "semantic map")
-    return _merge_panoptic(semantic, instance_ids, spec, 0)
-
-
-def _merge_panoptic(
-    semantic: np.ndarray, instance_ids: np.ndarray, spec: DatasetSpec, min_stuff_area: int
-) -> PanopticResult:
-    """``filter_small_stuff(merge_panoptic(...), threshold=min_stuff_area)`` of
-    a semantic map already checked against the spec.
-
-    Counts runs of equal (label, instance) pairs by length, block by block:
-    a run's code is its instance's row among the ids in the block and its
-    label's channel. The block histograms add up to one with a row per id
-    present; the map repeats each run's entry of one lookup table.
-    """
+    if not np.issubdtype(semantic.dtype, np.integer):
+        raise ValueError(f"semantic label map must hold integer ids, got {semantic.dtype}")
     if not np.issubdtype(instance_ids.dtype, np.integer):
         raise ValueError(f"instance ids must be integers, got {instance_ids.dtype}")
-    width = spec.num_categories + 1  # the last channel is a sink for the ignore label
-    table, divisor = spec.table, spec.label_divisor
-    channel = table.channel.astype(np.min_scalar_type(width))
+    table, divisor, num = spec.table, spec.label_divisor, spec.num_categories
+    width = num + 2  # channels, then sinks for the ignore label and for unknown ids
+    channel = np.pad(np.where(table.known, table.channel, num + 1), 1, constant_values=num + 1)
+    channel = channel.astype(np.min_scalar_type(width))
     flat_semantic, flat_instance = semantic.reshape(-1), instance_ids.reshape(-1)
     bounds = range(0, max(flat_semantic.size, 1), _MERGE_BLOCK)
     blocks = []
@@ -444,19 +447,22 @@ def _merge_panoptic(
         # Codes built in place on the fresh row index.
         present, codes = _unique_index(np.take(instance, starts), instance.size)
         codes *= width
-        codes += np.take(channel, np.take(labels, starts))
+        shifted = np.add(np.take(labels, starts), 1, dtype=np.intp, casting="unsafe")
+        codes += np.take(channel, shifted, mode="clip")
         votes = _sums(codes, lengths, present.size * width).reshape(-1, width)
         narrow = np.min_scalar_type(votes.size), np.min_scalar_type(_MERGE_BLOCK)
         blocks.append((present, votes, codes.astype(narrow[0]), lengths.astype(narrow[1])))
     present, row = np.unique(np.concatenate([b[0] for b in blocks]), return_inverse=True)
+    votes_full = np.zeros((present.size, width), dtype=np.int64)
+    np.add.at(votes_full, row, np.concatenate([b[1] for b in blocks]))
+    if votes_full[:, -1].any():
+        raise ValueError("semantic map contains ids unknown to the dataset spec")
     if present.size and not 0 <= present[0] <= present[-1] < divisor:
         bad = present[0] if present[0] < 0 else present[-1]
         raise ValueError(f"instance ids must be in [0, label_divisor {divisor}), got {bad}")
-    votes_full = np.zeros((present.size, width), dtype=np.int64)
-    np.add.at(votes_full, row, np.concatenate([b[1] for b in blocks]))
     # Majority vote counts thing categories only; ties go to the smallest id.
     thing = table.thing[table.ids]
-    votes = votes_full[:, :-1] * thing
+    votes = votes_full[:, :num] * thing
     grouped = present > 0  # instance 0 is "no instance"
     category = np.where(grouped & votes.any(axis=1), table.ids[votes.argmax(axis=1)], -1)
 
@@ -468,8 +474,9 @@ def _merge_panoptic(
     pan_lut = np.empty((present.size, width), dtype=np.int64)
     row_code = category * divisor + present.astype(np.int64)
     pan_lut[:] = np.where(category >= 0, row_code, spec.void_id)[:, None]
-    kept = ~thing & (votes_full[~grouped, :-1].sum(axis=0) >= min_stuff_area)
-    pan_lut[~grouped] = np.append(np.where(kept, table.ids * divisor, spec.void_id), spec.void_id)
+    kept = ~thing & (votes_full[~grouped, :num].sum(axis=0) >= stuff_area_threshold)
+    sinks = (spec.void_id, spec.void_id)
+    pan_lut[~grouped] = np.append(np.where(kept, table.ids * divisor, spec.void_id), sinks)
     panoptic = np.empty(flat_semantic.size, dtype=np.int64)
     block_rows = np.split(row, np.cumsum([b[0].size for b in blocks])[:-1])
     for start, (_, _, codes, lengths), rows in zip(bounds, blocks, block_rows):
@@ -484,28 +491,6 @@ def _merge_panoptic(
         if c >= 0
     )
     return PanopticResult(panoptic=panoptic.reshape(semantic.shape), instances=records)
-
-
-def filter_small_stuff(
-    result: PanopticResult, spec: DatasetSpec, threshold: int | None = None
-) -> PanopticResult:
-    """Re-assign undersized stuff segments to VOID.
-
-    A stuff "segment" is the union of all pixels of that category in the
-    image. Thing segments, and stuff ids with a nonzero instance part, are
-    never touched. The result keeps the map's dtype. Raises ValueError if a
-    category of the map is unknown to the spec.
-    """
-    if threshold is None:
-        threshold = spec.stuff_area_threshold
-    if threshold <= 0:
-        return result
-    segments = segment_table(result.panoptic, spec)
-    small = (segments.instance == 0) & spec.table.stuff[segments.category]
-    small &= segments.areas < threshold
-    lut = segments.ids.copy()
-    lut[small] = spec.void_id
-    return PanopticResult(panoptic=lut[segments.inverse], instances=result.instances)
 
 
 def _class_scores(
@@ -525,10 +510,6 @@ def _class_scores(
     """
     if not result.instances:
         return {}
-    if semantic_probs.ndim not in (2, 3):
-        raise ValueError(
-            f"semantic probabilities must be (H, W) or (H, W, C), got shape {semantic_probs.shape}"
-        )
     voted = {r.instance_index: r.category for r in result.instances}
     index, category = np.array(sorted(voted.items()), dtype=np.int64).T
     flat = result.panoptic.reshape(-1)
@@ -634,54 +615,6 @@ def _probability_labels(probs: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return labels.reshape(probs.shape[:2])
 
 
-def score_instances(
-    result: PanopticResult,
-    center_scores: Mapping[int, float] | None,
-    semantic_probs: np.ndarray | None,
-    mode: str,
-    spec: DatasetSpec,
-) -> PanopticResult:
-    """Attach confidence scores; the panoptic map is passed through untouched.
-
-    Objectness is the instance's center heatmap value (``center_scores``
-    keyed by instance index); the class score is the mean probability of the
-    voted category over the instance's pixels. ``mode`` picks objectness,
-    class, or their product. A (H, W, C) probability grid must have a channel
-    per spec category, be finite and sum to 1 per pixel.
-    """
-    if mode not in SCORE_MODES:
-        raise ValueError(f"score mode must be one of {SCORE_MODES}, got {mode!r}")
-    if mode in ("objectness", "product") and center_scores is None:
-        raise ValueError(f"score mode {mode!r} requires center scores")
-    if mode in ("class", "product"):
-        if semantic_probs is None:
-            raise ValueError(f"score mode {mode!r} requires semantic probabilities")
-        if semantic_probs.ndim == 3:
-            _probability_labels(semantic_probs, spec.table.ids)
-    return _score_instances(result, center_scores, semantic_probs, mode, spec)
-
-
-def _score_instances(
-    result: PanopticResult,
-    center_scores: Mapping[int, float] | None,
-    semantic_probs: np.ndarray | None,
-    mode: str,
-    spec: DatasetSpec,
-) -> PanopticResult:
-    """:func:`score_instances` of arguments already checked."""
-    if mode in ("class", "product"):
-        class_scores = _class_scores(result, semantic_probs, spec)
-
-    def score(k: int) -> float:
-        if mode == "class":
-            return class_scores[k]
-        objectness = float(center_scores[k])
-        return objectness if mode == "objectness" else objectness * class_scores[k]
-
-    scored = tuple(replace(r, score=score(r.instance_index)) for r in result.instances)
-    return PanopticResult(panoptic=result.panoptic, instances=scored)
-
-
 def panoptic_inference(
     semantic: np.ndarray,
     heatmap: np.ndarray,
@@ -724,35 +657,35 @@ def _inference_stages(
         raise ValueError("heatmap contains non-finite values")
     if not np.isfinite(offsets).all():
         raise ValueError("offsets contains non-finite values")
-    table = spec.table
+    labels = semantic
     if semantic.ndim == 3:
-        ids = table.ids.astype(np.min_scalar_type(int(table.ids.max())))
-        labels = _probability_labels(semantic, ids)
-    else:
-        if not np.issubdtype(semantic.dtype, np.integer):
-            raise ValueError(f"semantic label map must hold integer ids, got {semantic.dtype}")
-        labels = semantic
+        ids = spec.table.ids
+        labels = _probability_labels(semantic, ids.astype(np.min_scalar_type(int(ids.max()))))
+    elif not np.issubdtype(semantic.dtype, np.integer):
+        raise ValueError(f"semantic label map must hold integer ids, got {semantic.dtype}")
     thing = thing_mask_from_semantic(labels, spec)
     yield "inputs"
 
-    centers = _peak_centers(
-        heatmap, params.nms_kernel, params.center_threshold, params.top_k
-    )
+    centers = _peak_centers(heatmap, params.nms_kernel, params.center_threshold, params.top_k)
     yield "nms"
     instance_ids = group_pixels(centers, offsets, thing)
     yield "grouping"
     threshold = params.stuff_area_threshold
     if threshold is None:
         threshold = spec.stuff_area_threshold
-    result = _merge_panoptic(labels, instance_ids, spec, threshold)
+    result = merge_panoptic(labels, instance_ids, spec, threshold)
     yield "merge"
 
-    with_centers = tuple(
-        replace(record, center=centers[record.instance_index - 1])
-        for record in result.instances
-    )
-    result = PanopticResult(panoptic=result.panoptic, instances=with_centers)
-    center_scores = {k + 1: c.score for k, c in enumerate(centers)}
-    result = _score_instances(result, center_scores, semantic, params.score_mode, spec)
+    # Center k - 1 is instance k. Objectness is its heatmap value; the class
+    # score is the mean probability of the voted category over the members.
+    mode = params.score_mode
+    classes = None if mode == "objectness" else _class_scores(result, semantic, spec)
+    scored = []
+    for record in result.instances:
+        center = centers[record.instance_index - 1]
+        score = center.score if mode == "objectness" else classes[record.instance_index]
+        if mode == "product":
+            score = center.score * score
+        scored.append(replace(record, center=center, score=score))
     yield "scores"
-    yield result
+    yield PanopticResult(panoptic=result.panoptic, instances=tuple(scored))

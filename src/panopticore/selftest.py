@@ -29,8 +29,7 @@ __all__ = [
     "merge_oracle",
     "inference_oracle",
     "random_merge_inputs",
-    "random_inference_inputs",
-    "stuff_areas",
+    "random_inference_case",
     "random_scored_result",
     "exact_inputs",
     "round_trip_pq",
@@ -155,9 +154,9 @@ def bootstrapped_ce_oracle(
 def class_scores_oracle(
     result: postprocess.PanopticResult, semantic_probs: np.ndarray, spec: DatasetSpec
 ) -> dict[int, float]:
-    """The class scores of ``postprocess.score_instances`` as first written:
-    whole-image instance and category maps, a member mask and a float64
-    per-pixel weight map, summed with one bincount over the member pixels."""
+    """``postprocess._class_scores`` as first written: whole-image instance
+    and category maps, a member mask and a float64 per-pixel weight map,
+    summed with one bincount over the member pixels."""
     panoptic = result.panoptic
     instance = (panoptic % spec.label_divisor).reshape(-1)
     thing_cat = (panoptic // spec.label_divisor).reshape(-1)
@@ -255,7 +254,7 @@ def joint_histogram_oracle(pred: np.ndarray, gt: np.ndarray) -> metrics.JointHis
 def merge_oracle(
     semantic: np.ndarray, instance_ids: np.ndarray, spec: DatasetSpec, min_stuff_area: int
 ) -> postprocess.PanopticResult:
-    """``postprocess._merge_panoptic`` as first written: one vote code per
+    """``postprocess.merge_panoptic`` as first written: one vote code per
     pixel, one ``np.bincount`` over them and one gather of the lookup table
     over every pixel. The semantic map must be checked against the spec and
     the instance ids must fit int32."""
@@ -340,14 +339,11 @@ def inference_oracle(
     params: postprocess.PostprocParams = postprocess.PostprocParams(),
 ) -> postprocess.PanopticResult:
     """``postprocess.panoptic_inference`` of valid inputs, chained from the
-    stage oracles: :func:`probability_labels_oracle` on a probability grid,
-    ``extract_centers`` over :func:`nms_oracle`, :func:`group_oracle` on the
-    pixels of a thing label, :func:`merge_oracle` at the stuff threshold (None
-    defers to the spec's) and :func:`class_scores_oracle`. Center k - 1 is
-    instance k: its record carries the center and the score of the mode."""
-    labels = semantic
-    if semantic.ndim == 3:
-        labels = probability_labels_oracle(semantic, spec.table.ids)
+    stage oracles: :func:`probability_labels_oracle`, ``extract_centers``
+    over :func:`nms_oracle`, :func:`group_oracle`, :func:`merge_oracle` (a
+    None stuff threshold defers to the spec's) and
+    :func:`class_scores_oracle`. Center k - 1 is instance k."""
+    labels = semantic if semantic.ndim == 2 else probability_labels_oracle(semantic, spec.table.ids)
     centers = postprocess.extract_centers(
         nms_oracle(heatmap, params.nms_kernel), params.center_threshold, params.top_k
     )
@@ -358,13 +354,9 @@ def inference_oracle(
     classes = class_scores_oracle(merged, semantic, spec)
     records = []
     for record in merged.instances:
-        center = centers[record.instance_index - 1]
-        score = {
-            "objectness": center.score,
-            "class": classes[record.instance_index],
-            "product": center.score * classes[record.instance_index],
-        }[params.score_mode]
-        records.append(replace(record, score=score, center=center))
+        center, score = centers[record.instance_index - 1], classes[record.instance_index]
+        score = {"objectness": center.score, "class": score, "product": center.score * score}
+        records.append(replace(record, score=score[params.score_mode], center=center))
     return postprocess.PanopticResult(merged.panoptic, tuple(records))
 
 
@@ -494,33 +486,34 @@ def random_merge_inputs(
     return labels, instance.astype(np.int32)
 
 
-def random_inference_inputs(
-    rng: np.random.Generator, spec: DatasetSpec, height: int, width: int, kind: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(semantic, heatmap, offsets) for the pipeline. The semantic input is
-    :func:`random_merge_inputs` block labels (``kind`` ``labels``) or
-    float32 rows of small integer weights over the channels, normalised to
-    sum to 1, so argmax ties are common (``probabilities``). The heatmap
-    holds quantised values (plateaus and ties) on a random share of the
-    pixels, sparse or dense enough for the full window-max filter; offsets
-    are N(0, 4) float32."""
-    if kind == "probabilities":
+def random_inference_case(
+    rng: np.random.Generator, height: int, width: int, dtype, stuff, params: postprocess.PostprocParams
+) -> tuple:
+    """(semantic, heatmap, offsets, spec, params) for ``panoptic_inference``.
+    An integer ``dtype`` gives :func:`random_merge_inputs` block labels; a
+    float one, rows of small integer weights over the channels, normalised,
+    so argmax ties are common. The heatmap holds quantised values (plateaus,
+    ties) on a random share of its pixels, some dense enough for the full
+    window-max filter; offsets are N(0, 4). The spec's stuff threshold,
+    which a ``stuff`` of None defers to, is a stuff area of the unfiltered
+    oracle map; ``stuff`` "area" and "area + 1" take it and one more."""
+    spec = make_spec(num_stuff=2, num_things=3)
+    if np.issubdtype(dtype, np.floating):
         weights = rng.integers(0, 3, size=(height, width, spec.num_categories))
         weights[..., 0] += weights.sum(axis=2) == 0
-        semantic = (weights / weights.sum(axis=2, keepdims=True)).astype(np.float32)
+        semantic = (weights / weights.sum(axis=2, keepdims=True)).astype(dtype)
     else:
-        semantic = random_merge_inputs(rng, spec, height, width, "blocks")[0]
-    density = rng.choice([0.02, 0.1, 1.0])
-    heatmap = np.ceil(rng.random((height, width)) * 4) / 4 * (rng.random((height, width)) < density)
-    offsets = rng.normal(0, 4, size=(height, width, 2))
-    return semantic, heatmap.astype(np.float32), offsets.astype(np.float32)
-
-
-def stuff_areas(panoptic: np.ndarray, spec: DatasetSpec) -> list[int]:
-    """Pixel counts of the stuff segments of a panoptic map."""
-    ids, counts = np.unique(panoptic, return_counts=True)
-    stuff = np.isin(ids, [c * spec.label_divisor for c in spec.stuff_ids])
-    return counts[stuff].tolist()
+        semantic = random_merge_inputs(rng, spec, height, width, "blocks")[0].astype(dtype)
+    heatmap = np.ceil(rng.random((height, width)) * 4) / 4
+    heatmap *= rng.random((height, width)) < rng.choice([0.02, 0.1, 1.0])
+    inputs = (semantic, heatmap.astype(np.float32), rng.normal(0, 4, (height, width, 2)).astype(np.float32))
+    unfiltered = inference_oracle(*inputs, spec, replace(params, stuff_area_threshold=0)).panoptic
+    ids, areas = np.unique(unfiltered, return_counts=True)
+    areas = areas[np.isin(ids, [c * spec.label_divisor for c in spec.stuff_ids])]
+    area = int(rng.choice(areas)) if areas.size else 0
+    stuff = area + (stuff == "area + 1") if isinstance(stuff, str) else stuff
+    spec = replace(spec, stuff_area_threshold=area)
+    return (*inputs, spec, replace(params, stuff_area_threshold=stuff))
 
 
 def histogram_mismatch(pred, gt, spec, scores=None, max_dets=200) -> str:
@@ -857,7 +850,7 @@ def _check_merge(seed: int = 0, cases: int = 60) -> str:
         labels, instance = random_merge_inputs(rng, spec, height, width, kind)
         labels = labels.astype((np.uint8, np.uint16, np.int64)[i // 5 % 3])
         threshold = (0, 1, 2048)[i // 3 % 3]
-        got = postprocess._merge_panoptic(labels, instance, spec, threshold)
+        got = postprocess.merge_panoptic(labels, instance, spec, threshold)
         want = merge_oracle(labels, instance, spec, threshold)
         where = f"case {i} ({height}x{width} {kind}, threshold {threshold})"
         if not _same_array(got.panoptic, want.panoptic):
@@ -872,29 +865,17 @@ def _check_inference(seed: int = 0, cases: int = 60) -> str:
     probabilities: panoptic bytes and dtype, and the records' repr, over
     kernels, thresholds, ``top_k``, stuff thresholds (None, 0, a stuff area
     and one more) and every score mode."""
-    base = make_spec(num_stuff=2, num_things=3)
     rng = np.random.default_rng(seed)
     for i in range(cases):
         height, width = (int(n) for n in rng.integers(1, 20, size=2))
-        kind = ("labels", "probabilities")[i % 2]
-        semantic, heatmap, offsets = random_inference_inputs(rng, base, height, width, kind)
-        if kind == "labels":
-            semantic = semantic.astype((np.uint8, np.uint16, np.int64)[i // 2 % 3])
+        dtype = (np.uint8, np.float32, np.uint16, np.float32, np.int64, np.float64)[i % 6]
+        draw = lambda *options: options[int(rng.integers(len(options)))]  # noqa: E731
         params = postprocess.PostprocParams(
-            nms_kernel=(1, 3, 5, 7)[i % 4],
-            center_threshold=(0.0, 0.3, 0.6)[i % 3],
-            top_k=(1, 3, 200)[i // 3 % 3],
-            stuff_area_threshold=0,
-            score_mode=postprocess.SCORE_MODES[i % 3],
+            draw(1, 3, 5, 7), draw(0.0, 0.3, 0.6), draw(1, 3, 200), 0, draw(*postprocess.SCORE_MODES)
         )
-        areas = stuff_areas(inference_oracle(semantic, heatmap, offsets, base, params).panoptic, base)
-        area = int(rng.choice(areas)) if areas else 0
-        threshold = (None, 0, area, area + 1)[i // 4 % 4]
-        spec = replace(base, stuff_area_threshold=area)  # what None defers to
-        params = replace(params, stuff_area_threshold=threshold)
-        got = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params)
-        want = inference_oracle(semantic, heatmap, offsets, spec, params)
-        where = f"case {i} ({height}x{width} {kind}, {params})"
+        case = random_inference_case(rng, height, width, dtype, draw(None, 0, "area", "area + 1"), params)
+        got, want = postprocess.panoptic_inference(*case), inference_oracle(*case)
+        where = f"case {i} ({height}x{width} {np.dtype(dtype).name}, {case[-1]})"
         if not _same_array(got.panoptic, want.panoptic):
             return f"{where}: panoptic differs from inference_oracle"
         if repr(got.instances) != repr(want.instances):

@@ -1,7 +1,8 @@
 """Training-target encoders: center heatmap, offset field, and loss weights.
 
-Ground truth arrives as a panoptic label map; the encoders derive per-pixel
-regression and weighting targets from it. Thing segments are the panoptic
+Ground truth arrives as a panoptic label map. The encoders derive per-pixel
+regression and weighting targets from its ``core.segment_table``, which
+:func:`encode_targets` builds once for all of them. Thing segments are the panoptic
 ids whose category is a thing and whose instance part is >= 1; a thing
 category with instance part 0 is treated as a crowd region and contributes
 no center, no offsets, and no thing-mask pixels.
@@ -69,18 +70,12 @@ class TargetBundle:
     areas: tuple[int, ...]  # pixel count of each centers entry's segment
 
 
-def compute_mass_centers(
-    panoptic: np.ndarray, spec: DatasetSpec
-) -> list[tuple[int, InstanceCenter]]:
+def compute_mass_centers(table: SegmentTable) -> list[tuple[int, InstanceCenter]]:
     """Mass center of every thing segment, as (panoptic id, center) pairs.
 
     Centers are arithmetic means of pixel coordinates, kept real-valued;
     the score field is fixed at 1. Ordered by ascending panoptic id.
     """
-    return _centers(segment_table(panoptic, spec))
-
-
-def _centers(table: SegmentTable) -> list[tuple[int, InstanceCenter]]:
     things = table.thing_instance
     rows, cols = table.center_rows[things].tolist(), table.center_cols[things].tolist()
     return [
@@ -123,9 +118,7 @@ def encode_center_heatmap(
     return heatmap.astype(np.float32)
 
 
-def encode_offsets(
-    panoptic: np.ndarray, spec: DatasetSpec
-) -> tuple[np.ndarray, np.ndarray]:
+def encode_offsets(table: SegmentTable) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel (delta_row, delta_col) to the segment's mass center.
 
     Returns (offsets, thing_mask): offsets are float32 (H, W, 2), zero
@@ -133,10 +126,6 @@ def encode_offsets(
     Adding a pixel's offset to its own coordinates lands on the mass center
     of its segment, up to float32 rounding.
     """
-    return _thing_offsets(segment_table(panoptic, spec))
-
-
-def _thing_offsets(table: SegmentTable) -> tuple[np.ndarray, np.ndarray]:
     height, width = table.inverse.shape
     thing_mask = table.thing_instance[table.inverse]
     pixels = np.flatnonzero(thing_mask)
@@ -149,19 +138,13 @@ def _thing_offsets(table: SegmentTable) -> tuple[np.ndarray, np.ndarray]:
 
 
 def semantic_weight_map(
-    panoptic: np.ndarray,
-    spec: DatasetSpec,
-    params: TargetParams = TargetParams(),
+    table: SegmentTable, params: TargetParams = TargetParams()
 ) -> np.ndarray:
     """Per-pixel semantic loss weights.
 
     ``small_instance_weight`` at pixels of thing instances with area strictly
     below ``small_instance_area``, 1 elsewhere, 0 at ignore pixels. float32.
     """
-    return _weights(segment_table(panoptic, spec), params)
-
-
-def _weights(table: SegmentTable, params: TargetParams) -> np.ndarray:
     weight = np.ones(table.ids.size, dtype=np.float32)
     weight[table.thing_instance & (table.areas < params.small_instance_area)] = (
         params.small_instance_weight
@@ -177,13 +160,13 @@ def encode_targets(
 ) -> TargetBundle:
     """Run all encoders over one ground-truth panoptic map."""
     table = segment_table(panoptic, spec)  # one scan feeds every encoder
-    centers = _centers(table)
+    centers = compute_mass_centers(table)
     heatmap = encode_center_heatmap([c for _, c in centers], Dims.of(panoptic), params)
-    offsets, thing_mask = _thing_offsets(table)
+    offsets, thing_mask = encode_offsets(table)
     return TargetBundle(
         heatmap=heatmap,
         offsets=offsets,
-        semantic_weights=_weights(table, params),
+        semantic_weights=semantic_weight_map(table, params),
         semantic_labels=table.category.astype(np.int32)[table.inverse],
         thing_mask=thing_mask,
         centers=tuple(centers),

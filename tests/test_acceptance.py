@@ -221,7 +221,7 @@ def test_performance_budget():
     total_s = sorted(total_times)[1]
 
     print(
-        f"ACCEPTANCE performance: end_to_end {total_s*1000:.0f} ms (budget 250), "
+        f"ACCEPTANCE performance: end_to_end {total_s*1000:.0f} ms (budget 1000), "
         f"merge {merge_ms:.1f} ms (budget 50)"
     )
     assert total_s < 1.0, f"end-to-end {total_s:.3f}s exceeds 1.0s"
@@ -240,7 +240,7 @@ def test_probability_input_budget():
         postprocess.panoptic_inference(probs, heatmap, offsets, spec)
         times.append(time.perf_counter() - t0)
     total_s = sorted(times)[1]
-    print(f"ACCEPTANCE probability_budget: end_to_end {total_s*1000:.0f} ms (budget 250)")
+    print(f"ACCEPTANCE probability_budget: end_to_end {total_s*1000:.0f} ms (budget 1000)")
     assert total_s < 1.0, f"probability-input inference {total_s:.3f}s exceeds 1.0s"
 
 

@@ -129,11 +129,11 @@ def test_fuse_round_trip_matches_gt(scene_files):
     targets_dir = tmp / "targets"
     assert run_targets(gt_path, spec_path, targets_dir) == 0
     # Exact-oracle heatmap: re-encode from rounded centers.
-    from panopticore.core import Dims, InstanceCenter
+    from panopticore.core import Dims, InstanceCenter, segment_table
     from panopticore.selftest import rounded
     from panopticore.targets import compute_mass_centers, encode_center_heatmap
 
-    centers = compute_mass_centers(scene.panoptic, scene.spec)
+    centers = compute_mass_centers(segment_table(scene.panoptic, scene.spec))
     heatmap = encode_center_heatmap(
         [InstanceCenter(rounded(c.row), rounded(c.col)) for _, c in centers],
         Dims.of(scene.panoptic),

@@ -277,12 +277,6 @@ def _unknown_id_cases():
                 semantic(c), np.zeros((6, 6), np.float32), np.zeros((6, 6, 2), np.float32), spec
             ),
         ),
-        "filter_small_stuff": (
-            "panoptic map",
-            lambda c: postprocess.filter_small_stuff(
-                postprocess.PanopticResult(with_category(c, 0), ()), spec, threshold=5
-            ),
-        ),
         "panoptic_quality-pred": (
             "pred map", lambda c: metrics.panoptic_quality(with_category(c, 1), good, spec)
         ),

@@ -101,10 +101,12 @@ def test_injected_probability_tie_fault_named(monkeypatch):
 def test_injected_merge_vote_fault_named(monkeypatch):
     real_sums = postprocess._sums
 
-    def off_by_one_sums(index, weights, size):
-        return real_sums(index, weights, size) + 1
+    def double_sums(index, weights, size):
+        # Twice every count; the merge's unknown-id column stays 0, so the
+        # fault shows as wrong areas, not as an unknown id.
+        return real_sums(index, weights, size) * 2
 
-    monkeypatch.setattr(postprocess, "_sums", off_by_one_sums)
+    monkeypatch.setattr(postprocess, "_sums", double_sums)
     results = {r.name: r for r in run_selftest()}
     assert not results["merge_oracle"].passed
     assert "from merge_oracle" in results["merge_oracle"].detail

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from panopticore.core import CategorySpec, DatasetSpec, Dims, InstanceCenter, validate
+from panopticore.core import CategorySpec, DatasetSpec, Dims, InstanceCenter, segment_table, validate
 from panopticore.synth import make_spec, random_scene
 from panopticore.targets import (
     TargetParams,
@@ -39,14 +39,14 @@ def test_encode_targets_of_any_integer_dtype_equal_int64(dtype):
 
 
 def test_mass_center_two_pixels():
-    centers = compute_mass_centers(panoptic_with([(0, 0), (0, 2)]), SPEC)
+    centers = compute_mass_centers(segment_table(panoptic_with([(0, 0), (0, 2)]), SPEC))
     assert len(centers) == 1
     _, center = centers[0]
     assert (center.row, center.col) == (0.0, 1.0)
 
 
 def test_mass_center_single_pixel():
-    centers = compute_mass_centers(panoptic_with([(5, 7)]), SPEC)
+    centers = compute_mass_centers(segment_table(panoptic_with([(5, 7)]), SPEC))
     assert (centers[0][1].row, centers[0][1].col) == (5.0, 7.0)
 
 
@@ -55,7 +55,7 @@ def test_mass_center_three_pixels():
     pixels = [(0, 0), (1, 0), (1, 1)]
     want_row = sum(p[0] for p in pixels) / len(pixels)
     want_col = sum(p[1] for p in pixels) / len(pixels)
-    centers = compute_mass_centers(panoptic_with(pixels), SPEC)
+    centers = compute_mass_centers(segment_table(panoptic_with(pixels), SPEC))
     _, center = centers[0]
     assert center.row == pytest.approx(want_row, abs=1e-15)
     assert center.col == pytest.approx(want_col, abs=1e-15)
@@ -65,7 +65,7 @@ def test_mass_center_three_pixels():
 
 def test_mass_center_disconnected_segment_is_one_instance():
     panoptic = panoptic_with([(0, 0), (7, 7)])
-    centers = compute_mass_centers(panoptic, SPEC)
+    centers = compute_mass_centers(segment_table(panoptic, SPEC))
     assert len(centers) == 1
     assert (centers[0][1].row, centers[0][1].col) == (3.5, 3.5)
 
@@ -73,7 +73,7 @@ def test_mass_center_disconnected_segment_is_one_instance():
 def test_mass_center_skips_crowd_and_stuff():
     panoptic = panoptic_with([(1, 1)], instance=1)
     panoptic[4, 4] = THING * SPEC.label_divisor  # crowd: instance part 0
-    centers = compute_mass_centers(panoptic, SPEC)
+    centers = compute_mass_centers(segment_table(panoptic, SPEC))
     assert len(centers) == 1
 
 
@@ -133,7 +133,7 @@ def test_offsets_point_at_center():
     panoptic = panoptic_with([(10, 20), (16, 16), (13, 18)], height=32, width=32)
     # Mass center of the three pixels:
     want = (13.0, 18.0)
-    offsets, mask = encode_offsets(panoptic, SPEC)
+    offsets, mask = encode_offsets(segment_table(panoptic, SPEC))
     assert mask[10, 20] and mask[16, 16] and mask[13, 18]
     assert offsets[10, 20, 0] == pytest.approx(want[0] - 10)
     assert offsets[10, 20, 1] == pytest.approx(want[1] - 20)
@@ -142,15 +142,15 @@ def test_offsets_point_at_center():
 
 def test_offsets_zero_at_stuff():
     panoptic = panoptic_with([(1, 1)])
-    offsets, mask = encode_offsets(panoptic, SPEC)
+    offsets, mask = encode_offsets(segment_table(panoptic, SPEC))
     assert not mask[0, 0]
     assert (offsets[~mask] == 0).all()
 
 
 def test_offsets_land_on_mass_center_random_scene():
     scene = random_scene(11, min_size=32, max_size=32, allow_void=False)
-    offsets, mask = encode_offsets(scene.panoptic, scene.spec)
-    centers = dict(compute_mass_centers(scene.panoptic, scene.spec))
+    offsets, mask = encode_offsets(segment_table(scene.panoptic, scene.spec))
+    centers = dict(compute_mass_centers(segment_table(scene.panoptic, scene.spec)))
     rows, cols = np.nonzero(mask)
     for r, c in zip(rows, cols):
         pid = int(scene.panoptic[r, c])
@@ -162,7 +162,7 @@ def test_offsets_land_on_mass_center_random_scene():
 
 def test_weight_map_small_instance():
     pixels = [(r, c) for r in range(8) for c in range(8)]  # area 64 < 4096
-    weights = semantic_weight_map(panoptic_with(pixels, 16, 16), SPEC)
+    weights = semantic_weight_map(segment_table(panoptic_with(pixels, 16, 16), SPEC))
     assert weights[0, 0] == 3.0
     assert weights[15, 15] == 1.0  # stuff pixel
 
@@ -171,14 +171,14 @@ def test_weight_map_area_boundary():
     params = TargetParams(small_instance_area=4)
     small = panoptic_with([(0, 0), (0, 1), (0, 2)])  # area 3 < 4
     exact = panoptic_with([(0, 0), (0, 1), (0, 2), (0, 3)])  # area 4, not < 4
-    assert semantic_weight_map(small, SPEC, params)[0, 0] == 3.0
-    assert semantic_weight_map(exact, SPEC, params)[0, 0] == 1.0
+    assert semantic_weight_map(segment_table(small, SPEC), params)[0, 0] == 3.0
+    assert semantic_weight_map(segment_table(exact, SPEC), params)[0, 0] == 1.0
 
 
 def test_weight_map_ignore_pixels_zero():
     panoptic = panoptic_with([(1, 1)])
     panoptic[3, 3] = SPEC.void_id
-    weights = semantic_weight_map(panoptic, SPEC)
+    weights = semantic_weight_map(segment_table(panoptic, SPEC))
     assert weights[3, 3] == 0.0
 
 
@@ -216,13 +216,13 @@ def test_encode_targets_equals_its_parts(seed):
     things = (ids % spec.label_divisor > 0) & np.isin(ids // spec.label_divisor, list(spec.thing_ids))
     params = TargetParams(small_instance_area=int(np.median(areas[things])) + 1)
     bundle = encode_targets(panoptic, spec, params)
-    offsets, thing_mask = encode_offsets(panoptic, spec)
+    offsets, thing_mask = encode_offsets(segment_table(panoptic, spec))
     assert bundle.offsets.tobytes() == offsets.tobytes()
     assert bundle.thing_mask.tobytes() == thing_mask.tobytes()
-    weights = semantic_weight_map(panoptic, spec, params)
+    weights = semantic_weight_map(segment_table(panoptic, spec), params)
     assert bundle.semantic_weights.tobytes() == weights.tobytes()
     assert (weights == 0).any() and (weights == params.small_instance_weight).any()
-    centers = compute_mass_centers(panoptic, spec)
+    centers = compute_mass_centers(segment_table(panoptic, spec))
     assert bundle.centers == tuple(centers) and centers
     heatmap = encode_center_heatmap([c for _, c in centers], Dims.of(panoptic), params)
     assert bundle.heatmap.tobytes() == heatmap.tobytes()
@@ -360,8 +360,8 @@ def test_encoders_equal_segment_loop_reference(case):
     areas = dict(zip(*np.unique(panoptic, return_counts=True)))
     assert bundle.areas == tuple(int(areas[pid]) for pid, _ in centers)
 
-    assert compute_mass_centers(panoptic, spec) == centers
-    got_offsets, got_mask = encode_offsets(panoptic, spec)
+    assert compute_mass_centers(segment_table(panoptic, spec)) == centers
+    got_offsets, got_mask = encode_offsets(segment_table(panoptic, spec))
     assert got_offsets.tobytes() == offsets.tobytes()
     assert got_mask.tobytes() == thing_mask.tobytes()
-    assert semantic_weight_map(panoptic, spec, params).tobytes() == weights.tobytes()
+    assert semantic_weight_map(segment_table(panoptic, spec), params).tobytes() == weights.tobytes()
