@@ -467,16 +467,15 @@ def merge_panoptic(
     category = np.where(grouped & votes.any(axis=1), table.ids[votes.argmax(axis=1)], -1)
 
     # One code per (instance row, channel): instances that won a category
-    # encode as category * divisor + index, the others as VOID. The row of
-    # instance 0 holds every stuff pixel of the fused map, so its counts are
-    # the stuff areas: stuff at or above the threshold keeps its code, and
-    # thing and ignore labels, and smaller stuff, go to VOID.
+    # encode as category * divisor + index, the others and instance 0 as
+    # VOID. Instance 0's row holds every stuff pixel of the fused map, so its
+    # counts are the stuff areas: stuff at or above the threshold takes its
+    # code there; thing and ignore labels, and smaller stuff, stay VOID.
     pan_lut = np.empty((present.size, width), dtype=np.int64)
     row_code = category * divisor + present.astype(np.int64)
     pan_lut[:] = np.where(category >= 0, row_code, spec.void_id)[:, None]
     kept = ~thing & (votes_full[~grouped, :num].sum(axis=0) >= stuff_area_threshold)
-    sinks = (spec.void_id, spec.void_id)
-    pan_lut[~grouped] = np.append(np.where(kept, table.ids * divisor, spec.void_id), sinks)
+    pan_lut[~grouped, :num] = np.where(kept, table.ids * divisor, spec.void_id)
     panoptic = np.empty(flat_semantic.size, dtype=np.int64)
     block_rows = np.split(row, np.cumsum([b[0].size for b in blocks])[:-1])
     for start, (_, _, codes, lengths), rows in zip(bounds, blocks, block_rows):

@@ -487,7 +487,8 @@ def random_merge_inputs(
 
 
 def random_inference_case(
-    rng: np.random.Generator, height: int, width: int, dtype, stuff, params: postprocess.PostprocParams
+    rng: np.random.Generator, height: int, width: int, dtype, stuff,
+    params: postprocess.PostprocParams,
 ) -> tuple:
     """(semantic, heatmap, offsets, spec, params) for ``panoptic_inference``.
     An integer ``dtype`` gives :func:`random_merge_inputs` block labels; a
@@ -506,7 +507,8 @@ def random_inference_case(
         semantic = random_merge_inputs(rng, spec, height, width, "blocks")[0].astype(dtype)
     heatmap = np.ceil(rng.random((height, width)) * 4) / 4
     heatmap *= rng.random((height, width)) < rng.choice([0.02, 0.1, 1.0])
-    inputs = (semantic, heatmap.astype(np.float32), rng.normal(0, 4, (height, width, 2)).astype(np.float32))
+    offsets = rng.normal(0, 4, (height, width, 2)).astype(np.float32)
+    inputs = (semantic, heatmap.astype(np.float32), offsets)
     unfiltered = inference_oracle(*inputs, spec, replace(params, stuff_area_threshold=0)).panoptic
     ids, areas = np.unique(unfiltered, return_counts=True)
     areas = areas[np.isin(ids, [c * spec.label_divisor for c in spec.stuff_ids])]
@@ -866,14 +868,15 @@ def _check_inference(seed: int = 0, cases: int = 60) -> str:
     kernels, thresholds, ``top_k``, stuff thresholds (None, 0, a stuff area
     and one more) and every score mode."""
     rng = np.random.default_rng(seed)
+    draw = lambda *options: options[int(rng.integers(len(options)))]  # noqa: E731
     for i in range(cases):
         height, width = (int(n) for n in rng.integers(1, 20, size=2))
         dtype = (np.uint8, np.float32, np.uint16, np.float32, np.int64, np.float64)[i % 6]
-        draw = lambda *options: options[int(rng.integers(len(options)))]  # noqa: E731
         params = postprocess.PostprocParams(
             draw(1, 3, 5, 7), draw(0.0, 0.3, 0.6), draw(1, 3, 200), 0, draw(*postprocess.SCORE_MODES)
         )
-        case = random_inference_case(rng, height, width, dtype, draw(None, 0, "area", "area + 1"), params)
+        stuff = draw(None, 0, "area", "area + 1")
+        case = random_inference_case(rng, height, width, dtype, stuff, params)
         got, want = postprocess.panoptic_inference(*case), inference_oracle(*case)
         where = f"case {i} ({height}x{width} {np.dtype(dtype).name}, {case[-1]})"
         if not _same_array(got.panoptic, want.panoptic):
