@@ -15,6 +15,9 @@ threads.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -37,6 +40,10 @@ __all__ = [
 
 # Violations past this count are folded into a single summary entry.
 _MAX_REPORTED = 100
+
+# Threads, the caller included, that share the blocks of _run_blocks at most.
+_MAX_BLOCK_THREADS = 4
+_block_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, workers, pool)
 
 
 @dataclass(frozen=True)
@@ -263,6 +270,63 @@ def _sums(index: np.ndarray, weights, size: int) -> np.ndarray:
     sums = np.zeros(size, dtype=np.int64)
     np.add.at(sums, index, weights)
     return sums
+
+
+def _block_threads() -> int:
+    """min(_MAX_BLOCK_THREADS, CPUs this process may run on)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(_MAX_BLOCK_THREADS, cpus))
+
+
+def _run_blocks(body, count: int) -> None:
+    """``body(j)`` for every j in range(count), on T = min(W, count)
+    threads, W = ``_block_threads()``: the caller takes j = 0 (mod T), as a
+    worker thread would get its own malloc arena, and a pool of W - 1
+    threads the other residues. Each ``body(j)`` must write only its own
+    part of the output, so the bytes do not depend on T. Every block runs
+    under the caller's ``np.errstate``. A thread stops at its first failing
+    block; once all are done, the exception of the lowest failing j is
+    raised, the one the serial loop raises."""
+    global _block_pool
+    workers = _block_threads() - 1
+    threads = min(workers + 1, count)
+    if threads <= 1:
+        for j in range(count):
+            body(j)
+        return
+    # Made on first use, not at import; and anew in a forked child, where
+    # the parent's pool would count its vanished threads as idle and hang.
+    # A call racing this one may make a pool of its own; that pool's
+    # threads exit once its tasks are done and it is dropped.
+    pool = _block_pool
+    if pool is None or pool[:2] != (os.getpid(), workers):
+        pool = _block_pool = (os.getpid(), workers, ThreadPoolExecutor(workers))
+    failures: list[tuple[int, Exception]] = []
+
+    def residue(first: int) -> None:
+        for j in range(first, count, threads):
+            try:
+                body(j)
+            except Exception as e:
+                failures.append((j, e))
+                return
+
+    # numpy keeps ``np.errstate`` in a context variable, which a pool
+    # thread does not inherit: each residue runs in a copy of the caller's.
+    futures = [
+        pool[2].submit(contextvars.copy_context().run, residue, r) for r in range(1, threads)
+    ]
+    try:
+        residue(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()  # what residue does not catch, such as SystemExit
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
 
 def segment_table(panoptic: np.ndarray, spec: DatasetSpec) -> SegmentTable:

@@ -7,12 +7,11 @@ are taken with respect to the raw prediction grids only.
 
 from __future__ import annotations
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import _run_blocks
 
 __all__ = [
     "LossWeights",
@@ -50,68 +49,6 @@ class LossValue:
 # block stays in a core's L2 cache, and temporaries of one fixed size keep
 # peak RSS from depending on heap layout.
 _CE_BLOCK = 4096
-
-# Threads, the caller included, that share the CE's blocks at most.
-_MAX_CE_THREADS = 4
-_ce_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, workers, pool)
-
-
-def _ce_threads() -> int:
-    """min(_MAX_CE_THREADS, CPUs this process may run on)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(_MAX_CE_THREADS, cpus))
-
-
-def _run_blocks(body, count: int) -> None:
-    """``body(j)`` for every j in range(count), on T = min(W, count)
-    threads, W = ``_ce_threads()``: the caller takes j = 0 (mod T), as a
-    worker thread would get its own malloc arena, and a pool of W - 1
-    threads the other residues. Each ``body(j)`` must write only its own
-    part of the output, so the bytes do not depend on T. Every block runs
-    under the caller's ``np.errstate``. A thread stops at its first failing
-    block; once all are done, the exception of the lowest failing j is
-    raised, the one the serial loop raises."""
-    global _ce_pool
-    workers = _ce_threads() - 1
-    threads = min(workers + 1, count)
-    if threads <= 1:
-        for j in range(count):
-            body(j)
-        return
-    # Made on first use, not at import; and anew in a forked child, where
-    # the parent's pool would count its vanished threads as idle and hang.
-    # A call racing this one may make a pool of its own; that pool's
-    # threads exit once its tasks are done and it is dropped.
-    pool = _ce_pool
-    if pool is None or pool[:2] != (os.getpid(), workers):
-        pool = _ce_pool = (os.getpid(), workers, ThreadPoolExecutor(workers))
-    failures: list[tuple[int, Exception]] = []
-
-    def residue(first: int) -> None:
-        for j in range(first, count, threads):
-            try:
-                body(j)
-            except Exception as e:
-                failures.append((j, e))
-                return
-
-    # numpy keeps ``np.errstate`` in a context variable, which a pool
-    # thread does not inherit: each residue runs in a copy of the caller's.
-    futures = [
-        pool[2].submit(contextvars.copy_context().run, residue, r) for r in range(1, threads)
-    ]
-    try:
-        residue(0)
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()  # what residue does not catch, such as SystemExit
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-
 
 def _shifted_logits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """float64 ``rows`` minus each row's max, and the log of each row's

@@ -19,6 +19,7 @@ claims become VOID (ignore_label * label_divisor).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from .core import DatasetSpec, InstanceCenter, _runs, _sums, _unique_index
+from .core import DatasetSpec, InstanceCenter, _run_blocks, _runs, _sums, _unique_index
 
 __all__ = [
     "PostprocParams",
@@ -54,13 +55,13 @@ _GROUP_BLOCK = 1 << 16
 # (candidates + _PEAK_OFFSET_COST) x kernel**2 stays within _PEAK_DENSITY
 # times the pixel count; denser heatmaps take the full window-max filter,
 # which costs about as much as the search at this density. Each window
-# offset costs three numpy calls however few the candidates (~2 us, some
-# 400 candidates' reads on a 2-core VM); counting it as 16 sends kernels
-# near the image's size to the filter (the search takes at most ~1.3 s at
-# 1025x2049) and keeps 16x16 maps with a few candidates on the search at
-# kernels 3 to 7, where the oracles check it.
+# offset costs three numpy calls however few the candidates: ~2 us, some
+# 400 candidates' reads on a 2-core VM. So one candidate on a 1025x2049 map
+# takes the filter from kernel 145 on (at kernel 701 the search took
+# 1.15 s, the filter 0.04 s). Small maps take the filter at any kernel; the
+# oracles patch this cost to reach the search there.
 _PEAK_DENSITY = 4
-_PEAK_OFFSET_COST = 16
+_PEAK_OFFSET_COST = 400
 
 # Pixels per block of the pass over (H, W, C) probabilities. Its (C, block)
 # channel-major copy (1.2 MiB of float32 at C = 19) and scratch fit a 2 MiB
@@ -541,26 +542,50 @@ def _class_scores(
     return {r.instance_index: scores[r.instance_index] for r in result.instances}
 
 
+def _sum_margin(channels: int, unit: float) -> float:
+    """beta of the float32 sum check of ``_probability_labels``:
+    (g + g64) / (1 - g) for C = ``channels`` nonnegative terms, where
+    g = gamma(C - 1) at the unit roundoff ``unit`` of the check's sum, g64
+    the same at float64's and gamma(n) = n u / (1 - n u). A sum s in any
+    order is within g times the exact sum S of it, so S <= s / (1 - g), and
+    numpy's float64 row sum is within g64 S of S. Then
+    |row sum - 1| <= |s - 1| + beta s. beta is rounded up by a relative
+    2**-30, far above the rounding of this float64 formula, and by 2**-60,
+    above half an ulp of 1e-5 (2**-70): so |s - 1| + beta s <= 1e-5 in
+    float64, for s in [0.5, 2] where s - 1 is exact, also holds exactly."""
+
+    def gamma(n: int, u: float) -> float:
+        return n * u / (1 - n * u)
+
+    g = gamma(channels - 1, unit)
+    return (g + gamma(channels - 1, 2.0**-53)) / (1 - g) * (1 + 2.0**-30) + 2.0**-60
+
+
 def _probability_labels(probs: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Check a (H, W, C) probability grid and reduce it to labels.
 
     ``ids`` holds the category id of each channel. Every pixel's channels
     must sum to 1 within 1e-5 (numpy's float64 row sum) and be finite; the
     (H, W) map ``ids[argmax]`` is returned, ties going to the lowest channel.
+    Labels, verdicts and messages are those of the row-wise pass
+    (``selftest.probability_labels_oracle``).
 
-    One pass in blocks of ``_PROB_BLOCK`` pixels. A float block is copied
-    once into a channel-major (C, block) buffer, where the float64 sum and
-    the max of every pixel, and the block's min, are reductions across
-    pixels instead of along C-wide rows. That sum adds the same float64
-    terms as numpy's row sum in another order, so the two differ by less
-    than ``C * C * 2**-50`` times the block's largest magnitude. If every
-    pixel's sum is inside the tolerance by more than that, the block passes,
-    and each label is the lowest channel equal to the pixel's max, which is
-    numpy's argmax on a finite row. Otherwise the block, like a block of any
-    other dtype, takes numpy's row sum and argmax: a NaN or infinity makes
-    that sum fail too, and only then is the block searched for it, so the
-    message can name it. Labels, verdicts and messages are those of the
-    row-wise pass (``selftest.probability_labels_oracle``).
+    Blocks of ``_PROB_BLOCK`` pixels run on ``core._run_blocks``; each
+    thread has its own scratch buffers and each block writes only its own
+    labels, so the bytes do not depend on the thread count. A float16,
+    float32 or float64 block is copied once into a channel-major (C, block)
+    buffer, where the sum and the max of every pixel, and the block's min,
+    are reductions across pixels instead of along C-wide rows. The sum runs
+    in float32 (float64 on float64 grids). The block passes when its min is
+    >= 0 and every pixel's sum s has |s - 1| + beta s <= 1e-5 in float64
+    (``_sum_margin``): then numpy's row sum is within the tolerance too.
+    That function of s is convex, so it is checked at the block's smallest
+    and largest s. Each label is then the lowest channel equal to the
+    pixel's max, which is numpy's argmax on a finite row. Any other block
+    (a negative entry, NaN or +-inf, a sum too close to or outside the
+    tolerance, C too large for any margin, another dtype) takes numpy's row
+    sum and argmax: a NaN or infinity makes that sum fail too, and only
+    then is the block searched for it, so the message can name it.
     """
     num_channels = probs.shape[2]
     if num_channels != ids.size:
@@ -570,39 +595,52 @@ def _probability_labels(probs: np.ndarray, ids: np.ndarray) -> np.ndarray:
     flat = probs.reshape(-1, num_channels)
     labels = np.empty(flat.shape[0], dtype=ids.dtype)
     size = max(1, min(_PROB_BLOCK, flat.shape[0]))
-    slack = num_channels * num_channels * 2.0**-50
-    # Per-block scratch, allocated once. A channel c equal to the pixel's
-    # max gets the key C - c, so the largest key names the lowest such
-    # channel; key k maps to ids[C - k] (key 0 only on a non-finite row).
+    # The check's sum: float32, or float64 on a float64 grid. Other dtypes,
+    # and C with (C - 1) u >= 1e-5, where beta > 1e-5 passes no block, take
+    # the row sums.
+    sum_dtype = {"e": np.float32, "f": np.float32, "d": np.float64}.get(probs.dtype.char)
+    unit = float(np.finfo(sum_dtype or np.float64).epsneg)  # 2**-24 or 2**-53
+    fast = sum_dtype is not None and (num_channels - 1) * unit < 1e-5
+    beta = _sum_margin(num_channels, unit) if fast else 0.0
+    # A channel c equal to the pixel's max gets the key C - c, so the
+    # largest key names the lowest such channel; key k maps to ids[C - k].
     key_dtype = np.min_scalar_type(num_channels)
     keys = np.arange(num_channels, 0, -1, dtype=key_dtype)[:, None]
-    major = np.empty((num_channels, size), dtype=probs.dtype)
-    hits = np.empty((num_channels, size), dtype=bool)
-    keyed = np.empty((num_channels, size), dtype=key_dtype)
-    sums = np.empty(size, dtype=np.float64)
-    top = np.empty(size, dtype=probs.dtype)
-    best = np.empty(size, dtype=key_dtype)
     id_of_key = np.concatenate((ids[:1], ids[::-1]))
-    for start in range(0, flat.shape[0], size):
+    local = threading.local()
+
+    def block_body(j: int) -> None:
+        start = j * size
         block = flat[start : start + size]
         n = block.shape[0]
-        if probs.dtype.kind == "f":
-            channels = major[:, :n]
-            np.copyto(channels, block.T)
-            # inf - inf or an overflow fails the block.
+        if fast:
+            scratch = getattr(local, "scratch", None)
+            if scratch is None:  # allocated once per thread and call
+                scratch = local.scratch = (
+                    np.empty((num_channels, size), dtype=probs.dtype),
+                    np.empty((num_channels, size), dtype=bool),
+                    np.empty((num_channels, size), dtype=key_dtype),
+                    np.empty(size, dtype=sum_dtype),
+                    np.empty(size, dtype=probs.dtype),
+                    np.empty(size, dtype=key_dtype),
+                )
+            major, hits, keyed, sums, top, best = (a[..., :n] for a in scratch)
+            np.copyto(major, block.T)
+            # inf - inf or an overflow makes a sum NaN or inf: no pass.
             with np.errstate(invalid="ignore", over="ignore"):
-                deviation = np.add.reduce(channels, axis=0, dtype=np.float64, out=sums[:n])
-            high = np.maximum.reduce(channels, axis=0, out=top[:n])
-            magnitude = np.float64(np.maximum(high.max(), -channels.min()))
-            deviation -= 1.0
-            np.abs(deviation, out=deviation)
-            # A NaN or infinity anywhere makes the left side NaN or inf.
-            if deviation.max() + slack * magnitude <= 1e-5:
-                np.equal(channels, high, out=hits[:, :n])
-                np.multiply(hits[:, :n], keys, out=keyed[:, :n])
-                np.maximum.reduce(keyed[:, :n], axis=0, out=best[:n])
-                np.take(id_of_key, best[:n], out=labels[start : start + n])
-                continue
+                np.add.reduce(major, axis=0, dtype=sum_dtype, out=sums)
+            low, high = float(sums.min()), float(sums.max())  # NaN if any s is
+            if (
+                abs(low - 1.0) + beta * low <= 1e-5
+                and abs(high - 1.0) + beta * high <= 1e-5
+                and major.min() >= 0
+            ):
+                np.maximum.reduce(major, axis=0, out=top)
+                np.equal(major, top, out=hits)
+                np.multiply(hits, keys, out=keyed)
+                np.maximum.reduce(keyed, axis=0, out=best)
+                np.take(id_of_key, best, out=labels[start : start + n])
+                return
         # A sum that warns (inf - inf, an overflow) ends in the ValueError.
         with np.errstate(invalid="ignore", over="ignore"):
             row_sums = block.sum(axis=1, dtype=np.float64)
@@ -611,6 +649,8 @@ def _probability_labels(probs: np.ndarray, ids: np.ndarray) -> np.ndarray:
                 raise ValueError("semantic probabilities contain non-finite values")
             raise ValueError("semantic probabilities must sum to 1 per pixel")
         labels[start : start + n] = ids[block.argmax(axis=1)]
+
+    _run_blocks(block_body, -(-flat.shape[0] // size))
     return labels.reshape(probs.shape[:2])
 
 

@@ -213,6 +213,38 @@ def probability_labels_oracle(probs: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return labels.reshape(probs.shape[:2])
 
 
+def margin_edge_row(channels: int, dtype, above: bool, outside: bool) -> np.ndarray:
+    """A float64 row of ``dtype`` values at the edge of the sum check of
+    ``postprocess._probability_labels``: channel 0 holds the last value
+    inside the band |s - 1| + beta s <= 1e-5 above or below 1 (one ulp past
+    it if ``outside``), and every other channel the largest value below
+    half its ulp in the check's sum. The check's sum, channel by channel
+    on a block of two pixels or more, drops those and is channel 0; numpy's
+    row sum keeps them. So the two sums differ by about (C - 1) u, the most
+    that beta allows for. At C where no sum passes, channel 0 is the band's
+    formula rounded."""
+    sum_dtype = np.float64 if np.dtype(dtype) == np.float64 else np.float32
+    beta = postprocess._sum_margin(channels, float(np.finfo(sum_dtype).epsneg))
+    side = 1.0 if above else -1.0
+    away = dtype(1 + side)  # 2 or 0
+
+    def inside(v) -> bool:
+        return abs(float(v) - 1.0) + beta * float(v) <= 1e-5
+
+    value = dtype((1 + side * 1e-5) / (1 + side * beta))
+    if inside(1.0):
+        while not inside(value):
+            value = np.nextafter(value, dtype(1))
+        while inside(np.nextafter(value, away)):
+            value = np.nextafter(value, away)
+    if outside:
+        value = np.nextafter(value, away)
+    half_ulp = np.spacing(sum_dtype(value)) / 2
+    row = np.full(channels, np.nextafter(dtype(half_ulp), dtype(0)), dtype=np.float64)
+    row[0] = value
+    return row
+
+
 def segment_table_oracle(panoptic: np.ndarray, spec: DatasetSpec) -> core.SegmentTable:
     """``core.segment_table`` as first written: one ``np.unique`` sort of the
     map with inverse and counts."""
@@ -565,7 +597,10 @@ def _check_round_trip(seed: int) -> str:
 
 def _check_nms(seed: int = 0, cases: int = 100) -> str:
     """keypoint_nms == the window-max scan, and the candidate-only peak
-    search == extract_centers over it (quantised values make plateaus)."""
+    search == extract_centers over it (quantised values make plateaus), with
+    window offsets charged nothing so sparse maps take the search."""
+    from unittest import mock  # imports asyncio: not at the CLI's start-up
+
     rng = np.random.default_rng(seed)
     for i in range(cases):
         heatmap = rng.random((16, 16)).astype(np.float32)
@@ -576,7 +611,8 @@ def _check_nms(seed: int = 0, cases: int = 100) -> str:
             if not np.array_equal(postprocess.keypoint_nms(heatmap, kernel), want):
                 return f"case {i} kernel {kernel}: mismatch with window-max scan"
             threshold, top_k = (0.0, 0.5, 0.8)[i % 3], (1, 5, 200)[i % 3]
-            peaks = postprocess._peak_centers(heatmap, kernel, threshold, top_k)
+            with mock.patch.object(postprocess, "_PEAK_OFFSET_COST", 0):
+                peaks = postprocess._peak_centers(heatmap, kernel, threshold, top_k)
             if peaks != postprocess.extract_centers(want, threshold, top_k):
                 return f"case {i} kernel {kernel}: peaks differ from extract_centers"
     return ""
@@ -747,15 +783,17 @@ def _labels_outcome(function, probs: np.ndarray, ids: np.ndarray):
 
 def _check_probability_labels(seed: int = 0, cases: int = 60) -> str:
     """The channel-major probability pass == the row-sum and row-argmax
-    oracle: labels (bytes and dtype), verdict and message. Small integer
-    weights make ties common; some grids span two blocks, and faults (NaN,
-    inf, a bad sum, rows just inside or outside the tolerance, negative
-    entries, order-dependent sums) land in one block or both."""
+    oracle: labels (bytes and dtype), verdict and message, at C up to 133
+    and past it. Small integer weights make ties common; every grid has a
+    row at the edge of the sum check's band (:func:`margin_edge_row`), and
+    some span two blocks. Faults (NaN, inf, a bad sum, rows just inside or
+    outside the tolerance, negative, -0.0 and tiny negative entries,
+    order-dependent sums) land in one block or both."""
     rng = np.random.default_rng(seed)
     for i in range(cases):
-        channels = (1, 2, 19, 200)[i % 4]
+        channels = (1, 2, 19, 133, 200)[i % 5]
         dtype = (np.float32, np.float64, np.float16)[i % 3]
-        if i % 4 != 3 and i % 5 == 0:
+        if channels <= 19 and i % 4 == 0:
             height, width = 1, postprocess._PROB_BLOCK + int(rng.integers(1, 64))
         else:
             height, width = (int(n) for n in rng.integers(1, 12, size=2))
@@ -763,9 +801,11 @@ def _check_probability_labels(seed: int = 0, cases: int = 60) -> str:
         weights[..., 0] += weights.sum(axis=2) == 0
         probs = (weights / weights.sum(axis=2, keepdims=True)).astype(dtype)
         flat = probs.reshape(-1, channels)
-        for _ in range(i % 3):
+        # Above or below 1, inside or one ulp outside: each with each C and dtype.
+        edge = margin_edge_row(channels, dtype, i % 4 in (0, 2), i % 4 >= 2)
+        flat[int(rng.integers(flat.shape[0]))] = edge
+        for fault in rng.integers(7, size=int(rng.integers(3))):
             row = flat[int(rng.integers(flat.shape[0]))]
-            fault = i // 3 % 6
             if fault == 0:
                 row[rng.integers(channels)] = np.nan
             elif fault == 1:
@@ -777,11 +817,16 @@ def _check_probability_labels(seed: int = 0, cases: int = 60) -> str:
             elif fault == 4:
                 row[0] -= dtype(0.5)
                 row[-1] += dtype(0.5)
-            else:  # order-dependent sums: big is above 2**53 in float32 and float64
+            elif fault == 5:  # order-dependent sums: big is above 2**53 in float32 and float64
                 big = np.float64(np.finfo(dtype).max) ** 0.5
                 small, one = (min(c, channels - 1) for c in rng.permutation([1, 8]))
                 row[:] = 0
                 row[0], row[small], row[one] = big, -big, 1
+            else:  # -0.0 entries, and on odd cases a tiny negative one
+                zeros = np.flatnonzero(row == 0)
+                row[zeros] = -0.0
+                if zeros.size and i % 2:
+                    row[zeros[0]] = -np.finfo(dtype).smallest_subnormal
         ids = (np.arange(channels) * 3 + 1).astype(np.uint16)
         got = _labels_outcome(postprocess._probability_labels, probs, ids)
         want = _labels_outcome(probability_labels_oracle, probs, ids)
@@ -867,6 +912,8 @@ def _check_inference(seed: int = 0, cases: int = 60) -> str:
     probabilities: panoptic bytes and dtype, and the records' repr, over
     kernels, thresholds, ``top_k``, stuff thresholds (None, 0, a stuff area
     and one more) and every score mode."""
+    from unittest import mock  # imports asyncio: not at the CLI's start-up
+
     rng = np.random.default_rng(seed)
     draw = lambda *options: options[int(rng.integers(len(options)))]  # noqa: E731
     for i in range(cases):
@@ -877,7 +924,9 @@ def _check_inference(seed: int = 0, cases: int = 60) -> str:
         )
         stuff = draw(None, 0, "area", "area + 1")
         case = random_inference_case(rng, height, width, dtype, stuff, params)
-        got, want = postprocess.panoptic_inference(*case), inference_oracle(*case)
+        with mock.patch.object(postprocess, "_PEAK_OFFSET_COST", 0):  # sparse maps: the search
+            got = postprocess.panoptic_inference(*case)
+        want = inference_oracle(*case)
         where = f"case {i} ({height}x{width} {np.dtype(dtype).name}, {case[-1]})"
         if not _same_array(got.panoptic, want.panoptic):
             return f"{where}: panoptic differs from inference_oracle"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from panopticore import losses
+from panopticore import core, losses
 from panopticore.losses import (
     LossValue,
     LossWeights,
@@ -235,7 +235,7 @@ def test_ce_bytes_do_not_depend_on_thread_count(dtype):
     try:
         for threads in (1, 2, 3):
             for block in (1, 3, 64):
-                with mock.patch.object(losses, "_ce_threads", lambda: threads), \
+                with mock.patch.object(core, "_block_threads", lambda: threads), \
                         mock.patch.object(losses, "_CE_BLOCK", block):
                     got = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.15)
                 assert repr(got.value) == repr(want.value), (threads, block)
@@ -250,23 +250,23 @@ def test_block_runner_runs_every_block_once_caller_takes_residue_zero():
             ran = []
             def body(j):
                 ran.append((j, threading.current_thread() is threading.main_thread()))
-            with mock.patch.object(losses, "_ce_threads", lambda: threads):
-                losses._run_blocks(body, count)
+            with mock.patch.object(core, "_block_threads", lambda: threads):
+                core._run_blocks(body, count)
             assert sorted(j for j, _ in ran) == list(range(count))
             used = min(threads, count)
             assert all(in_caller == (j % used == 0) for j, in_caller in ran)
 
 
 def test_block_runner_one_thread_or_one_block_makes_no_pool():
-    with mock.patch.object(losses, "_ce_pool", None):
-        with mock.patch.object(losses, "_ce_threads", lambda: 1):
-            losses._run_blocks(lambda j: None, 5)
-        with mock.patch.object(losses, "_ce_threads", lambda: 3):
-            losses._run_blocks(lambda j: None, 1)
-        assert losses._ce_pool is None
-        with mock.patch.object(losses, "_ce_threads", lambda: 2):
-            losses._run_blocks(lambda j: None, 2)
-        assert losses._ce_pool is not None
+    with mock.patch.object(core, "_block_pool", None):
+        with mock.patch.object(core, "_block_threads", lambda: 1):
+            core._run_blocks(lambda j: None, 5)
+        with mock.patch.object(core, "_block_threads", lambda: 3):
+            core._run_blocks(lambda j: None, 1)
+        assert core._block_pool is None
+        with mock.patch.object(core, "_block_threads", lambda: 2):
+            core._run_blocks(lambda j: None, 2)
+        assert core._block_pool is not None
 
 
 def test_ce_threads_is_capped_by_the_cpus_available():
@@ -276,8 +276,8 @@ def test_ce_threads_is_capped_by_the_cpus_available():
         (SimpleNamespace(cpu_count=lambda: 3), 3),  # no affinity call
         (SimpleNamespace(cpu_count=lambda: None), 1),
     ):
-        with mock.patch.object(losses, "os", system):
-            assert losses._ce_threads() == want
+        with mock.patch.object(core, "os", system):
+            assert core._block_threads() == want
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in subtract")
@@ -292,7 +292,7 @@ def test_ce_raises_the_earliest_blocks_error(threads):
     overflow[5, 8, 1] = np.nan  # block 19
     nan[1, 4, 1] = np.nan
     nan[5, 8, :2] = 1e308, -1e308
-    with mock.patch.object(losses, "_ce_threads", lambda: threads), \
+    with mock.patch.object(core, "_block_threads", lambda: threads), \
             mock.patch.object(losses, "_CE_BLOCK", 3):
         for _ in range(20):
             with pytest.raises(ValueError, match="each pixel's range below"):
@@ -307,7 +307,7 @@ def test_ce_worker_blocks_run_under_the_callers_errstate():
     logits = np.zeros((2, 3, 2))
     logits[1, 2] = 1e308, -1e308  # pixel 5: block 1 of 3-pixel blocks
     labels = np.zeros((2, 3), dtype=np.int64)
-    with mock.patch.object(losses, "_ce_threads", lambda: 2), \
+    with mock.patch.object(core, "_block_threads", lambda: 2), \
             mock.patch.object(losses, "_CE_BLOCK", 3), np.errstate(all="raise"):
         with pytest.raises(FloatingPointError):
             weighted_bootstrapped_ce(logits, labels, np.ones((2, 3)), IGNORE)
@@ -321,10 +321,10 @@ def _ce_in_forked_child(logits, labels, weights, want):
 
 def test_ce_in_a_forked_child_after_a_call_in_the_parent():
     logits, labels, weights = tied_ce_case(np.float64)
-    with mock.patch.object(losses, "_ce_threads", lambda: 2), \
+    with mock.patch.object(core, "_block_threads", lambda: 2), \
             mock.patch.object(losses, "_CE_BLOCK", 8):
         want = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.15)
-        assert losses._ce_pool is not None  # the child inherits a used pool
+        assert core._block_pool is not None  # the child inherits a used pool
         child = multiprocessing.get_context("fork").Process(
             target=_ce_in_forked_child,
             args=(logits, labels, weights, want.gradient.tobytes()),
@@ -807,7 +807,7 @@ def test_ce_filter_path_bytes_do_not_depend_on_thread_count():
     try:
         for threads in (1, 2, 3):
             for block in (1, 3, 64):
-                with mock.patch.object(losses, "_ce_threads", lambda: threads), \
+                with mock.patch.object(core, "_block_threads", lambda: threads), \
                         mock.patch.object(losses, "_CE_BLOCK", block):
                     got, path = ce_with_path(logits, labels, weights)
                 assert path == "filter", (threads, block)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from panopticore import postprocess, targets
+from panopticore import core, postprocess, targets
 from panopticore.core import InstanceCenter, decode_panoptic_id
 from panopticore.postprocess import (
     SCORE_MODES,
@@ -30,6 +31,7 @@ from panopticore.selftest import (
     exact_inputs,
     group_oracle,
     inference_oracle,
+    margin_edge_row,
     merge_oracle,
     nms_oracle,
     probability_labels_oracle,
@@ -133,7 +135,10 @@ def peak_heatmaps(draw):
 )
 def test_candidate_peaks_equal_nms_then_extract(heatmap, kernel, threshold, top_k):
     want = extract_centers(keypoint_nms(heatmap, kernel), threshold, top_k)
-    assert postprocess._peak_centers(heatmap, kernel, threshold, top_k) == want
+    # Offsets free, so these small maps take the search or the filter by
+    # their candidate count.
+    with mock.patch.object(postprocess, "_PEAK_OFFSET_COST", 0):
+        assert postprocess._peak_centers(heatmap, kernel, threshold, top_k) == want
     # Again with the density fallback off, so every case runs the candidate
     # search, threshold 0 included.
     with mock.patch.object(postprocess, "_PEAK_DENSITY", math.inf):
@@ -142,7 +147,8 @@ def test_candidate_peaks_equal_nms_then_extract(heatmap, kernel, threshold, top_
 
 def test_dense_candidates_fall_back_to_the_full_filter():
     heatmap = np.random.default_rng(3).random((32, 32)).astype(np.float32)
-    with mock.patch.object(postprocess, "keypoint_nms", wraps=keypoint_nms) as nms:
+    with mock.patch.object(postprocess, "keypoint_nms", wraps=keypoint_nms) as nms, \
+            mock.patch.object(postprocess, "_PEAK_OFFSET_COST", 0):
         dense = postprocess._peak_centers(heatmap, 7, 0.0, 200)
         assert nms.call_count == 1
         sparse = postprocess._peak_centers(heatmap, 7, 0.99, 200)
@@ -150,6 +156,17 @@ def test_dense_candidates_fall_back_to_the_full_filter():
     assert dense == extract_centers(keypoint_nms(heatmap, 7), 0.0, 200)
     assert sparse == extract_centers(keypoint_nms(heatmap, 7), 0.99, 200)
     assert postprocess._peak_centers(np.asfortranarray(heatmap), 7, 0.99, 200) == sparse
+
+
+def test_one_peak_at_a_large_kernel_takes_the_full_filter():
+    # Charged 16 reads per window offset, one candidate at kernel 701 took
+    # the search (1.15 s against 0.04 s for the filter).
+    heatmap = np.zeros((1025, 2049), dtype=np.float32)
+    heatmap[512, 683] = 1
+    with mock.patch.object(postprocess, "keypoint_nms", wraps=keypoint_nms) as nms:
+        got = postprocess._peak_centers(heatmap, 701, 0.1, 200)
+    assert nms.call_count == 1
+    assert got == [InstanceCenter(row=512.0, col=683.0, score=1.0)]
 
 
 @pytest.mark.parametrize(
@@ -952,6 +969,12 @@ def _probability_row(kind, channels, dtype, rng):
     elif kind == "subnormal":
         row[:] = rng.choice([0.0, info.smallest_subnormal, -info.smallest_subnormal], channels)
         row[rng.integers(channels)] = 1.0
+    elif kind == "margin_edge":  # the sum check's band edge, or one ulp past it
+        row[:] = margin_edge_row(channels, dtype, rng.random() < 0.5, rng.random() < 0.5)
+    elif kind == "tiny_negative":  # a one-hot row with -0.0 and one tiny negative entry
+        row[:] = -0.0
+        row[rng.integers(channels)] = 1.0
+        row[rng.integers(channels)] -= rng.choice([info.smallest_subnormal, info.tiny, 2.0**-20])
     elif kind == "near_tolerance":  # a few ulps either side of 1 +- 1e-5
         edge = np.asarray(1.0 + rng.choice([1e-5, -1e-5]), dtype=dtype)
         for _ in range(int(rng.integers(-3, 4))):
@@ -975,21 +998,25 @@ def _probability_row(kind, channels, dtype, rng):
 
 PROBABILITY_ROWS = (
     "one_hot", "tie_first_last", "tie_top", "uniform", "random", "signed_zeros",
-    "subnormal", "near_tolerance", "negative", "cancelling", "bad_sum", "nan", "inf", "-inf",
+    "subnormal", "margin_edge", "tiny_negative", "near_tolerance", "negative", "cancelling",
+    "bad_sum", "nan", "inf", "-inf",
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    channels=st.sampled_from([1, 2, 19, 200]),
+    channels=st.sampled_from([1, 2, 19, 133, 200]),
     height=st.integers(0, 9),
     width=st.integers(1, 9),
     dtype=st.sampled_from([np.float16, np.float32, np.float64]),
     block=st.sampled_from([1, 2, 3, 7, 16384]),
+    threads=st.sampled_from([1, 2, 3]),
     palette=st.lists(st.sampled_from(PROBABILITY_ROWS), min_size=1, max_size=3, unique=True),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_probability_labels_equal_oracle(channels, height, width, dtype, block, palette, seed):
+def test_probability_labels_equal_oracle(
+    channels, height, width, dtype, block, threads, palette, seed
+):
     """Labels (bytes and dtype), verdict and message equal the row-sum and
     row-argmax oracle, with faults in earlier or later blocks."""
     rng = np.random.default_rng(seed)
@@ -998,9 +1025,57 @@ def test_probability_labels_equal_oracle(channels, height, width, dtype, block, 
     with np.errstate(over="ignore"):  # 1e20 overflows float16 to inf
         probs = np.array(rows, dtype=dtype).reshape(height, width, channels)
     ids = (np.arange(channels) * 3 + 1).astype(np.uint16)
-    with mock.patch.object(postprocess, "_PROB_BLOCK", block):
+    with mock.patch.object(postprocess, "_PROB_BLOCK", block), \
+            mock.patch.object(core, "_block_threads", lambda: threads):
         got = _labels_outcome(postprocess._probability_labels, probs, ids)
         assert got == _labels_outcome(probability_labels_oracle, probs, ids)
+
+
+def tied_probability_case():
+    """A 13x17x5 float32 grid of small integer weights, normalised: argmax
+    ties everywhere, -0.0 entries, and a row with a tiny negative entry
+    (its block takes the row-sum path)."""
+    rng = np.random.default_rng(14)
+    weights = rng.integers(0, 3, size=(13, 17, 5)).astype(np.float64)
+    weights[..., 0] += weights.sum(axis=2) == 0
+    probs = (weights / weights.sum(axis=2, keepdims=True)).astype(np.float32)
+    probs[probs == 0] = -0.0
+    probs[6, 9] = 0.5, 0.5, -(2.0**-30), 0, 0
+    return probs, (np.arange(5) * 3 + 1).astype(np.uint8)
+
+
+def test_probability_labels_do_not_depend_on_thread_count():
+    probs, ids = tied_probability_case()
+    want = probability_labels_oracle(probs, ids)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave between numpy calls
+    try:
+        for threads in (1, 2, 3):
+            for block in (1, 3, 64):
+                with mock.patch.object(core, "_block_threads", lambda: threads), \
+                        mock.patch.object(postprocess, "_PROB_BLOCK", block):
+                    got = postprocess._probability_labels(probs, ids)
+                assert got.dtype == want.dtype, (threads, block)
+                assert got.tobytes() == want.tobytes(), (threads, block)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_probability_labels_raise_the_earliest_blocks_error(threads):
+    probs, ids = tied_probability_case()
+    bad_sum, nan = probs.copy(), probs.copy()
+    bad_sum[1, 4] *= 2  # block 7 of 3-pixel blocks
+    bad_sum[12, 8, 1] = np.nan  # block 70
+    nan[1, 4, 1] = np.nan
+    nan[12, 8] *= 2
+    with mock.patch.object(core, "_block_threads", lambda: threads), \
+            mock.patch.object(postprocess, "_PROB_BLOCK", 3):
+        for _ in range(20):
+            with pytest.raises(ValueError, match="must sum to 1 per pixel"):
+                postprocess._probability_labels(bad_sum, ids)
+            with pytest.raises(ValueError, match="contain non-finite values"):
+                postprocess._probability_labels(nan, ids)
 
 
 @pytest.mark.parametrize(
@@ -1072,7 +1147,9 @@ def test_inference_equals_chained_stage_oracles(
     params = postprocess.PostprocParams(kernel, center_threshold, top_k, 0, mode)
     rng = np.random.default_rng(seed)
     case = random_inference_case(rng, height, width, dtype, stuff, params)
-    got, want = panoptic_inference(*case), inference_oracle(*case)
+    with mock.patch.object(postprocess, "_PEAK_OFFSET_COST", 0):  # sparse maps: the search
+        got = panoptic_inference(*case)
+    want = inference_oracle(*case)
     assert got.panoptic.dtype == want.panoptic.dtype
     assert got.panoptic.shape == want.panoptic.shape
     assert got.panoptic.tobytes() == want.panoptic.tobytes()
