@@ -11,8 +11,6 @@ from .core import (
     DatasetSpec,
     Dims,
     InstanceCenter,
-    decode_panoptic_id,
-    encode_panoptic_id,
     validate,
 )
 from .losses import (
@@ -27,8 +25,6 @@ from .metrics import (
     ApReport,
     IoUReport,
     PqReport,
-    mask_ap,
-    match_segments,
     mean_iou,
     panoptic_quality,
 )
@@ -61,8 +57,6 @@ __all__ = [
     "DatasetSpec",
     "Dims",
     "InstanceCenter",
-    "decode_panoptic_id",
-    "encode_panoptic_id",
     "validate",
     "LossValue",
     "LossWeights",
@@ -73,8 +67,6 @@ __all__ = [
     "ApReport",
     "IoUReport",
     "PqReport",
-    "mask_ap",
-    "match_segments",
     "mean_iou",
     "panoptic_quality",
     "InstanceRecord",

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses, metrics, postprocess, selftest, targets, tensor_io
+from . import losses, metrics, postprocess, targets, tensor_io
 from .core import validate
 from .synth import bench_inputs, bench_logits
 
@@ -358,6 +358,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest  # not at start-up: no other subcommand uses it
+
     results = selftest.run_selftest()
     failed = [r for r in results if not r.passed]
     for r in results:

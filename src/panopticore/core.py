@@ -1,4 +1,4 @@
-"""Shared grid conventions, dataset description, and the panoptic id codec.
+"""Shared grid conventions, dataset description, and segment tables.
 
 Dense images are plain numpy arrays in row-major layout with the origin at
 the top-left corner and coordinates ordered (row, col):
@@ -33,8 +33,6 @@ __all__ = [
     "SegmentTable",
     "classify_segments",
     "segment_table",
-    "encode_panoptic_id",
-    "decode_panoptic_id",
     "validate",
 ]
 
@@ -87,7 +85,8 @@ class CategorySpec:
 class DatasetSpec:
     """Category table plus the constants that shape panoptic encoding.
 
-    ``label_divisor`` packs (category, instance) into one integer id;
+    ``label_divisor`` packs (category, instance) into one integer id,
+    ``category * label_divisor + instance`` (instance 0 for stuff);
     ``ignore_label`` marks pixels excluded from training and evaluation;
     ``stuff_area_threshold`` is the minimum pixel area below which stuff
     segments are re-assigned to VOID during post-processing.
@@ -359,29 +358,6 @@ class InstanceCenter:
     def __post_init__(self):
         if self.score < 0:
             raise ValueError(f"center score must be >= 0, got {self.score}")
-
-
-def encode_panoptic_id(category: int, instance: int, divisor: int) -> int:
-    """Pack a (category, instance) pair into a single panoptic id.
-
-    Instance 0 is the conventional encoding for stuff segments.
-    """
-    if divisor < 1:
-        raise ValueError(f"divisor must be >= 1, got {divisor}")
-    if category < 0:
-        raise ValueError(f"category must be >= 0, got {category}")
-    if not 0 <= instance < divisor:
-        raise ValueError(f"instance {instance} outside [0, {divisor})")
-    return category * divisor + instance
-
-
-def decode_panoptic_id(panoptic_id: int, divisor: int) -> tuple[int, int]:
-    """Inverse of :func:`encode_panoptic_id`: returns (category, instance)."""
-    if divisor < 1:
-        raise ValueError(f"divisor must be >= 1, got {divisor}")
-    if panoptic_id < 0:
-        raise ValueError(f"panoptic id must be >= 0, got {panoptic_id}")
-    return panoptic_id // divisor, panoptic_id % divisor
 
 
 def _report(violations: list[str], mask: np.ndarray, describe) -> None:

@@ -26,19 +26,18 @@ __all__ = [
     "PqReport",
     "IoUReport",
     "ApReport",
-    "match_segments",
     "panoptic_quality",
     "pq_report_from_counts",
     "combine_pq",
     "mean_iou",
     "combine_miou",
-    "mask_ap",
     "DEFAULT_AP_THRESHOLDS",
     "JointHistogram",
     "joint_histogram",
     "pq_from_histogram",
     "miou_from_histogram",
     "ap_matches_from_histogram",
+    "ap_report_from_matches",
 ]
 
 DEFAULT_AP_THRESHOLDS = tuple(np.arange(0.5, 1.0, 0.05).round(2))
@@ -95,10 +94,10 @@ class JointHistogram(NamedTuple):
     counts: np.ndarray
 
 
-def _check_map(grid: np.ndarray, name: str) -> None:
+def _check_map(grid: np.ndarray, name: str, kind: str = "panoptic") -> None:
     """Raise ValueError naming ``name`` unless ``grid`` is a 2-D integer map."""
     if grid.ndim != 2 or not np.issubdtype(grid.dtype, np.integer):
-        raise ValueError(f"{name} must be a 2-D integer panoptic map, got {grid.dtype} "
+        raise ValueError(f"{name} must be a 2-D integer {kind} map, got {grid.dtype} "
                          f"of shape {grid.shape}")
 
 
@@ -150,19 +149,6 @@ def _pq_matches(hist: JointHistogram, spec: DatasetSpec):
         message = "IoU > 0.5 matching produced a duplicate segment; implementation bug"
         raise RuntimeError(message)
     return (p, g, iou), (pred_cats, pred_dropped), (gt_cats, gt_excl)
-
-
-def match_segments(
-    pred: np.ndarray, gt: np.ndarray, spec: DatasetSpec
-) -> list[tuple[int, int, float]]:
-    """All same-category (pred id, gt id, IoU) pairs with IoU > 0.5.
-
-    The > 0.5 rule makes the pairing unique; uniqueness is checked on
-    every call.
-    """
-    hist = joint_histogram(pred, gt)
-    (p, g, iou), _, _ = _pq_matches(hist, spec)
-    return list(zip(hist.pred_ids[p].tolist(), hist.gt_ids[g].tolist(), iou.tolist()))
 
 
 def panoptic_quality(
@@ -279,13 +265,16 @@ def mean_iou(
 
     Pixels whose gt is the ignore label are excluded. The mean runs over
     categories present in the gt by default, or over every spec category
-    with ``average_over="all"``.
+    with ``average_over="all"``. Maps that are not 2-D integer arrays raise
+    ValueError.
     """
+    _check_map(pred, "pred map", "semantic")
+    _check_map(gt, "gt map", "semantic")
     if pred.shape != gt.shape:
         raise ValueError(f"pred shape {pred.shape} != gt shape {gt.shape}")
     if average_over not in ("present", "all"):
         raise ValueError(f"average_over must be 'present' or 'all', got {average_over!r}")
-    confusion = _confusion(*(m.reshape(-1).astype(np.int64) for m in (gt, pred)), spec)
+    confusion = _confusion(gt.reshape(-1), pred.reshape(-1), spec)
     return _iou_report_from_confusion(confusion, spec, average_over)
 
 
@@ -388,45 +377,22 @@ def _greedy_matches(
     return out
 
 
-def match_detections(
-    preds: Sequence[tuple[np.ndarray, int, float]],
-    gts: Sequence[tuple[np.ndarray, int, bool]],
-    thresholds: Sequence[float] = DEFAULT_AP_THRESHOLDS,
-    max_dets: int = 200,
-) -> dict[int, dict]:
-    """Greedy per-category matching for one image, on arbitrary masks.
-
-    Returns, per category: detection scores in rank order, per-threshold tp
-    flags and ignore flags (crowd absorptions), and the non-crowd gt count.
-    The output is poolable across images before computing AP.
-    """
-    dt_cats = np.array([int(c) for _, c, _ in preds], dtype=np.int64)
-    gt_cats = np.array([int(c) for _, c, _ in gts], dtype=np.int64)
-    overlap = np.zeros((dt_cats.size, gt_cats.size), dtype=np.int64)
-    for i, j in zip(*np.nonzero(dt_cats[:, None] == gt_cats[None, :])):
-        overlap[i, j] = np.count_nonzero(preds[i][0] & gts[j][0])
-    return _greedy_matches(
-        dt_cats, np.array([float(s) for _, _, s in preds], dtype=np.float64),
-        np.array([int(m.sum()) for m, _, _ in preds], dtype=np.int64),
-        gt_cats, np.array([bool(c) for _, _, c in gts], dtype=bool),
-        np.array([int(m.sum()) for m, _, _ in gts], dtype=np.int64),
-        overlap, thresholds, max_dets,
-    )
-
-
 def ap_matches_from_histogram(
     hist: JointHistogram,
     spec: DatasetSpec,
     scores: Mapping[int, float] | None = None,
     max_dets: int = 200,
 ) -> dict[int, dict]:
-    """:func:`match_detections` on the thing segments of a panoptic pair.
+    """Greedy per-category matching of the thing segments of a panoptic pair.
 
-    Detections are the pred thing segments with instance part >= 1, in
-    ascending id order; gts are the gt thing segments, instance part 0
-    marking crowd. ``scores`` maps instance index to confidence and must
-    hold every detection (``KeyError`` otherwise); without it every
-    detection scores 1.0.
+    Returns, per category: detection scores in rank order, per-threshold tp
+    flags and ignore flags (crowd absorptions), and the non-crowd gt count,
+    poolable across images by :func:`ap_report_from_matches`. Detections
+    are the pred thing segments with instance part >= 1, in ascending id
+    order; gts are the gt thing segments, instance part 0 marking crowd.
+    ``scores`` maps instance index to confidence and must hold every
+    detection (``KeyError`` otherwise); without it every detection scores
+    1.0.
     """
     pred_cats, pred_inst, pred_thing, _, _ = classify_segments(hist.pred_ids, spec, "pred map")
     gt_cats, _, gt_thing, gt_crowd, _ = classify_segments(hist.gt_ids, spec, "gt map")
@@ -501,21 +467,3 @@ def ap_report_from_matches(
     mean_ap = float(np.mean(list(per_category.values()))) if per_category else 0.0
     thresholds = tuple(float(t) for t in thresholds)
     return ApReport(thresholds, mean_ap, per_threshold, per_category)
-
-
-def mask_ap(
-    preds: Sequence[tuple[np.ndarray, int, float]],
-    gts: Sequence[tuple[np.ndarray, int, bool]],
-    thresholds: Sequence[float] = DEFAULT_AP_THRESHOLDS,
-    max_dets: int = 200,
-) -> ApReport:
-    """Instance-mask average precision for one image.
-
-    ``preds`` are (mask, category, score) with ties in score resolved by
-    insertion order; ``gts`` are (mask, category, crowd_flag). AP uses
-    greedy highest-IoU matching at each threshold and 101-point interpolated
-    precision-recall area, averaged over thresholds and categories.
-    """
-    return ap_report_from_matches(
-        [match_detections(preds, gts, thresholds, max_dets)], thresholds
-    )

@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .core import DatasetSpec, InstanceCenter, _run_blocks, _runs, _sums, _unique_index
 
@@ -132,6 +131,8 @@ def keypoint_nms(heatmap: np.ndarray, kernel: int = 7) -> np.ndarray:
         raise ValueError(f"heatmap must be 2-D, got shape {heatmap.shape}")
     if kernel == 1:
         return heatmap.copy()
+    from scipy import ndimage  # ~0.25 s to import: only dense heatmaps reach here
+
     window_max = ndimage.maximum_filter(
         heatmap, size=kernel, mode="constant", cval=-np.inf
     )

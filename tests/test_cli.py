@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -937,3 +941,16 @@ def test_eval_one_thread_runs_in_the_calling_thread(scene_files, monkeypatch):
     assert main(argv + ["--threads", "1"]) == 0
     with pytest.raises(AssertionError, match="worker thread"):
         main(argv + ["--threads", "2"])
+
+
+def test_cli_import_leaves_scipy_and_selftest_out():
+    # Start-up cost: scipy.ndimage takes ~0.25 s to import and only dense
+    # heatmaps reach keypoint_nms, which imports it; only the selftest
+    # subcommand imports selftest.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, panopticore.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'panopticore.selftest'))))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

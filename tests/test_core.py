@@ -7,55 +7,12 @@ from panopticore.core import (
     CategorySpec,
     DatasetSpec,
     Dims,
-    decode_panoptic_id,
-    encode_panoptic_id,
     segment_table,
     validate,
 )
 from panopticore.selftest import segment_table_oracle
 from panopticore.synth import make_spec
 from panopticore.targets import encode_targets
-
-
-def test_encode_examples():
-    assert encode_panoptic_id(7, 12, 1000) == 7012
-    assert encode_panoptic_id(0, 0, 1000) == 0
-
-
-def test_decode_examples():
-    assert decode_panoptic_id(7012, 1000) == (7, 12)
-    assert decode_panoptic_id(0, 1000) == (0, 0)
-    assert decode_panoptic_id(999, 1000) == (0, 999)
-
-
-def test_encode_rejects_instance_out_of_range():
-    with pytest.raises(ValueError):
-        encode_panoptic_id(1, 1000, 1000)
-    with pytest.raises(ValueError):
-        encode_panoptic_id(1, -1, 1000)
-    with pytest.raises(ValueError):
-        encode_panoptic_id(-1, 0, 1000)
-
-
-def test_encode_decode_exhaustive_small_divisor():
-    # Brute-force enumeration at a small divisor: every pair round-trips.
-    divisor = 7
-    for category in range(20):
-        for instance in range(divisor):
-            packed = encode_panoptic_id(category, instance, divisor)
-            assert decode_panoptic_id(packed, divisor) == (category, instance)
-
-
-@given(
-    category=st.integers(min_value=0, max_value=10_000),
-    instance=st.integers(min_value=0, max_value=10_000),
-    divisor=st.integers(min_value=1, max_value=100_000),
-)
-def test_encode_decode_round_trip(category, instance, divisor):
-    if instance >= divisor:
-        instance %= divisor
-    packed = encode_panoptic_id(category, instance, divisor)
-    assert decode_panoptic_id(packed, divisor) == (category, instance)
 
 
 def test_dims_invariants():

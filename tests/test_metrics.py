@@ -7,22 +7,25 @@ from hypothesis import given, settings, strategies as st
 from panopticore.metrics import (
     DEFAULT_AP_THRESHOLDS,
     _average_precision,
+    _pq_matches,
     ap_matches_from_histogram,
     ApReport,
     ap_report_from_matches,
     combine_miou,
     combine_pq,
     joint_histogram,
-    mask_ap,
-    match_detections,
-    match_segments,
     mean_iou,
     miou_from_histogram,
     panoptic_quality,
     pq_from_histogram,
     pq_report_from_counts,
 )
-from panopticore.selftest import histogram_mismatch, joint_histogram_oracle, random_valid_map
+from panopticore.selftest import (
+    histogram_mismatch,
+    joint_histogram_oracle,
+    match_detections_oracle,
+    random_valid_map,
+)
 from panopticore.synth import make_spec, random_scene
 
 SPEC = make_spec(num_stuff=2, num_things=2)
@@ -32,7 +35,14 @@ DIV = SPEC.label_divisor
 
 
 # ---------------------------------------------------------------------------
-# match_segments
+# PQ matching
+
+
+def match_segments(pred, gt, spec):
+    """The (pred id, gt id, IoU) pairs that PQ matches."""
+    hist = joint_histogram(pred, gt)
+    (p, g, iou), _, _ = _pq_matches(hist, spec)
+    return list(zip(hist.pred_ids[p].tolist(), hist.gt_ids[g].tolist(), iou.tolist()))
 
 
 def test_match_identical_maps():
@@ -284,8 +294,29 @@ def test_miou_combination_identity():
     assert combined.per_category == direct.per_category
 
 
+@pytest.mark.parametrize("kind", ["float", "3-D"])
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_miou_rejects_non_integer_or_3d_maps(kind, side):
+    # A float map used to be truncated to its integer part: gt + 0.7 scored 1.0.
+    good = np.array([[STUFF[0], STUFF[1]], [THING[0], THING[1]]], dtype=np.int64)
+    bad = good + 0.7 if kind == "float" else np.stack([good, good], axis=2)
+    pred, gt = (bad, good) if side == "pred" else (good, bad)
+    with pytest.raises(ValueError, match=f"{side} map must be a 2-D integer semantic map"):
+        mean_iou(pred, gt, SPEC)
+    with pytest.raises(ValueError, match="pred map must be a 2-D integer semantic map"):
+        mean_iou(bad, bad, SPEC)  # equal 3-D shapes used to pass
+
+
 # ---------------------------------------------------------------------------
-# mask_ap
+# AP on full-resolution masks
+
+
+def mask_ap(preds, gts, thresholds=DEFAULT_AP_THRESHOLDS, max_dets=200):
+    """The AP report of one image's (mask, category, score) predictions and
+    (mask, category, crowd) gts."""
+    return ap_report_from_matches(
+        [match_detections_oracle(preds, gts, thresholds, max_dets)], thresholds
+    )
 
 
 def _box_mask(r0, r1, c0, c1, dims=(16, 16)):
@@ -381,7 +412,7 @@ def test_ap_nonfinite_score_rejected():
 def test_ap_nonfinite_score_rejected_by_both_matchers(score):
     mask = np.ones((2, 2), dtype=bool)
     with pytest.raises(ValueError, match="finite"):
-        match_detections([(mask, 1, 0.5), (mask, 2, score)], [(mask, 1, False)])
+        match_detections_oracle([(mask, 1, 0.5), (mask, 2, score)], [(mask, 1, False)])
     gt = np.full((8, 8), STUFF[0] * DIV, dtype=np.int64)
     gt[0:4, 0:4] = THING[0] * DIV + 1
     pred = gt.copy()
@@ -395,7 +426,7 @@ def test_ap_pooled_across_images():
     gt_b = [(_box_mask(0, 8, 0, 8), 1, False)]
     pred_a = [(_box_mask(0, 8, 0, 8), 1, 0.9)]
     pred_b: list = []
-    tables = [match_detections(pred_a, gt_a), match_detections(pred_b, gt_b)]
+    tables = [match_detections_oracle(pred_a, gt_a), match_detections_oracle(pred_b, gt_b)]
     pooled = ap_report_from_matches(tables)
     # One TP out of two positives at every threshold: recall caps at 0.5.
     # 101-point AP: precision 1.0 up to recall 0.5, zero beyond -> 51/101.
@@ -664,7 +695,7 @@ def test_greedy_matching_equals_reference_loop():
         ]
         thresholds = thresholds_sets[case % 3]
         max_dets = int(rng.choice([1, 2, 200]))
-        got = match_detections(preds, gts, thresholds, max_dets)
+        got = match_detections_oracle(preds, gts, thresholds, max_dets)
         want = _reference_match_detections(preds, gts, thresholds, max_dets)
         assert got.keys() == want.keys()
         for category, row in got.items():

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from panopticore import core, postprocess, targets
-from panopticore.core import InstanceCenter, decode_panoptic_id
+from panopticore import cli, core, losses, metrics, postprocess, targets, tensor_io
+from panopticore.core import InstanceCenter
 from panopticore.postprocess import (
     SCORE_MODES,
     InstanceRecord,
@@ -1203,11 +1203,9 @@ def test_inference_records_carry_centers_and_scores():
     for record in result.instances:
         assert record.center is not None
         assert record.score > 0
-        category, instance = decode_panoptic_id(
-            int(record.category * scene.spec.label_divisor + record.instance_index),
-            scene.spec.label_divisor,
-        )
-        assert instance == record.instance_index
+        div = scene.spec.label_divisor
+        category, instance = divmod(record.category * div + record.instance_index, div)
+        assert (category, instance) == (record.category, record.instance_index)
 
 
 def test_inference_dim_mismatch_rejected():
@@ -1240,30 +1238,78 @@ def _recording(fn, called):
     return wrapper
 
 
-def test_every_public_stage_runs_in_a_pipeline(monkeypatch):
+# Public functions of the layer modules that no CLI pipeline runs, and why
+# each stays public.
+ENTRY_POINTS = {
+    "panopticore.metrics.panoptic_quality": "README's Library entry point",
+    "panopticore.metrics.mean_iou": "the semantic mIoU front end over eval's _confusion body",
+    "panopticore.losses.total_loss": "perfbench/child.py calls it",
+    "panopticore.tensor_io.read_tensor": "perfbench/child.py calls it",
+    "panopticore.tensor_io.write_spec": "writes the spec format that read_spec parses",
+}
+
+
+def test_every_public_stage_runs_in_a_pipeline(monkeypatch, tmp_path, capsys):
     # The public functions are the bodies the pipelines run, not checked
-    # wrappers or second copies beside private ones. Every one is wrapped
-    # where it is looked up, as perfbench's tracer does, and must be called.
-    called, public = set(), set()
-    for module in (postprocess, targets):
-        for name, fn in list(vars(module).items()):
-            if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__ == module.__name__:
-                public.add(f"{module.__name__}.{name}")
-                monkeypatch.setattr(module, name, _recording(fn, called))
+    # wrappers or second copies beside private ones. As perfbench's tracer
+    # does, every one is wrapped in each module namespace where it is looked
+    # up; then targets, fuse (labels and probabilities, sparse and dense
+    # heatmaps), a two-image eval and the train bench run through cli.main.
     semantic, heatmap, offsets, spec = bench_inputs(48, 64, 6)
     probs = np.zeros(semantic.shape + (spec.num_categories,), dtype=np.float32)
     np.put_along_axis(probs, spec.table.channel[semantic][..., None], np.float32(1.0), axis=2)
-    params = postprocess.PostprocParams(stuff_area_threshold=64)
-    for grid in (semantic, probs):
-        result = postprocess.panoptic_inference(grid, heatmap, offsets, spec, params)
-        assert result.instances
     dense = np.random.default_rng(0).random(heatmap.shape).astype(np.float32)
-    dense_params = dataclasses.replace(params, center_threshold=0.0)
-    for grid in (semantic, probs):  # takes the full keypoint_nms filter
-        postprocess.panoptic_inference(grid, dense, offsets, spec, dense_params)
-    scene = random_scene(3, max_size=64)
-    targets.encode_targets(scene.panoptic, scene.spec)
-    assert called == public
+    gt = postprocess.panoptic_inference(semantic, heatmap, offsets, spec).panoptic
+    grids = {"semantic": semantic.astype(np.uint16), "probs": probs, "heatmap": heatmap,
+             "dense": dense, "offsets": offsets, "gt": np.roll(gt, (1, 2), axis=(0, 1))}
+    path = {name: str(tmp_path / f"{name}.pdlt") for name in grids}
+    for name, grid in grids.items():
+        tensor_io.write_tensor(grid.astype(np.uint32) if name == "gt" else grid, path[name])
+    spec_path = str(tmp_path / "spec.json")
+    tensor_io.write_spec(spec, spec_path)
+
+    called, public, wrappers = set(), set(), {}
+    for module in (core, tensor_io, targets, losses, postprocess, metrics):
+        for name, fn in list(vars(module).items()):
+            if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__ == module.__name__:
+                public.add(f"{module.__name__}.{name}")
+                wrappers[fn] = _recording(fn, called)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "panopticore":
+            for name, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value in wrappers:
+                    monkeypatch.setattr(module, name, wrappers[value])
+
+    fused = []
+    for i, (grid, heat, threshold) in enumerate([
+        ("semantic", "heatmap", "0.1"), ("probs", "heatmap", "0.1"),
+        ("semantic", "dense", "0.0"), ("probs", "dense", "0.0"),  # the full keypoint_nms filter
+    ]):
+        out, report = tmp_path / f"pred{i}.pdlt", tmp_path / f"pred{i}.json"
+        assert cli.main([
+            "fuse", "--semantic", path[grid], "--heatmap", path[heat], "--offsets",
+            path["offsets"], "--spec", spec_path, "--out", str(out), "--report", str(report),
+            "--center-threshold", threshold, "--stuff-area-threshold", "64",
+        ]) == 0
+        fused.append((str(out), str(report)))
+    (pred0, scores0), (pred1, scores1) = fused[:2]
+    assert cli.main([
+        "eval", "--pred", pred0, pred1, "--gt", path["gt"], path["gt"],
+        "--pred-scores", scores0, scores1, "--spec", spec_path,
+        "--report", str(tmp_path / "eval.json"),
+    ]) == 0
+    assert cli.main([
+        "targets", "--panoptic", path["gt"], "--spec", spec_path, "--out", str(tmp_path / "t"),
+    ]) == 0
+    assert cli.main([
+        "bench", "--workload", "train", "--height", "48", "--width", "64", "--centers", "6",
+        "--repetitions", "1", "--report", str(tmp_path / "bench.json"),
+    ]) == 0
+    capsys.readouterr()
+    assert set(ENTRY_POINTS) <= public
+    assert called == public - set(ENTRY_POINTS)
+
+
 def test_result_partitions_image_with_valid_ids():
     scene = random_scene(41, max_size=128)
     semantic, heatmap, offsets = exact_inputs(scene)
@@ -1280,7 +1326,7 @@ def test_result_partitions_image_with_valid_ids():
     by_index = {r.instance_index: r for r in result.instances}
     thing_pixels = ~stuff_or_void
     for pid in np.unique(result.panoptic[thing_pixels]):
-        category, instance = decode_panoptic_id(int(pid), spec.label_divisor)
+        category, instance = divmod(int(pid), spec.label_divisor)
         assert by_index[instance].category == category
     # Record areas add up to the thing-pixel count.
     assert sum(r.area for r in result.instances) == int(thing_pixels.sum())
