@@ -201,11 +201,18 @@ def _eval_one(pred_path, gt_path, scores_path, spec, modes):
         except ValueError as e:  # not UTF-8, or not JSON
             raise ValueError(f"{scores_path} is not a JSON document: {e}") from None
         try:
-            scores = {int(r["instance_index"]): float(r["score"]) for r in doc["instances"]}
+            rows = [(r["instance_index"], float(r["score"])) for r in doc["instances"]]
         except KeyError as e:
             raise ValueError(f"{scores_path} has no {e.args[0]!r} field") from None
         except TypeError as e:  # a field of the wrong type
             raise ValueError(f"{scores_path} is not a fuse instance report: {e}") from None
+        scores = {}
+        for index, score in rows:
+            if type(index) is not int or index in scores:  # a JSON integer, once
+                fault = "occurs twice" if type(index) is int else "is not an integer"
+                raise ValueError(f"{scores_path} is not a fuse instance report: "
+                                 f"instance index {index!r} {fault}")
+            scores[index] = score
         bad = [k for k, v in scores.items() if not math.isfinite(v)]
         if bad:
             raise ValueError(f"{scores_path}: prediction scores must be finite, "
@@ -439,8 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: each main call only parses.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except tensor_io.SpecFormatError as e:

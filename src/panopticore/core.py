@@ -42,6 +42,10 @@ _MAX_REPORTED = 100
 # Threads, the caller included, that share the blocks of _run_blocks at most.
 _MAX_BLOCK_THREADS = 4
 _block_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, workers, pool)
+# _runs splits arrays of _RUN_SPLIT pixels or more (a full map, not one of
+# the merge's 65,536-pixel blocks) into blocks of _RUN_BLOCK pixels.
+_RUN_SPLIT = 1 << 20
+_RUN_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -223,18 +227,40 @@ class SegmentTable(NamedTuple):
     void: np.ndarray
 
 
+def _run_edges(flats: tuple, width: int, lo: int, hi: int) -> np.ndarray:
+    """The pixels i in [lo, hi) at which a run of :func:`_runs` starts,
+    then the array size if ``hi`` is it: the end of the last run."""
+    size = flats[0].size
+    # edge[k]: a run starts at pixel lo + k, or lo + k == size.
+    edge = np.empty(hi - lo + (hi == size), dtype=bool)
+    first = max(lo, 1)  # pixel 0 has no left neighbour
+    np.not_equal(flats[0][first:hi], flats[0][first - 1 : hi - 1], out=edge[first - lo : hi - lo])
+    for flat in flats[1:]:
+        edge[first - lo : hi - lo] |= flat[first:hi] != flat[first - 1 : hi - 1]
+    step = width or max(size, 1)
+    edge[-lo % step :: step] = True  # pixel 0, each row start, the end
+    edges = np.flatnonzero(edge)
+    edges += lo
+    return edges
+
+
 def _runs(*flats: np.ndarray, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of each run of the 1-D arrays ``flats`` (all of
     one size): a run ends where any of them changes value and, when
-    ``width`` is set, at every multiple of ``width`` (each row start)."""
+    ``width`` is set, at every multiple of ``width`` (each row start).
+    Arrays of ``_RUN_SPLIT`` pixels or more are scanned in contiguous blocks
+    of ``_RUN_BLOCK`` on :func:`_run_blocks`; the edges are the same."""
     size = flats[0].size
-    # edge[i]: a run starts at pixel i, or i == size ends the last one.
-    edge = np.empty(size + 1, dtype=bool)
-    np.not_equal(flats[0][1:], flats[0][:-1], out=edge[1:size])
-    for flat in flats[1:]:
-        edge[1:size] |= flat[1:] != flat[:-1]
-    edge[:: width or max(size, 1)] = True  # pixel 0, each row start, the end
-    edges = np.flatnonzero(edge)
+    if size < _RUN_SPLIT:
+        edges = _run_edges(flats, width, 0, size)
+    else:
+        parts = [None] * -(-size // _RUN_BLOCK)
+
+        def block_body(j: int) -> None:
+            parts[j] = _run_edges(flats, width, j * _RUN_BLOCK, min(size, (j + 1) * _RUN_BLOCK))
+
+        _run_blocks(block_body, len(parts))
+        edges = np.concatenate(parts)
     return edges[:-1], np.diff(edges)
 
 

@@ -332,8 +332,45 @@ class ApReport:
     per_category: dict[int, float]
 
 
+def _greedy_loop(ious, crowd, thresh) -> tuple[np.ndarray, np.ndarray]:
+    """(thresholds, detections) tp and ignored flags of one category, one
+    detection at a time in rank order: ``ious`` is (detections, gts),
+    ``crowd`` flags the gts and ``thresh`` is a (thresholds, 1) column. A
+    detection takes the free regular gt of highest IoU >= the threshold (the
+    first on ties); failing that, a crowd gt with IoU >= the threshold
+    absorbs it as ignored."""
+    # All thresholds at once: row t of ``free`` is the gt state at threshold t.
+    free = np.repeat(~crowd[None, :], thresh.shape[0], axis=0)
+    tp = np.zeros((thresh.shape[0], ious.shape[0]), dtype=bool)
+    ignored = np.zeros_like(tp)
+    for di in range(ious.shape[0] if ious.shape[1] else 0):  # argmax needs at least one gt
+        hits = ious[di] >= thresh
+        candidate = hits & free
+        tp[:, di] = candidate.any(axis=1)
+        best = np.where(candidate, ious[di], -1.0).argmax(axis=1)
+        free[tp[:, di], best[tp[:, di]]] = False
+        ignored[:, di] = ~tp[:, di] & (hits & crowd).any(axis=1)
+    return tp, ignored
+
+
+def _greedy_step(ious, crowd, thresh) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_greedy_loop` in one step, when at every threshold no regular
+    gt has two candidate detections: then no detection can find its
+    candidates taken, so it is a tp iff it has one, in any order. (Which of
+    two candidates it takes is not in the flags.) Hits at the lowest
+    threshold hold at every other, so that one is checked. Otherwise this
+    runs the loop."""
+    hits = ious >= thresh[:, :, None]  # (thresholds, detections, gts)
+    regular = hits & ~crowd
+    if (regular[np.argmin(thresh[:, 0])].sum(axis=0) > 1).any():
+        return _greedy_loop(ious, crowd, thresh)
+    tp = regular.any(axis=2)
+    return tp, ~tp & (hits & crowd).any(axis=2)
+
+
 def _greedy_matches(
-    dt_cats, dt_scores, dt_area, gt_cats, gt_crowd, gt_area, overlap, thresholds, max_dets
+    dt_cats, dt_scores, dt_area, gt_cats, gt_crowd, gt_area, overlap, thresholds, max_dets,
+    match=_greedy_step,
 ) -> dict[int, dict]:
     """Greedy per-category matching of one image's detections.
 
@@ -341,10 +378,9 @@ def _greedy_matches(
     read only between a category's detections and gts. The other arguments
     are arrays with one entry per detection or gt; areas are integers and
     scores must be finite. Per category, detections rank by descending
-    score, ties in input order, and only the first ``max_dets`` count. At
-    each threshold a detection takes the free regular gt of highest IoU >=
-    the threshold (the first in input order on ties); failing that, a crowd
-    gt with IoU >= the threshold absorbs it as ignored.
+    score, ties in input order, and only the first ``max_dets`` count; each
+    category's flags come from ``match``, :func:`_greedy_loop` or the
+    :func:`_greedy_step` that equals it.
     """
     if not np.isfinite(dt_scores).all():
         raise ValueError("prediction scores must be finite")
@@ -359,17 +395,7 @@ def _greedy_matches(
         # Crowd regions score against the detection area alone.
         union = np.where(crowd, area, area + gt_area[gts] - inter)
         ious = np.divide(inter, union, out=np.zeros(inter.shape), where=inter > 0)
-        # All thresholds at once: row t of ``free`` is the gt state at threshold t.
-        free = np.repeat(~crowd[None, :], thresh.shape[0], axis=0)
-        tp = np.zeros((thresh.shape[0], dts.size), dtype=bool)
-        ignored = np.zeros_like(tp)
-        for di in range(dts.size if gts.size else 0):  # argmax needs at least one gt
-            hits = ious[di] >= thresh
-            candidate = hits & free
-            tp[:, di] = candidate.any(axis=1)
-            best = np.where(candidate, ious[di], -1.0).argmax(axis=1)
-            free[tp[:, di], best[tp[:, di]]] = False
-            ignored[:, di] = ~tp[:, di] & (hits & crowd).any(axis=1)
+        tp, ignored = match(ious, crowd, thresh)
         n_positive = int(np.count_nonzero(~crowd))
         out[category] = {
             "scores": dt_scores[dts], "tp": tp, "ignored": ignored, "n_positive": n_positive
@@ -426,11 +452,18 @@ def _average_precision(scores, tp, ignored, n_positive) -> np.ndarray:
     np.divide(tp_cum, np.cumsum(kept, axis=1), out=precision[:, :-1], where=kept)
     # Precision envelope: best precision at any recall >= r.
     envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    recall = tp_cum / n_positive
-    return np.array([
-        envelope[t, np.searchsorted(recall[t], _RECALL_POINTS, side="left")].mean()
-        for t in range(kept.shape[0])
-    ])
+    # Each row's first rank whose recall tp_cum / n_positive reaches a recall
+    # point (``np.searchsorted(recall, _RECALL_POINTS)``): recall rises with
+    # the count, so that is the first rank whose count reaches the least
+    # count c with c / n_positive >= the point. Counts are integers, so the
+    # rows, each offset past the last, are searched exactly in one call.
+    least = np.searchsorted(np.arange(n_positive + 1) / n_positive, _RECALL_POINTS)
+    rows, ranks = tp_cum.shape
+    row = np.arange(rows)[:, None]
+    offset = row * (max(ranks, n_positive) + 1)
+    found = np.searchsorted((tp_cum + offset).reshape(-1), (least + offset).reshape(-1))
+    found = found.reshape(rows, least.size) - row * ranks
+    return np.take_along_axis(envelope, found, axis=1).mean(axis=1)
 
 
 def ap_report_from_matches(

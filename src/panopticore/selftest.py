@@ -295,7 +295,8 @@ def match_detections_oracle(
     full-resolution masks: ``preds`` are (mask, category, score), ties in
     score resolved by input order, and ``gts`` (mask, category, crowd). The
     overlaps are counted mask by mask, then matched by
-    ``metrics._greedy_matches``."""
+    ``metrics._greedy_matches`` with every category on the per-detection
+    ``metrics._greedy_loop``."""
     dt_cats = np.array([int(c) for _, c, _ in preds], dtype=np.int64)
     gt_cats = np.array([int(c) for _, c, _ in gts], dtype=np.int64)
     overlap = np.zeros((dt_cats.size, gt_cats.size), dtype=np.int64)
@@ -306,7 +307,7 @@ def match_detections_oracle(
         np.array([int(m.sum()) for m, _, _ in preds], dtype=np.int64),
         gt_cats, np.array([bool(c) for _, _, c in gts], dtype=bool),
         np.array([int(m.sum()) for m, _, _ in gts], dtype=np.int64),
-        overlap, thresholds, max_dets,
+        overlap, thresholds, max_dets, match=metrics._greedy_loop,
     )
 
 
@@ -995,7 +996,8 @@ def _check_pq_identity(seed: int = 0, pairs: int = 100) -> str:
 
 
 def _check_histogram_metrics(seed: int = 0, pairs: int = 100) -> str:
-    """Crowd, VOID, wrong categories, tied or absent scores, small max_dets."""
+    """Crowd, VOID, wrong categories, tied or absent scores, small max_dets,
+    exact IoU-0.5 ties."""
     spec = make_spec(num_stuff=2, num_things=3)
     rng = np.random.default_rng(seed)
     for i in range(pairs):
@@ -1006,6 +1008,16 @@ def _check_histogram_metrics(seed: int = 0, pairs: int = 100) -> str:
         message = histogram_mismatch(pred, gt, spec, scores, max_dets=(1, 2, 200)[i % 3])
         if message:
             return f"pair {i}: {message}"
+    # Exact IoU-0.5 ties, which random maps do not make: a thing segment
+    # against its two halves, both ways round (a gt with two candidates).
+    whole = np.full((6, 8), min(spec.stuff_ids) * spec.label_divisor, dtype=np.int64)
+    whole[1:3, 2:6] = min(spec.thing_ids) * spec.label_divisor + 1
+    halves = whole.copy()
+    halves[2, 2:6] += 1
+    for pred, gt in ((halves, whole), (whole, halves)):
+        message = histogram_mismatch(pred, gt, spec, {1: 0.5, 2: 0.5})
+        if message:
+            return f"half tie: {message}"
     return ""
 
 

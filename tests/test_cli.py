@@ -866,18 +866,25 @@ def test_eval_pred_scores_missing_field_exit_1(scene_files, capsys, doc, field):
 
 
 @pytest.mark.parametrize(
-    "doc",
-    [[], {"instances": 3}, {"instances": [{"instance_index": 1, "score": None}]}],
-    ids=["list", "instances-not-a-list", "null-score"],
+    "doc, named",
+    [([], ""), ({"instances": 3}, ""), ({"instances": [{"instance_index": 1, "score": None}]}, ""),
+     ({"instances": [{"instance_index": 1.7, "score": 0.5}]}, "instance index 1.7 is not an integer"),
+     ({"instances": [{"instance_index": True, "score": 0.5}]}, "instance index True is not an integer"),
+     ({"instances": [{"instance_index": 1, "score": 0.5}, {"instance_index": 1, "score": 0.9}]},
+      "instance index 1 occurs twice")],
+    ids=["list", "instances-not-a-list", "null-score", "float-index", "boolean-index",
+         "duplicate-index"],
 )
-def test_eval_pred_scores_wrong_types_exit_1(scene_files, capsys, doc):
+def test_eval_pred_scores_wrong_types_exit_1(scene_files, capsys, doc, named):
     scene, gt_path, spec_path, tmp = scene_files
     scores_path = tmp / "scores.json"
     scores_path.write_text(json.dumps(doc))
+    report = tmp / "eval.json"
     argv = ["eval", "--pred", str(gt_path), "--gt", str(gt_path), "--spec", str(spec_path),
-            "--pred-scores", str(scores_path), "--report", str(tmp / "eval.json")]
+            "--pred-scores", str(scores_path), "--report", str(report)]
     assert main(argv) == 1
-    assert f"{scores_path} is not a fuse instance report" in capsys.readouterr().err
+    assert f"{scores_path} is not a fuse instance report: {named}" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

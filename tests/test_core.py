@@ -1,8 +1,11 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from panopticore import metrics, postprocess
+from panopticore import core, metrics, postprocess
 from panopticore.core import (
     CategorySpec,
     DatasetSpec,
@@ -392,3 +395,97 @@ def test_validate_panoptic_past_the_limit_like_reference():
     assert got.count("... and 92 more") == 1 and got.count("... and 28 more") == 2
     panoptic[:14] = 2 * div + 1
     assert validate(panoptic, spec, "panoptic") == []
+
+
+# ---------------------------------------------------------------------------
+# Run scan in blocks
+
+
+def _scan_reference(*flats, width=0):
+    """``core._runs`` as one whole-array pass."""
+    size = flats[0].size
+    edge = np.zeros(size + 1, dtype=bool)
+    for flat in flats:
+        edge[1:size] |= flat[1:] != flat[:-1]
+    edge[:: width or max(size, 1)] = True
+    edges = np.flatnonzero(edge)
+    return edges[:-1], np.diff(edges)
+
+
+def _run_maps(size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat maps of random runs, with a run across the first block
+    boundary, a change of both maps exactly at the second boundary's pixel
+    and a change of the second map alone at the third's."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.geometric(1 / 40, size=size // 10 + 2)
+    first = np.repeat(rng.integers(0, 6, lengths.size), lengths)[:size].astype(np.uint32)
+    second = np.repeat(rng.integers(0, 3, lengths.size), lengths[::-1])[:size].astype(np.int64)
+    block = core._RUN_BLOCK
+    first[block - 7 : block + 9], second[block - 7 : block + 9] = 9, 9
+    first[2 * block - 3 : 2 * block], first[2 * block : 2 * block + 3] = 7, 8
+    second[2 * block - 3 : 2 * block], second[2 * block : 2 * block + 3] = 7, 8
+    first[3 * block - 3 : 3 * block + 3] = 5
+    second[3 * block - 3 : 3 * block], second[3 * block : 3 * block + 3] = 4, 6
+    return first, second
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize(
+    "size, width",
+    [((1 << 20) - 1, 1023), (1 << 20, 1024), ((1 << 20) + 1, 61681), (1025 * 2049, 2049)],
+)
+def test_blocked_run_scan_equals_one_block(monkeypatch, size, width, threads):
+    first, second = _run_maps(size, size)
+    blocks = []
+    real_run_blocks = core._run_blocks
+    monkeypatch.setattr(core, "_block_threads", lambda: threads)
+    monkeypatch.setattr(
+        core, "_run_blocks", lambda body, count: blocks.append(count) or real_run_blocks(body, count)
+    )
+    for flats in ((first,), (first, second), (second, first)):
+        for w in (0, width):
+            got = core._runs(*flats, width=w)
+            one_block = core._run_edges(flats, w, 0, size)
+            for a, b, c in zip(got, _scan_reference(*flats, width=w),
+                               (one_block[:-1], np.diff(one_block))):
+                assert a.dtype == b.dtype == c.dtype
+                assert a.tobytes() == b.tobytes() == c.tobytes()
+    # Below 2^20 pixels one block, from it on blocks of _RUN_BLOCK.
+    want = [] if size < 1 << 20 else [-(-size // core._RUN_BLOCK)] * 6
+    assert blocks == want
+
+
+def test_eval_report_bytes_do_not_depend_on_block_threads(tmp_path, monkeypatch):
+    """Full-size eval under 1, 2 and 4 block threads; then three images on
+    three --threads workers, whose run scans share the block pool, with
+    thread switches forced often: each row is the one-image aggregate."""
+    from panopticore.cli import main
+    from panopticore.synth import bench_inputs
+    from panopticore.tensor_io import write_spec, write_tensor
+
+    semantic, heatmap, offsets, spec = bench_inputs(1025, 2049, 200)
+    result = postprocess.panoptic_inference(semantic, heatmap, offsets, spec)
+    gt = result.panoptic.astype(np.uint32)
+    write_spec(spec, tmp_path / "spec.json")
+    write_tensor(gt, tmp_path / "gt.pdlt")
+    write_tensor(np.roll(gt, (3, -5), axis=(0, 1)), tmp_path / "pred.pdlt")
+    pred, gt, spec_path = (str(tmp_path / name) for name in ("pred.pdlt", "gt.pdlt", "spec.json"))
+    reports = []
+    for threads in (1, 2, 4):
+        monkeypatch.setattr(core, "_block_threads", lambda: threads)
+        out = tmp_path / f"report{threads}.json"
+        assert main(["eval", "--pred", pred, "--gt", gt, "--spec", spec_path,
+                     "--report", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    one = json.loads(reports[0])["aggregate"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = tmp_path / "three.json"
+        assert main(["eval", "--pred", pred, pred, pred, "--gt", gt, gt, gt, "--spec", spec_path,
+                     "--threads", "3", "--report", str(out)]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    rows = json.loads(out.read_bytes())["images"]
+    assert [{k: v for k, v in row.items() if k not in ("pred", "gt")} for row in rows] == [one] * 3

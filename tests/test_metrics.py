@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from panopticore import metrics
 from panopticore.metrics import (
     DEFAULT_AP_THRESHOLDS,
+    _RECALL_POINTS,
     _average_precision,
+    _greedy_loop,
+    _greedy_matches,
     _pq_matches,
     ap_matches_from_histogram,
     ApReport,
@@ -537,6 +541,23 @@ def test_histogram_metrics_equal_dense_references(seed, shape, mix, score_values
     assert histogram_mismatch(pred, gt, spec, scores, max_dets) == ""
 
 
+@pytest.mark.parametrize("split", ["two-half-detections", "two-half-gts"])
+def test_histogram_metrics_on_exact_half_ties(split):
+    """One segment split in two halves of IoU exactly 0.5 against the whole:
+    a detection with two candidate gts, or a gt with two candidate
+    detections, at threshold 0.5."""
+    whole = np.full((6, 8), STUFF[0] * DIV, dtype=np.int64)
+    whole[1:3, 2:6] = THING[0] * DIV + 1
+    halves = whole.copy()
+    halves[2, 2:6] = THING[0] * DIV + 2
+    pred, gt = (halves, whole) if split == "two-half-detections" else (whole, halves)
+    assert histogram_mismatch(pred, gt, HIST_SPEC, {1: 0.5, 2: 0.5}) == ""
+    tp = ap_matches_from_histogram(joint_histogram(pred, gt), HIST_SPEC, {1: 0.5, 2: 0.5})
+    # The first detection in rank order takes the first free gt at 0.5.
+    assert tp[THING[0]]["tp"][:, 0].tolist() == [True] + [False] * 9
+    assert not tp[THING[0]]["tp"][:, 1:].any()
+
+
 def test_histogram_ap_scores_required_for_every_detection():
     gt = np.full((8, 8), STUFF[0] * DIV, dtype=np.int64)
     gt[0:4, 0:4] = THING[0] * DIV + 1
@@ -704,6 +725,96 @@ def test_greedy_matching_equals_reference_loop():
                 assert np.array_equal(row[key], want[category][key]), (case, category, key)
 
 
+def _match_inputs(preds, gts):
+    """``_greedy_matches``' arrays from (mask, category, score) detections
+    and (mask, category, crowd) gts, the overlaps counted mask by mask."""
+    size = next((m.size for m, _, _ in [*preds, *gts]), 0)
+    dt_masks = np.array([m for m, _, _ in preds], dtype=bool).reshape(len(preds), size)
+    gt_masks = np.array([m for m, _, _ in gts], dtype=bool).reshape(len(gts), size)
+    return (
+        np.array([c for _, c, _ in preds], dtype=np.int64),
+        np.array([s for _, _, s in preds], dtype=np.float64),
+        dt_masks.sum(axis=1).astype(np.int64),
+        np.array([c for _, c, _ in gts], dtype=np.int64),
+        np.array([k for _, _, k in gts], dtype=bool),
+        gt_masks.sum(axis=1).astype(np.int64),
+        dt_masks.astype(np.int64) @ gt_masks.T.astype(np.int64),
+    )
+
+
+@st.composite
+def overlapping_detections(draw):
+    """Boxes on an 8x8 grid, so that most gts have several candidate
+    detections and most detections several candidate gts, plus segments
+    split in halves of IoU exactly 0.5 against the whole. Detections take
+    categories 0-2 and gts 1-3: category 0 has no gts, 3 no detections."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = draw(st.sampled_from([(0.5,), (0.2, 0.9), (0.1, 0.4, 0.4, 0.8)]))
+    preds, gts = [], []
+
+    def box(rows, cols):
+        mask = np.zeros((8, 8), dtype=bool)
+        r, c = rng.integers(0, 8 - rows + 1), rng.integers(0, 8 - cols + 1)
+        mask[r : r + rows, c : c + cols] = True
+        return mask
+
+    for _ in range(draw(st.integers(0, 8))):
+        preds.append((box(*rng.integers(1, 6, 2)), int(rng.integers(0, 3)), rng.choice(scores)))
+    for _ in range(draw(st.integers(0, 8))):
+        gts.append((box(*rng.integers(1, 6, 2)), int(rng.integers(1, 4)), rng.random() < 0.25))
+    for _ in range(draw(st.integers(0, 2))):  # exact IoU-0.5 ties
+        whole, category = box(2, int(rng.integers(1, 5))), int(rng.integers(1, 3))
+        top = whole & (np.cumsum(whole.any(axis=1)) == 1)[:, None]
+        parts = [(top, category), (whole & ~top, category)]
+        if rng.random() < 0.5:  # one detection against two gts
+            preds.append((whole, category, rng.choice(scores)))
+            gts += [(m, c, False) for m, c in parts]
+        else:  # two detections against one gt
+            preds += [(m, c, rng.choice(scores)) for m, c in parts]
+            gts.append((whole, category, False))
+    order = rng.permutation(len(preds))
+    return [preds[i] for i in order], gts, draw(st.sampled_from([1, 2, 3, 200]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=overlapping_detections())
+def test_greedy_matches_equal_the_loop(case):
+    """The vectorised step, with its fallback on conflicts, against the
+    per-detection loop on every category: same categories, same arrays in
+    dtype and bytes."""
+    preds, gts, max_dets = case
+    args = (*_match_inputs(preds, gts), DEFAULT_AP_THRESHOLDS, max_dets)
+    got, want = _greedy_matches(*args), _greedy_matches(*args, match=_greedy_loop)
+    assert got.keys() == want.keys()
+    for category, row in got.items():
+        assert row["n_positive"] == want[category]["n_positive"]
+        for key in ("scores", "tp", "ignored"):
+            a, b = row[key], want[category][key]
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("split", ["one-detection-two-gts", "two-detections-one-gt"])
+def test_greedy_step_takes_the_loop_on_a_contested_gt(monkeypatch, split):
+    """Halves of IoU exactly 0.5 against the whole. A gt with two candidate
+    detections takes the loop; a detection with two candidate gts does not
+    need it, as it is a tp whichever one it takes."""
+    whole = np.zeros((4, 4), dtype=bool)
+    whole[:2] = True
+    top, bottom = whole.copy(), whole.copy()
+    top[1], bottom[0] = False, False
+    if split == "one-detection-two-gts":
+        preds, gts = [(whole, 1, 0.5)], [(top, 1, False), (bottom, 1, False)]
+    else:
+        preds, gts = [(top, 1, 0.5), (bottom, 1, 0.5)], [(whole, 1, False)]
+    calls = []
+    monkeypatch.setattr(metrics, "_greedy_loop", lambda *a: calls.append(1) or _greedy_loop(*a))
+    got = _greedy_matches(*_match_inputs(preds, gts), DEFAULT_AP_THRESHOLDS, 200)
+    assert calls == ([1] if split == "two-detections-one-gt" else [])
+    # At 0.5 the first detection takes a gt; above it no IoU reaches.
+    assert got[1]["tp"][0].tolist() == [True] + [False] * (len(preds) - 1)
+    assert not got[1]["tp"][1:].any()
+
+
 def _reference_average_precision(scores, tp, ignored, n_positive):
     """AP at one threshold: the kept detections in rank order, then the
     explicit backward loop for the precision envelope."""
@@ -734,6 +845,47 @@ def test_precision_envelope_equals_reference_loop():
         assert got.shape == (rows,)
         for t in range(rows):
             assert got[t] == _reference_average_precision(scores, tp[t], ignored[t], n_positive)
+
+
+def _row_search_average_precision(scores, tp, ignored, n_positive):
+    """``_average_precision`` with one ``np.searchsorted`` of the float
+    recall and one mean per threshold row."""
+    order = np.argsort(-scores, kind="stable")
+    kept = ~ignored[:, order]
+    tp_cum = np.cumsum(tp[:, order] & kept, axis=1)
+    precision = np.zeros((kept.shape[0], kept.shape[1] + 1))
+    np.divide(tp_cum, np.cumsum(kept, axis=1), out=precision[:, :-1], where=kept)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    recall = tp_cum / n_positive
+    return np.array([
+        envelope[t, np.searchsorted(recall[t], _RECALL_POINTS, side="left")].mean()
+        for t in range(kept.shape[0])
+    ])
+
+
+@pytest.mark.parametrize("n_positive", [10, 20, 100, 7, 33])
+def test_average_precision_equals_row_searches(n_positive):
+    """Counts c whose recall c / n_positive falls exactly on a recall point
+    (every count at 10, 20 and 100, some at 7 and 33), on one image's table
+    and on tables pooled from several images, each with its share of the
+    regular gts and at most that many hits per threshold."""
+    rng = np.random.default_rng(n_positive)
+    for case in range(100):
+        images = 1 if case % 2 else int(rng.integers(2, 5))
+        cuts = np.sort(rng.integers(0, n_positive + 1, images - 1))
+        rows = 10 if case % 4 < 2 else int(rng.integers(1, 11))
+        scores, tp, ignored = [], [], []
+        for share in np.diff([0, *cuts, n_positive]).tolist():
+            n = int(rng.integers(0, 2 * share + 2))
+            hits = rng.random((rows, n)) < rng.choice([0.2, 0.5, 0.9, 1.0])
+            hits &= np.cumsum(hits, axis=1) <= share  # each gt is taken once
+            tp.append(hits)
+            ignored.append(~hits & (rng.random((rows, n)) < 0.2))
+            scores.append(rng.choice([0.1, 0.5, 0.9, -0.0, 0.0], size=n).astype(np.float64))
+        args = (np.concatenate(scores), np.concatenate(tp, axis=1),
+                np.concatenate(ignored, axis=1), n_positive)
+        got, want = _average_precision(*args), _row_search_average_precision(*args)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
 
 
 def _reference_ap_report(matches, thresholds):
