@@ -201,7 +201,7 @@ def _eval_one(pred_path, gt_path, scores_path, spec, modes):
         except ValueError as e:  # not UTF-8, or not JSON
             raise ValueError(f"{scores_path} is not a JSON document: {e}") from None
         try:
-            rows = [(r["instance_index"], float(r["score"])) for r in doc["instances"]]
+            rows = [(r["instance_index"], r["score"]) for r in doc["instances"]]
         except KeyError as e:
             raise ValueError(f"{scores_path} has no {e.args[0]!r} field") from None
         except TypeError as e:  # a field of the wrong type
@@ -212,7 +212,13 @@ def _eval_one(pred_path, gt_path, scores_path, spec, modes):
                 fault = "occurs twice" if type(index) is int else "is not an integer"
                 raise ValueError(f"{scores_path} is not a fuse instance report: "
                                  f"instance index {index!r} {fault}")
-            scores[index] = score
+            if type(score) not in (int, float):  # a JSON number; true and "0.5" are not
+                raise ValueError(f"{scores_path} is not a fuse instance report: "
+                                 f"instance index {index} has score {score!r}, not a number")
+            try:
+                scores[index] = float(score)
+            except OverflowError:  # an integer beyond the float range
+                scores[index] = math.inf
         bad = [k for k, v in scores.items() if not math.isfinite(v)]
         if bad:
             raise ValueError(f"{scores_path}: prediction scores must be finite, "

@@ -871,9 +871,13 @@ def test_eval_pred_scores_missing_field_exit_1(scene_files, capsys, doc, field):
      ({"instances": [{"instance_index": 1.7, "score": 0.5}]}, "instance index 1.7 is not an integer"),
      ({"instances": [{"instance_index": True, "score": 0.5}]}, "instance index True is not an integer"),
      ({"instances": [{"instance_index": 1, "score": 0.5}, {"instance_index": 1, "score": 0.9}]},
-      "instance index 1 occurs twice")],
+      "instance index 1 occurs twice"),
+     ({"instances": [{"instance_index": 1, "score": "0.5"}]},
+      "instance index 1 has score '0.5', not a number"),
+     ({"instances": [{"instance_index": 1, "score": True}]},
+      "instance index 1 has score True, not a number")],
     ids=["list", "instances-not-a-list", "null-score", "float-index", "boolean-index",
-         "duplicate-index"],
+         "duplicate-index", "string-score", "boolean-score"],
 )
 def test_eval_pred_scores_wrong_types_exit_1(scene_files, capsys, doc, named):
     scene, gt_path, spec_path, tmp = scene_files
@@ -885,6 +889,23 @@ def test_eval_pred_scores_wrong_types_exit_1(scene_files, capsys, doc, named):
     assert main(argv) == 1
     assert f"{scores_path} is not a fuse instance report: {named}" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_eval_integer_pred_scores_read_as_floats(scene_files, capsys):
+    scene, gt_path, spec_path, tmp = scene_files
+    reports = []
+    for score in (1, 1.0, 10**400):  # the last one has no float
+        rows = [{"instance_index": k, "score": score} for k in _instance_indices(scene)]
+        scores_path = tmp / "scores.json"
+        scores_path.write_text(json.dumps({"instances": rows}))
+        report = tmp / f"eval{len(reports)}.json"
+        argv = ["eval", "--pred", str(gt_path), "--gt", str(gt_path), "--spec", str(spec_path),
+                "--mode", "ap", "--pred-scores", str(scores_path), "--report", str(report)]
+        reports.append((main(argv), report.read_bytes() if report.exists() else None))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+    assert reports[2] == (1, None)
+    err = capsys.readouterr().err
+    assert "prediction scores must be finite" in err and str(scores_path) in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

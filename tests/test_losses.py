@@ -186,7 +186,8 @@ def ce_cases(draw):
 @given(case=ce_cases())
 def test_ce_equals_full_sort_oracle(case):
     logits, labels, weights, fraction, block, with_gradient = case
-    with mock.patch.object(losses, "_CE_BLOCK", block):
+    with mock.patch.object(losses, "_CE_BLOCK", block), \
+            mock.patch.object(losses, "_CE_INPUT_BLOCK", block):
         got = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, fraction, with_gradient)
     want = bootstrapped_ce_oracle(logits, labels, weights, IGNORE, fraction, with_gradient)
     assert got.value == want.value and repr(got.value) == repr(want.value)
@@ -236,7 +237,8 @@ def test_ce_bytes_do_not_depend_on_thread_count(dtype):
         for threads in (1, 2, 3):
             for block in (1, 3, 64):
                 with mock.patch.object(core, "_block_threads", lambda: threads), \
-                        mock.patch.object(losses, "_CE_BLOCK", block):
+                        mock.patch.object(losses, "_CE_BLOCK", block), \
+                        mock.patch.object(losses, "_CE_INPUT_BLOCK", block):
                     got = weighted_bootstrapped_ce(logits, labels, weights, IGNORE, 0.15)
                 assert repr(got.value) == repr(want.value), (threads, block)
                 assert got.gradient.tobytes() == want.gradient.tobytes(), (threads, block)
@@ -299,6 +301,58 @@ def test_ce_raises_the_earliest_blocks_error(threads):
                 weighted_bootstrapped_ce(overflow, labels, weights, IGNORE)
             with pytest.raises(ValueError, match=r"logits must be finite \(no NaN or inf\)"):
                 weighted_bootstrapped_ce(nan, labels, weights, IGNORE)
+
+
+# The CE's faults in the order it raises them: the input checks, then the
+# logits.
+CE_FAULTS = [
+    "weights must be finite",
+    "weights must be >= 0",
+    "all pixels carry the ignore label",
+    "labels contain indices outside",
+    "logits must be finite",
+]
+CE_FAULT_PAIRS = [
+    (first, later)
+    for i, first in enumerate(CE_FAULTS)
+    for later in CE_FAULTS[i + 1 :]
+    # Every label ignored leaves no label out of range.
+    if (first, later) != (CE_FAULTS[2], CE_FAULTS[3])
+]
+
+
+def put_ce_fault(fault, logits, labels, weights, pixel):
+    """One of CE_FAULTS at the flat ``pixel``; the ignore label at every pixel."""
+    if fault == CE_FAULTS[0]:
+        weights.flat[pixel] = np.nan
+    elif fault == CE_FAULTS[1]:
+        weights.flat[pixel] = -1.0
+    elif fault == CE_FAULTS[2]:
+        labels[...] = IGNORE
+    elif fault == CE_FAULTS[3]:
+        labels.flat[pixel] = logits.shape[2]
+    else:
+        logits.reshape(-1, logits.shape[2])[pixel, 1] = np.nan
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("first, later", CE_FAULT_PAIRS)
+def test_ce_raises_the_first_checks_error_from_any_block(first, later, threads):
+    rng = np.random.default_rng(14)
+    size = 6 * 10
+    for first_at, later_at in ((size - 1, 0), (0, size - 1)):
+        logits = rng.normal(size=(6, 10, 3)).astype(np.float32)
+        labels = rng.integers(0, 3, size=(6, 10))
+        weights = np.ones((6, 10), dtype=np.float32)
+        # The ignore label goes in first, so that it keeps the other fault.
+        for fault, at in sorted([(first, first_at), (later, later_at)], key=lambda f: f[0] != CE_FAULTS[2]):
+            put_ce_fault(fault, logits, labels, weights, at)
+        with mock.patch.object(core, "_block_threads", lambda: threads), \
+                mock.patch.object(losses, "_CE_BLOCK", 3), \
+                mock.patch.object(losses, "_CE_INPUT_BLOCK", 3):
+            for _ in range(5):
+                with pytest.raises(ValueError, match=first):
+                    weighted_bootstrapped_ce(logits, labels, weights, IGNORE)
 
 
 def test_ce_worker_blocks_run_under_the_callers_errstate():

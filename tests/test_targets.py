@@ -1,9 +1,12 @@
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from panopticore import core, targets
 from panopticore.core import CategorySpec, DatasetSpec, Dims, InstanceCenter, segment_table, validate
 from panopticore.synth import make_spec, random_scene
 from panopticore.targets import (
@@ -365,3 +368,25 @@ def test_encoders_equal_segment_loop_reference(case):
     assert got_offsets.tobytes() == offsets.tobytes()
     assert got_mask.tobytes() == thing_mask.tobytes()
     assert semantic_weight_map(segment_table(panoptic, spec), params).tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("band", [1, 2, 3, targets._OFFSET_BAND])
+def test_banded_offsets_equal_segment_loop_reference(band, threads):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave between numpy calls
+    try:
+        for seed in range(3):
+            scene = random_scene(60 + seed, min_size=2 * targets._OFFSET_BAND + 7, max_size=96)
+            panoptic = scene.panoptic
+            assert panoptic.shape[0] > 2 * band
+            want = offsets_reference(thing_segments_reference(panoptic, scene.spec), panoptic.shape)
+            assert want[1].any() and not want[1].all()
+            with mock.patch.object(targets, "_OFFSET_BAND", band), \
+                    mock.patch.object(core, "_block_threads", lambda: threads):
+                got = encode_offsets(segment_table(panoptic, scene.spec))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes(), (seed, band, threads)
+    finally:
+        sys.setswitchinterval(interval)
