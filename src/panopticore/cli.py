@@ -114,12 +114,19 @@ def cmd_fuse(args) -> int:
             f"{spec.label_divisor}, which bounds the instance part of a panoptic id"
         )
     params = _params(postprocess.PostprocParams, args)
-    semantic = tensor_io._map_tensor(args.semantic)
-    heatmap = tensor_io._map_tensor(args.heatmap)
-    offsets = tensor_io._map_tensor(args.offsets)
-    result = postprocess.panoptic_inference(semantic, heatmap, offsets, spec, params)
+    grids = []
+    for path in (args.semantic, args.heatmap, args.offsets):
+        grids.append(tensor_io._map_tensor(path))
+        if 0 in grids[-1].shape[:2]:
+            raise ValueError(f"{path}: empty dims {grids[-1].shape}")
+    result = postprocess.panoptic_inference(*grids, spec, params)
     panoptic = result.panoptic
-    if panoptic.min() < 0 or panoptic.max() > np.iinfo(np.uint32).max:
+    # The merge writes only ids below (max_known_label + 1) * label_divisor:
+    # the map is scanned only where that bound passes the container's.
+    uint32_max = np.iinfo(np.uint32).max
+    if (spec.max_known_label + 1) * spec.label_divisor - 1 > uint32_max and (
+        panoptic.min() < 0 or panoptic.max() > uint32_max
+    ):
         raise ValueError("panoptic ids exceed the uint32 container range")
     tensor_io.write_tensor(panoptic.astype(np.uint32), args.out)
     report = {
@@ -208,13 +215,13 @@ def _eval_one(pred_path, gt_path, scores_path, spec, modes):
             raise ValueError(f"{scores_path} is not a fuse instance report: {e}") from None
         scores = {}
         for index, score in rows:
-            if type(index) is not int or index in scores:  # a JSON integer, once
-                fault = "occurs twice" if type(index) is int else "is not an integer"
-                raise ValueError(f"{scores_path} is not a fuse instance report: "
-                                 f"instance index {index!r} {fault}")
-            if type(score) not in (int, float):  # a JSON number; true and "0.5" are not
-                raise ValueError(f"{scores_path} is not a fuse instance report: "
-                                 f"instance index {index} has score {score!r}, not a number")
+            try:  # a JSON integer, once, and a JSON number: true and "0.5" are neither
+                tensor_io._json_value(index, int, "instance index")
+                if index in scores:
+                    raise ValueError(f"instance index {index} occurs twice")
+                tensor_io._json_value(score, float, f"instance index {index} score")
+            except ValueError as e:
+                raise ValueError(f"{scores_path} is not a fuse instance report: {e}") from None
             try:
                 scores[index] = float(score)
             except OverflowError:  # an integer beyond the float range

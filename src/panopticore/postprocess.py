@@ -2,19 +2,24 @@
 
 :func:`panoptic_inference` runs the five stages that ``bench`` times:
 
-* inputs: each input checked once; a probability grid reduced to labels,
-  and the label ids checked once per run by ``thing_mask_from_semantic``
+* inputs: each input checked once, the heatmap and the offsets in blocks on
+  ``core._run_blocks``; a probability grid reduced to labels, and the label
+  ids checked once per run by ``thing_mask_from_semantic``
 * nms: the centers of ``keypoint_nms`` + ``extract_centers``, searched
   among the pixels above the threshold only
-* grouping: ``group_pixels``
-* merge: ``merge_panoptic``, whose lookup table also voids small stuff,
-  counted over runs of equal (label, instance) pairs
-* scores: ``_class_scores`` (members found per run) with the score mode
+* grouping: ``group_pixels``, two passes over blocks on the runner around
+  one listing of the landing cells hit
+* merge: ``merge_panoptic``, two passes over blocks on the runner; its
+  lookup table also voids small stuff, counted over runs of equal (label,
+  instance) pairs
+* scores: on a label map, each instance's votes for its category over its
+  area; on probabilities, ``_class_scores`` (members found per run); then
+  the score mode
 
 Everything is integer- or comparison-based, so outputs are bit-identical
-across runs. Instance indices are 1-based positions in the extracted center
-list; 0 means "no instance". Pixels of a thing category that no center
-claims become VOID (ignore_label * label_divisor).
+across runs and thread counts. Instance indices are 1-based positions in
+the extracted center list; 0 means "no instance". Pixels of a thing
+category that no center claims become VOID (ignore_label * label_divisor).
 """
 
 from __future__ import annotations
@@ -45,10 +50,13 @@ SCORE_MODES = ("objectness", "class", "product")
 # group_pixels prunes centers per square cell of landing points, _GROUP_TILE
 # pixels a side; a coarse cell of _GROUP_COARSE x _GROUP_COARSE cells seeds
 # its cells' lists. Per-pixel arrays live one block of _GROUP_BLOCK pixels
-# at a time: whole-image ones added 25 MiB to fuse's peak RSS.
+# at a time: whole-image ones added 25 MiB to fuse's peak RSS, and blocks
+# of 2**17 on two threads broke the 12 MiB tracemalloc bound. The cells hit
+# are listed _GROUP_LIST at a time: all at once took 22 MiB at 1025x2049.
 _GROUP_TILE = 8
 _GROUP_COARSE = 8
 _GROUP_BLOCK = 1 << 16
+_GROUP_LIST = 2048
 
 # Peaks are searched among the pixels above the center threshold while
 # (candidates + _PEAK_OFFSET_COST) x kernel**2 stays within _PEAK_DENSITY
@@ -67,9 +75,15 @@ _PEAK_OFFSET_COST = 400
 # L2 cache; 4096 took ~20% longer at 1025x2049, through per-call overhead.
 _PROB_BLOCK = 16384
 
-# Pixels per block of the merge: its per-run buffers are reused from block to
-# block, where whole-map run arrays were allocated afresh on every call.
-_MERGE_BLOCK = 1 << 16
+# Pixels per block of the merge's two passes on core._run_blocks. Whole-map
+# run arrays were allocated afresh on every call; blocks of 2**16 were too
+# short to gain from a second thread (the merge took 1.6x as long as at
+# 2**18 on a 2-core VM; 2**19 was no faster). It stays below
+# core._RUN_SPLIT, so a block's _runs does not start a runner of its own.
+_MERGE_BLOCK = 1 << 18
+
+# Values per block of the heatmap's and the offsets' finiteness checks.
+_FINITE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -112,10 +126,13 @@ class InstanceRecord:
 
 @dataclass(frozen=True)
 class PanopticResult:
-    """Fused panoptic map (encoded ids) plus per-instance records."""
+    """Fused panoptic map (encoded ids) plus per-instance records.
+    ``category_votes``, from ``merge_panoptic``, holds each record's votes
+    for its category: its pixels whose semantic label is that category."""
 
     panoptic: np.ndarray
     instances: tuple[InstanceRecord, ...]
+    category_votes: np.ndarray | None = None
 
 
 def keypoint_nms(heatmap: np.ndarray, kernel: int = 7) -> np.ndarray:
@@ -152,11 +169,17 @@ def extract_centers(
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     flat = nms_heatmap.reshape(-1)
     candidates = np.flatnonzero(flat > threshold)
-    if candidates.size == 0:
-        return []
-    values = flat[candidates].astype(np.float64)
+    return _ordered_centers(candidates, flat[candidates], nms_heatmap.shape[1], top_k)
+
+
+def _ordered_centers(
+    candidates: np.ndarray, values: np.ndarray, width: int, top_k: int
+) -> list[InstanceCenter]:
+    """The centers at the flat indices ``candidates`` of a map ``width``
+    pixels wide, scored by ``values``: strongest first, ties row-major, at
+    most ``top_k``."""
+    values = values.astype(np.float64)
     order = np.lexsort((candidates, -values))[:top_k]
-    width = nms_heatmap.shape[1]
     return [
         InstanceCenter(
             row=float(candidates[i] // width),
@@ -175,50 +198,61 @@ def _peak_centers(
     the threshold only.
 
     Only those pixels can become centers, and one survives iff no pixel of
-    its clipped window is larger. The windows are read from a copy padded
-    with -inf, which clips them as ``maximum_filter(cval=-inf)`` does, one
+    its clipped window is larger. The windows are read from the map one
     square ring of offsets at a time, nearest first; a candidate that meets
-    a larger value is dropped before the next ring. The survivors, alone on
-    an empty map, go through ``extract_centers``. Heatmaps with too many
-    candidates for their kernel (see ``_PEAK_DENSITY``) or of a non-float
-    dtype take the full filter instead.
+    a larger value is dropped before the next ring. A candidate within
+    ``kernel // 2`` of an edge reads its window through row and column
+    indices clipped to the grid: they repeat pixels of its clipped window
+    and reach all of them, so the max is that of ``maximum_filter(cval=
+    -inf)``. The survivors are ordered as ``extract_centers`` orders them.
+    Heatmaps with too many candidates for their kernel (see
+    ``_PEAK_DENSITY``) or of a non-float dtype take the full filter instead.
     """
-    above = heatmap > threshold
-    count = np.count_nonzero(above)
-    if not count:
+    flat = heatmap.reshape(-1)
+    candidates = np.flatnonzero(flat > threshold)
+    if not candidates.size:
         return []
     if (
         heatmap.dtype.kind != "f"
-        or (count + _PEAK_OFFSET_COST) * kernel * kernel > _PEAK_DENSITY * heatmap.size
+        or (candidates.size + _PEAK_OFFSET_COST) * kernel * kernel
+        > _PEAK_DENSITY * heatmap.size
     ):
         return extract_centers(keypoint_nms(heatmap, kernel), threshold, top_k)
-    candidates = np.flatnonzero(above)
     height, width = heatmap.shape
     radius = kernel // 2
-    stride = width + 2 * radius
-    padded = np.empty((height + 2 * radius, stride), dtype=heatmap.dtype)
-    padded[radius : radius + height, radius : radius + width] = heatmap
-    padded[:radius] = padded[radius + height :] = -np.inf
-    padded[:, :radius] = padded[:, radius + width :] = -np.inf
-    padded = padded.reshape(-1)
-    at = candidates + (candidates // width * (2 * radius) + radius * stride + radius)
-    values = padded[at]
-    for ring in range(1, radius + 1):
-        if not candidates.size:
-            return []
-        # The square ring: its top and bottom rows, then its side columns.
-        side = range(-ring, ring + 1)
-        offsets = [edge * stride + d for edge in (-ring, ring) for d in side]
-        offsets += [d * stride + edge for edge in (-ring, ring) for d in side[1:-1]]
-        ring_max = padded[at + offsets[0]]
-        for offset in offsets[1:]:
-            np.maximum(ring_max, padded[at + offset], out=ring_max)
-        peak = ring_max <= values
-        candidates, at, values = candidates[peak], at[peak], values[peak]
-    # The surviving peaks on an empty map: extract_centers orders them.
-    peaks = np.zeros(heatmap.shape, dtype=heatmap.dtype)
-    peaks.reshape(-1)[candidates] = values
-    return extract_centers(peaks, threshold, top_k)
+    rows = candidates // width
+    cols = candidates - rows * width
+    inner = (rows >= radius) & (rows < height - radius)
+    inner &= (cols >= radius) & (cols < width - radius)
+    peaks = []
+    for group in (inner, ~inner):
+        at, row, col = candidates[group], rows[group], cols[group]
+        values = flat[at]
+        for ring in range(1, radius + 1):
+            if not at.size:
+                break
+            # The square ring: its top and bottom rows, then its side columns.
+            side = range(-ring, ring + 1)
+            steps = [(edge, d) for edge in (-ring, ring) for d in side]
+            steps += [(d, edge) for edge in (-ring, ring) for d in side[1:-1]]
+            ring_max = None
+            for dr, dc in steps:
+                if group is inner:
+                    window = flat[at + (dr * width + dc)]
+                else:
+                    clipped = np.clip(row + dr, 0, height - 1)
+                    clipped *= width
+                    clipped += np.clip(col + dc, 0, width - 1)
+                    window = flat[clipped]
+                if ring_max is None:
+                    ring_max = window
+                else:
+                    np.maximum(ring_max, window, out=ring_max)
+            peak = ring_max <= values
+            at, row, col, values = at[peak], row[peak], col[peak], values[peak]
+        peaks.append((at, values))
+    at, values = (np.concatenate(part) for part in zip(*peaks))
+    return _ordered_centers(at, values, width, top_k)
 
 
 def thing_mask_from_semantic(semantic: np.ndarray, spec: DatasetSpec) -> np.ndarray:
@@ -310,9 +344,15 @@ def group_pixels(
 
     The search is exact but pruned: a landing point meets only the
     candidates of its cell (see :func:`_tile_candidates`), a square of side
-    _GROUP_TILE or a half-infinite cell beside the grid, listed from its
-    coarse cell's list when a point first lands in it. Raises ValueError if
-    a thing pixel's landing point or a center is not finite.
+    _GROUP_TILE or a half-infinite cell beside the grid. Blocks of whole
+    rows run twice on ``core._run_blocks``. The first pass checks the
+    landing points, writes each pixel's cell + 1 into the output and marks
+    the cells hit; every cell hit is then listed once, from its coarse
+    cell's list, _GROUP_LIST cells at a time. The second pass reads the
+    lists: a one-candidate cell gives its index, and only the pixels of the
+    other cells recompute their landing points and the distances. Each
+    block writes only its own rows. Raises ValueError if a thing pixel's
+    landing point or a center is not finite.
     """
     if offsets.ndim != 3 or offsets.shape[2] != 2:
         raise ValueError(f"offsets must be (H, W, 2), got shape {offsets.shape}")
@@ -330,72 +370,108 @@ def group_pixels(
     side = _GROUP_TILE
     row_box, row_coarse, row_coarse_box = _axis_cells(height, side)
     col_box, col_coarse, col_coarse_box = _axis_cells(width, side)
-    # A coarse cell's list is its row; a lone coarse cell keeps every center.
-    coarse_cells = len(row_coarse_box) * len(col_coarse_box)
-    coarse_keep = np.full((coarse_cells, len(centers)), coarse_cells == 1)
-    # Per cell: 0 until listed, then its one candidate's instance index or
-    # minus its candidate count; the candidates sit from ``start`` on in
-    # ``store``, lowest center index first.
-    code = np.zeros(len(row_box) * len(col_box), dtype=np.int32)
-    start = np.zeros(code.size, dtype=np.intp)
-    store = np.empty(0, dtype=np.intp)
     # Blocks of whole rows of about _GROUP_BLOCK pixels (at least one row).
     block_rows = max(1, _GROUP_BLOCK // max(width, 1))
-    for top in range(0, height, block_rows):
-        at = np.flatnonzero(thing_mask[top : top + block_rows])
-        if not at.size:
-            continue
+    blocks = -(-height // block_rows)
+    marks: list[np.ndarray] = []  # one array of cells hit per thread
+    local = threading.local()
+
+    def landing(rows: slice, at: np.ndarray) -> np.ndarray:
+        """The (2, len(at)) landing points of the pixels ``at`` of ``rows``."""
         src_row = at // width  # floor division by a scalar is fast; divmod is not
-        land = np.array((src_row + top, at - src_row * width), dtype=np.float64)
-        land += offsets[top : top + block_rows].reshape(-1, 2).take(at, axis=0).T
+        land = np.empty((2, at.size))
+        np.add(src_row, rows.start, out=land[0])
+        np.subtract(at, src_row * width, out=land[1])
+        band = offsets[rows].reshape(-1, 2)
+        land[0] += band[:, 0].take(at)
+        land[1] += band[:, 1].take(at)
+        return land
+
+    def land_body(j: int) -> None:
+        rows = slice(j * block_rows, (j + 1) * block_rows)
+        at = np.flatnonzero(thing_mask[rows])
+        if not at.size:
+            return
+        land = landing(rows, at)
         if not np.isfinite(land).all():
             raise ValueError("offsets give non-finite landing points")
         if len(centers) == 1:
-            instance_ids[top : top + block_rows].reshape(-1)[at] = 1
-            continue
+            instance_ids[rows].reshape(-1)[at] = 1
+            return
         cell = _landing_cells(land, row_box, col_box, side)
-        ids = code.take(cell)
-        todo = (ids <= 0).nonzero()[0]
-        new = np.zeros(code.size, dtype=bool)
-        new[cell[todo]] = True
-        new = (new > (code != 0)).nonzero()[0]
-        if new.size:
-            # List the new cells, and their coarse cells first.
-            row, col = np.divmod(new, len(col_box))
-            parent = row_coarse.take(row) * len(col_coarse_box) + col_coarse.take(col)
-            unlisted = ~coarse_keep.take(parent, 0).any(axis=1)
-            if unlisted.any():
-                need = np.unique(parent[unlisted])
-                prow, pcol = np.divmod(need, len(col_coarse_box))
-                box = np.array((row_coarse_box.take(prow, 0), col_coarse_box.take(pcol, 0)))
-                every = np.ones((need.size, len(centers)), dtype=bool)
-                owner, k = _tile_candidates(every, box, center_coords)
-                coarse_keep[need[owner], k] = True
-            box = np.array((row_box.take(row, 0), col_box.take(col, 0)))
-            owner, kept = _tile_candidates(coarse_keep.take(parent, 0), box, center_coords)
-            counts = np.bincount(owner, minlength=new.size)
-            start[new] = first = counts.cumsum() - counts + store.size
-            store = np.concatenate((store, kept))
-            code[new] = np.where(counts > 1, -counts, store[first] + 1)
-            ids[todo] = code.take(cell[todo])
-            todo = todo[ids[todo] < 0]
+        cell += 1
+        hit = getattr(local, "hit", None)
+        if hit is None:  # allocated once per thread and call
+            hit = local.hit = np.zeros(len(row_box) * len(col_box) + 1, dtype=bool)
+            marks.append(hit)
+        hit[cell] = True
+        instance_ids[rows].reshape(-1)[at] = cell
+
+    _run_blocks(land_body, blocks)
+    if not marks:  # one center, or no thing pixel
+        return instance_ids
+    hit = marks[0]
+    for other in marks[1:]:
+        hit |= other
+    hit = np.flatnonzero(hit)
+
+    # A coarse cell's list is its row; a lone coarse cell keeps every center.
+    coarse_cells = len(row_coarse_box) * len(col_coarse_box)
+    coarse_keep = np.full((coarse_cells, len(centers)), coarse_cells == 1)
+    # At cell + 1 for each cell hit: its one candidate's instance index or
+    # minus its candidate count; the candidates sit from ``start`` on in
+    # ``store``, lowest center index first. Entry 0, for the pixels off the
+    # things, stays 0.
+    code = np.zeros(len(row_box) * len(col_box) + 1, dtype=np.int32)
+    start = np.zeros(code.size, dtype=np.intp)
+    stores, listed = [], 0
+    for first in range(0, hit.size, _GROUP_LIST):
+        new = hit[first : first + _GROUP_LIST]
+        # List the new cells, and their coarse cells first.
+        row, col = np.divmod(new - 1, len(col_box))
+        parent = row_coarse.take(row) * len(col_coarse_box) + col_coarse.take(col)
+        unlisted = ~coarse_keep.take(parent, 0).any(axis=1)
+        if unlisted.any():
+            need = np.unique(parent[unlisted])
+            prow, pcol = np.divmod(need, len(col_coarse_box))
+            box = np.array((row_coarse_box.take(prow, 0), col_coarse_box.take(pcol, 0)))
+            every = np.ones((need.size, len(centers)), dtype=bool)
+            owner, k = _tile_candidates(every, box, center_coords)
+            coarse_keep[need[owner], k] = True
+        box = np.array((row_box.take(row, 0), col_box.take(col, 0)))
+        owner, kept = _tile_candidates(coarse_keep.take(parent, 0), box, center_coords)
+        counts = np.bincount(owner, minlength=new.size)
+        offset = counts.cumsum() - counts
+        start[new] = offset + listed
+        code[new] = np.where(counts > 1, -counts, kept[offset] + 1)
+        stores.append(kept)
+        listed += kept.size
+    store = np.concatenate(stores)
+
+    def resolve_body(j: int) -> None:
+        rows = slice(j * block_rows, (j + 1) * block_rows)
+        out = instance_ids[rows].reshape(-1)
+        ids = code.take(out)
         # One candidate: its index is taken above. More: one (pixels, k)
         # distance array per count k, whose first minimum is the lowest index.
+        todo = np.flatnonzero(ids < 0)
         if todo.size:
             todo = todo[ids[todo].argsort()]
-            sizes, slot = -ids[todo], start.take(cell.take(todo))
-            rows, cols = land.take(todo, 1)
+            sizes, slot = -ids[todo], start.take(out.take(todo))
+            land = landing(rows, todo)
             cuts = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), todo.size]
             for lo, hi in zip(cuts, cuts[1:]):
                 cand = store.take(slot[lo:hi, None] + np.arange(sizes[lo]))
-                dist = rows[lo:hi, None] - center_coords[0].take(cand)
+                dist = land[0, lo:hi, None] - center_coords[0].take(cand)
                 dist *= dist
-                other = cols[lo:hi, None] - center_coords[1].take(cand)
+                other = land[1, lo:hi, None] - center_coords[1].take(cand)
                 other *= other
                 dist += other
                 slot[lo:hi] += dist.argmin(axis=1)
             ids[todo] = store.take(slot) + 1
-        instance_ids[top : top + block_rows].reshape(-1)[at] = ids
+        out[...] = ids
+
+    _run_blocks(resolve_body, blocks)
     return instance_ids
 
 
@@ -425,7 +501,10 @@ def merge_panoptic(
     negative one (a uint64 id from 2**63 on turns negative as intp, and
     int64's largest wraps when shifted) to its start. The block histograms
     add up to one with a row per id present; the map repeats each run's
-    entry of one lookup table.
+    entry of one lookup table. Both passes over the blocks run on
+    ``core._run_blocks``, each block writing only its own slot and its own
+    part of the map. The result's ``category_votes`` are the histogram's
+    counts of each record's category.
     """
     if semantic.shape != instance_ids.shape:
         raise ValueError(
@@ -440,11 +519,12 @@ def merge_panoptic(
     channel = np.pad(np.where(table.known, table.channel, num + 1), 1, constant_values=num + 1)
     channel = channel.astype(np.min_scalar_type(width))
     flat_semantic, flat_instance = semantic.reshape(-1), instance_ids.reshape(-1)
-    bounds = range(0, max(flat_semantic.size, 1), _MERGE_BLOCK)
-    blocks = []
-    for start in bounds:
-        labels = flat_semantic[start : start + _MERGE_BLOCK]
-        instance = flat_instance[start : start + _MERGE_BLOCK]
+    size = _MERGE_BLOCK
+    blocks: list = [None] * -(-max(flat_semantic.size, 1) // size)
+
+    def vote_body(j: int) -> None:
+        labels = flat_semantic[j * size : (j + 1) * size]
+        instance = flat_instance[j * size : (j + 1) * size]
         starts, lengths = _runs(labels, instance)
         # Codes built in place on the fresh row index.
         present, codes = _unique_index(np.take(instance, starts), instance.size)
@@ -452,8 +532,10 @@ def merge_panoptic(
         shifted = np.add(np.take(labels, starts), 1, dtype=np.intp, casting="unsafe")
         codes += np.take(channel, shifted, mode="clip")
         votes = _sums(codes, lengths, present.size * width).reshape(-1, width)
-        narrow = np.min_scalar_type(votes.size), np.min_scalar_type(_MERGE_BLOCK)
-        blocks.append((present, votes, codes.astype(narrow[0]), lengths.astype(narrow[1])))
+        narrow = np.min_scalar_type(votes.size), np.min_scalar_type(size)
+        blocks[j] = (present, votes, codes.astype(narrow[0]), lengths.astype(narrow[1]))
+
+    _run_blocks(vote_body, len(blocks))
     present, row = np.unique(np.concatenate([b[0] for b in blocks]), return_inverse=True)
     votes_full = np.zeros((present.size, width), dtype=np.int64)
     np.add.at(votes_full, row, np.concatenate([b[1] for b in blocks]))
@@ -480,42 +562,46 @@ def merge_panoptic(
     pan_lut[~grouped, :num] = np.where(kept, table.ids * divisor, spec.void_id)
     panoptic = np.empty(flat_semantic.size, dtype=np.int64)
     block_rows = np.split(row, np.cumsum([b[0].size for b in blocks])[:-1])
-    for start, (_, _, codes, lengths), rows in zip(bounds, blocks, block_rows):
-        panoptic[start : start + _MERGE_BLOCK] = np.repeat(np.take(pan_lut[rows], codes), lengths)
+
+    def paint_body(j: int) -> None:
+        _, _, codes, lengths = blocks[j]
+        panoptic[j * size : (j + 1) * size] = np.repeat(
+            np.take(pan_lut[block_rows[j]], codes), lengths
+        )
+
+    _run_blocks(paint_body, len(blocks))
 
     # Every pixel of a claimed instance carries its code, so the histogram
     # row sums are exact areas.
-    areas = votes_full.sum(axis=1).tolist()
+    recorded = np.flatnonzero(category >= 0)
+    areas = votes_full.sum(axis=1)
     records = tuple(
         InstanceRecord(instance_index=k, category=c, area=a)
-        for k, c, a in zip(present.tolist(), category.tolist(), areas)
-        if c >= 0
+        for k, c, a in zip(
+            present[recorded].tolist(), category[recorded].tolist(), areas[recorded].tolist()
+        )
     )
-    return PanopticResult(panoptic=panoptic.reshape(semantic.shape), instances=records)
+    category_votes = votes_full[recorded, table.channel[category[recorded]]]
+    return PanopticResult(panoptic.reshape(semantic.shape), records, category_votes)
 
 
 def _class_scores(
     result: PanopticResult, semantic_probs: np.ndarray, spec: DatasetSpec
 ) -> dict[int, float]:
-    """Mean probability of each instance's voted category over its pixels.
-
-    ``semantic_probs`` may be a (H, W, C) probability grid (channels in
-    ascending category-id order) or a (H, W) label map, which is treated as
-    its one-hot equivalent. The members of instance k are the pixels holding
-    its panoptic id (voted category * label_divisor + k). They are found per
-    run of the map (of the map and the labels, for a label map): a run's id
-    is looked up among the sorted member ids. On labels the sums are the
-    lengths of member runs whose label is the voted category; on
-    probabilities the member rows are expanded from the runs in ascending
-    order, so they are read and summed in row-major order.
+    """Mean probability of each instance's voted category over its pixels,
+    on a (H, W, C) probability grid (channels in ascending category-id
+    order). The members of instance k are the pixels holding its panoptic
+    id (voted category * label_divisor + k). They are found per run of the
+    map: a run's id is looked up among the sorted member ids. The member
+    rows are expanded from the runs in ascending order, so they are read
+    and summed in row-major order.
     """
     if not result.instances:
         return {}
     voted = {r.instance_index: r.category for r in result.instances}
     index, category = np.array(sorted(voted.items()), dtype=np.int64).T
     flat = result.panoptic.reshape(-1)
-    labels = semantic_probs.reshape(-1) if semantic_probs.ndim == 2 else None
-    starts, lengths = _runs(flat) if labels is None else _runs(flat, labels)
+    starts, lengths = _runs(flat)
     # Member ids in ascending order, with the position of their record.
     valid = np.flatnonzero((index >= 1) & (index < spec.label_divisor))
     ids = category[valid] * spec.label_divisor + index[valid]
@@ -527,20 +613,26 @@ def _class_scores(
     owner = np.take(owner_of, np.take(at, member))
     first, lengths = np.take(starts, member), np.take(lengths, member)
     counts = _sums(owner, lengths, index.size)
-    if labels is not None:
-        hits = lengths * (np.take(labels, first) == np.take(category, owner))
-        sums = np.bincount(owner, weights=hits, minlength=index.size)
-    else:
-        num_channels = semantic_probs.shape[2]
-        # Pixel j of a run starting at row s reads (s + j) * C + channel.
-        base = (first - np.cumsum(lengths) + lengths) * num_channels
-        base += np.take(spec.table.channel[category], owner)
-        at_pixels = np.arange(0, lengths.sum() * num_channels, num_channels)
-        at_pixels += np.repeat(base, lengths)
-        weights = np.take(semantic_probs.reshape(-1), at_pixels)
-        sums = np.bincount(np.repeat(owner, lengths), weights=weights, minlength=index.size)
+    num_channels = semantic_probs.shape[2]
+    # Pixel j of a run starting at row s reads (s + j) * C + channel.
+    base = (first - np.cumsum(lengths) + lengths) * num_channels
+    base += np.take(spec.table.channel[category], owner)
+    at_pixels = np.arange(0, lengths.sum() * num_channels, num_channels)
+    at_pixels += np.repeat(base, lengths)
+    weights = np.take(semantic_probs.reshape(-1), at_pixels)
+    sums = np.bincount(np.repeat(owner, lengths), weights=weights, minlength=index.size)
     scores = dict(zip(index.tolist(), (sums / np.maximum(counts, 1)).tolist()))
     return {r.instance_index: scores[r.instance_index] for r in result.instances}
+
+
+def _label_scores(result: PanopticResult) -> dict[int, float]:
+    """The class scores of ``merge_panoptic``'s result on its label map:
+    each instance's votes for its category over its area. Its members are
+    exactly the pixels grouped to it, and one float64 division of the two
+    integer counts is the mean of the one-hot pixels, bit for bit."""
+    areas = np.array([r.area for r in result.instances], dtype=np.int64)
+    scores = (result.category_votes / areas).tolist()
+    return {r.instance_index: score for r, score in zip(result.instances, scores)}
 
 
 def _sum_margin(channels: int, unit: float) -> float:
@@ -655,6 +747,20 @@ def _probability_labels(probs: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return labels.reshape(probs.shape[:2])
 
 
+def _check_finite(array: np.ndarray, message: str) -> None:
+    """Raise ValueError(``message``) unless every value of ``array`` is
+    finite, checked in blocks of ``_FINITE_BLOCK`` values on
+    ``core._run_blocks``."""
+    flat = array.reshape(-1)
+    size = _FINITE_BLOCK
+
+    def block_body(j: int) -> None:
+        if not np.isfinite(flat[j * size : (j + 1) * size]).all():
+            raise ValueError(message)
+
+    _run_blocks(block_body, -(-flat.size // size))
+
+
 def panoptic_inference(
     semantic: np.ndarray,
     heatmap: np.ndarray,
@@ -693,10 +799,8 @@ def _inference_stages(
         raise ValueError(f"heatmap shape {heatmap.shape} != semantic grid {grid}")
     if offsets.shape[:2] != grid:
         raise ValueError(f"offsets shape {offsets.shape} != semantic grid {grid}")
-    if not np.isfinite(heatmap).all():
-        raise ValueError("heatmap contains non-finite values")
-    if not np.isfinite(offsets).all():
-        raise ValueError("offsets contains non-finite values")
+    _check_finite(heatmap, "heatmap contains non-finite values")
+    _check_finite(offsets, "offsets contains non-finite values")
     labels = semantic
     if semantic.ndim == 3:
         ids = spec.table.ids
@@ -719,7 +823,11 @@ def _inference_stages(
     # Center k - 1 is instance k. Objectness is its heatmap value; the class
     # score is the mean probability of the voted category over the members.
     mode = params.score_mode
-    classes = None if mode == "objectness" else _class_scores(result, semantic, spec)
+    classes = None
+    if mode != "objectness" and semantic.ndim == 2:
+        classes = _label_scores(result)
+    elif mode != "objectness":
+        classes = _class_scores(result, semantic, spec)
     scored = []
     for record in result.instances:
         center = centers[record.instance_index - 1]
@@ -728,4 +836,4 @@ def _inference_stages(
             score = center.score * score
         scored.append(replace(record, center=center, score=score))
     yield "scores"
-    yield PanopticResult(panoptic=result.panoptic, instances=tuple(scored))
+    yield replace(result, instances=tuple(scored))

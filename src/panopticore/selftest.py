@@ -156,9 +156,10 @@ def bootstrapped_ce_oracle(
 def class_scores_oracle(
     result: postprocess.PanopticResult, semantic_probs: np.ndarray, spec: DatasetSpec
 ) -> dict[int, float]:
-    """``postprocess._class_scores`` as first written: whole-image instance
-    and category maps, a member mask and a float64 per-pixel weight map,
-    summed with one bincount over the member pixels."""
+    """The scores stage's class scores as first written, on labels and on
+    probabilities alike: whole-image instance and category maps, a member
+    mask and a float64 per-pixel weight map, summed with one bincount over
+    the member pixels."""
     panoptic = result.panoptic
     instance = (panoptic % spec.label_divisor).reshape(-1)
     thing_cat = (panoptic // spec.label_divisor).reshape(-1)
@@ -787,16 +788,23 @@ def _check_bootstrapped_ce(seed: int = 0, cases: int = 60) -> str:
 
 
 def _check_class_scores(seed: int = 0, cases: int = 100) -> str:
-    """Member-only class scores == the whole-image oracle, bit for bit."""
+    """Class scores == the whole-image oracle, bit for bit: member-only
+    ``_class_scores`` on probabilities, and the merge's votes on labels."""
     spec = make_spec(num_stuff=2, num_things=3)
     rng = np.random.default_rng(seed)
     for i in range(cases):
         result, labels, probs = random_scored_result(rng, spec)
-        for name, semantic in (("labels", labels), ("probabilities", probs)):
-            got = postprocess._class_scores(result, semantic, spec)
-            want = class_scores_oracle(result, semantic, spec)
-            if repr(got) != repr(want):
-                return f"case {i}: class scores on {name} differ from the oracle"
+        if repr(postprocess._class_scores(result, probs, spec)) != repr(
+            class_scores_oracle(result, probs, spec)
+        ):
+            return f"case {i}: class scores on probabilities differ from the oracle"
+        kind = ("blocks", "noise", "flat")[i % 3]
+        labels, instance = random_merge_inputs(rng, spec, 16, 16, kind)
+        merged = postprocess.merge_panoptic(labels, instance, spec)
+        if repr(postprocess._label_scores(merged)) != repr(
+            class_scores_oracle(merged, labels, spec)
+        ):
+            return f"case {i}: class scores from the votes on {kind} labels differ from the oracle"
     return ""
 
 

@@ -183,12 +183,30 @@ def write_spec(spec: DatasetSpec, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+# The JSON value kinds of _json_value, as its errors name them.
+_JSON_KINDS = {int: "an integer", bool: "true or false", str: "a string", float: "a number",
+               list: "a list"}
+
+
+def _json_value(value, kind: type, what: str):
+    """``value``, parsed from JSON, if it is of ``kind``: ``int`` (an
+    integer, not true or false), ``bool``, ``str``, ``list`` or ``float``
+    (any number, an integer included, returned as it is). Raises ValueError
+    ``"{what} {value!r} is not {kind}"`` otherwise."""
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    raise ValueError(f"{what} {value!r} is not {_JSON_KINDS[kind]}")
+
+
 def read_spec(path: str | Path) -> DatasetSpec:
     """Parse and validate a dataset-spec document.
 
-    A missing ``stuff_area_threshold`` defaults to 0 with a warning; any
-    other malformed or inconsistent field raises :class:`SpecFormatError`
-    naming the field.
+    A missing ``stuff_area_threshold`` defaults to 0 with a warning, and a
+    missing ``label_divisor`` to 1000. Ids, ``ignore_label``,
+    ``label_divisor`` and ``stuff_area_threshold`` must be JSON integers,
+    ``is_thing`` true or false and ``name`` a string. Any other malformed
+    or inconsistent field raises :class:`SpecFormatError` naming the file
+    and the field.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -206,13 +224,19 @@ def read_spec(path: str | Path) -> DatasetSpec:
             f"{path}: stuff_area_threshold missing, defaulting to 0", stacklevel=2
         )
     categories = []
-    for i, entry in enumerate(doc["categories"]):
+    try:
+        entries = _json_value(doc["categories"], list, "categories")
+    except ValueError as e:
+        raise SpecFormatError(f"{path}: {e}") from None
+    for i, entry in enumerate(entries):
         try:
+            category_id = _json_value(entry["id"], int, "id")
+            name = entry.get("name", f"category_{category_id}")
             categories.append(
                 CategorySpec(
-                    id=int(entry["id"]),
-                    name=str(entry.get("name", f"category_{entry['id']}")),
-                    is_thing=bool(entry["is_thing"]),
+                    id=category_id,
+                    name=_json_value(name, str, "name"),
+                    is_thing=_json_value(entry["is_thing"], bool, "is_thing"),
                 )
             )
         except (KeyError, TypeError, ValueError) as e:
@@ -220,9 +244,11 @@ def read_spec(path: str | Path) -> DatasetSpec:
     try:
         return DatasetSpec(
             categories=tuple(categories),
-            ignore_label=int(doc["ignore_label"]),
-            label_divisor=int(doc.get("label_divisor", 1000)),
-            stuff_area_threshold=int(doc.get("stuff_area_threshold", 0)),
+            ignore_label=_json_value(doc["ignore_label"], int, "ignore_label"),
+            label_divisor=_json_value(doc.get("label_divisor", 1000), int, "label_divisor"),
+            stuff_area_threshold=_json_value(
+                doc.get("stuff_area_threshold", 0), int, "stuff_area_threshold"
+            ),
         )
     except (TypeError, ValueError) as e:
         raise SpecFormatError(f"{path}: {e}") from e

@@ -199,7 +199,7 @@ def test_heatmap_encoding_quantitative():
 
 
 def test_performance_budget():
-    """Full inference < 0.5 s and merge < 50 ms on 1025x2049, 200 centers."""
+    """Full inference < 0.25 s and merge < 40 ms on 1025x2049, 200 centers."""
     semantic, heatmap, offsets, spec = bench_inputs(1025, 2049, 200)
     suppressed = postprocess.keypoint_nms(heatmap, 7)
     centers = postprocess.extract_centers(suppressed, 0.1, 200)
@@ -221,11 +221,11 @@ def test_performance_budget():
     total_s = sorted(total_times)[1]
 
     print(
-        f"ACCEPTANCE performance: end_to_end {total_s*1000:.0f} ms (budget 500), "
-        f"merge {merge_ms:.1f} ms (budget 50)"
+        f"ACCEPTANCE performance: end_to_end {total_s*1000:.0f} ms (budget 250), "
+        f"merge {merge_ms:.1f} ms (budget 40)"
     )
-    assert total_s < 0.5, f"end-to-end {total_s:.3f}s exceeds 0.5s"
-    assert merge_ms < 50.0, f"merge {merge_ms:.1f}ms exceeds 50ms"
+    assert total_s < 0.25, f"end-to-end {total_s:.3f}s exceeds 0.25s"
+    assert merge_ms < 40.0, f"merge {merge_ms:.1f}ms exceeds 40ms"
 
 
 def test_probability_input_budget():

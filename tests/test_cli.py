@@ -232,6 +232,74 @@ def test_fuse_non_finite_input_exit_1(scene_files, capsys, field, value):
     assert f"{field} contains non-finite values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["semantic", "heatmap", "offsets"])
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+def test_fuse_empty_grid_exit_1_writes_nothing(scene_files, capsys, field, shape):
+    scene, gt_path, spec_path, tmp = scene_files
+    targets_dir = tmp / "targets"
+    assert run_targets(gt_path, spec_path, targets_dir) == 0
+    grid = read_tensor(targets_dir / TARGET_FILES[field])
+    empty = np.zeros(shape + grid.shape[2:], dtype=grid.dtype)
+    write_tensor(empty, targets_dir / TARGET_FILES[field])
+    capsys.readouterr()
+    out, report = tmp / "o.pdlt", tmp / "r.json"
+    assert run_fuse(targets_dir, spec_path, out, report) == 1
+    err = capsys.readouterr().err
+    assert f"{targets_dir / TARGET_FILES[field]}: empty dims {empty.shape}" in err
+    assert not out.exists() and not report.exists()
+
+
+def test_fuse_uint32_scan_only_where_ids_can_exceed_it(tmp_path, capsys):
+    # With label_divisor 2**31 and ignore label 255, ids may pass uint32's
+    # range: thing category 1 fits (2**31 + k), category 3 does not.
+    from panopticore.core import CategorySpec, DatasetSpec
+
+    spec = DatasetSpec(
+        (CategorySpec(0, "road", False), CategorySpec(1, "car", True),
+         CategorySpec(3, "bus", True)),
+        ignore_label=255, label_divisor=2**31,
+    )
+    write_spec(spec, tmp_path / "spec.json")
+    semantic = np.zeros((16, 16), dtype=np.uint16)
+    semantic[4:8, 4:8] = 1
+    heatmap = np.zeros((16, 16), dtype=np.float32)
+    heatmap[5, 5] = 1
+    write_tensor(heatmap, tmp_path / "heat.pdlt")
+    write_tensor(np.zeros((16, 16, 2), dtype=np.float32), tmp_path / "off.pdlt")
+    argv = ["fuse", "--semantic", str(tmp_path / "sem.pdlt"), "--heatmap",
+            str(tmp_path / "heat.pdlt"), "--offsets", str(tmp_path / "off.pdlt"),
+            "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o.pdlt"),
+            "--report", str(tmp_path / "r.json")]
+    write_tensor(semantic, tmp_path / "sem.pdlt")
+    assert main(argv) == 0
+    assert read_tensor(tmp_path / "o.pdlt").max() == 2**31 + 1
+    semantic[4:8, 4:8] = 3
+    write_tensor(semantic, tmp_path / "sem.pdlt")
+    (tmp_path / "o.pdlt").unlink()
+    assert main(argv) == 1
+    assert "panoptic ids exceed the uint32 container range" in capsys.readouterr().err
+    assert not (tmp_path / "o.pdlt").exists()
+
+
+def test_fuse_bytes_do_not_depend_on_block_threads(tmp_path, monkeypatch):
+    semantic, heatmap, offsets, spec = bench_inputs(96, 128, 24)
+    write_spec(spec, tmp_path / "spec.json")
+    for name, grid in (("sem", semantic.astype(np.uint16)), ("heat", heatmap), ("off", offsets)):
+        write_tensor(grid, tmp_path / f"{name}.pdlt")
+    outputs = set()
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(cli.postprocess, "_GROUP_BLOCK", 256)
+        monkeypatch.setattr(cli.postprocess, "_MERGE_BLOCK", 512)
+        monkeypatch.setattr("panopticore.core._block_threads", lambda: threads)
+        out, report = tmp_path / f"o{threads}.pdlt", tmp_path / f"r{threads}.json"
+        assert main(["fuse", "--semantic", str(tmp_path / "sem.pdlt"), "--heatmap",
+                     str(tmp_path / "heat.pdlt"), "--offsets", str(tmp_path / "off.pdlt"),
+                     "--spec", str(tmp_path / "spec.json"), "--out", str(out),
+                     "--report", str(report)]) == 0
+        outputs.add((out.read_bytes(), report.read_bytes()))
+    assert len(outputs) == 1
+
+
 def _one_hot_probs(semantic, spec):
     probs = np.zeros(semantic.shape + (spec.num_categories,), dtype=np.float32)
     for channel, cid in enumerate(spec.category_ids):
@@ -873,9 +941,9 @@ def test_eval_pred_scores_missing_field_exit_1(scene_files, capsys, doc, field):
      ({"instances": [{"instance_index": 1, "score": 0.5}, {"instance_index": 1, "score": 0.9}]},
       "instance index 1 occurs twice"),
      ({"instances": [{"instance_index": 1, "score": "0.5"}]},
-      "instance index 1 has score '0.5', not a number"),
+      "instance index 1 score '0.5' is not a number"),
      ({"instances": [{"instance_index": 1, "score": True}]},
-      "instance index 1 has score True, not a number")],
+      "instance index 1 score True is not a number")],
     ids=["list", "instances-not-a-list", "null-score", "float-index", "boolean-index",
          "duplicate-index", "string-score", "boolean-score"],
 )

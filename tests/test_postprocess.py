@@ -184,6 +184,31 @@ def test_peak_search_of_large_kernels_within_budget(shape, kernel, peaks):
     assert got == extract_centers(keypoint_nms(heatmap, kernel), 0.1, 200)
 
 
+@pytest.mark.parametrize("kernel", [3, 5, 7, 9, 11])
+def test_peak_search_at_edges_and_corners_equals_oracle(kernel):
+    # Peaks and plateaus within kernel // 2 of each edge and corner, where
+    # the search reads clipped windows; maps narrower than the window too.
+    rng = np.random.default_rng(kernel)
+    radius = kernel // 2
+    for _ in range(60):
+        height, width = (int(n) for n in rng.integers(1, 3 * kernel + 3, size=2))
+        heatmap = (rng.integers(0, 3, (height, width)) / 8).astype(np.float32)
+        for _ in range(int(rng.integers(1, 9))):
+            # A point near the top, the bottom or anywhere; so for columns.
+            row = (rng.integers(0, radius + 1), height - 1 - rng.integers(0, radius + 1),
+                   rng.integers(0, height))[rng.integers(3)]
+            col = (rng.integers(0, radius + 1), width - 1 - rng.integers(0, radius + 1),
+                   rng.integers(0, width))[rng.integers(3)]
+            rows, cols = max(row, 0), max(col, 0)
+            extent = rng.integers(1, 3, size=2)  # a single pixel or a plateau
+            heatmap[rows : rows + extent[0], cols : cols + extent[1]] = rng.choice([0.5, 0.75, 1.0])
+        for threshold in (0.0, 0.2, 0.6):
+            want = extract_centers(nms_oracle(heatmap, kernel), threshold, 200)
+            with mock.patch.object(postprocess, "_PEAK_DENSITY", math.inf):
+                got = postprocess._peak_centers(heatmap, kernel, threshold, 200)
+            assert got == want, (heatmap.shape, threshold)
+
+
 # ---------------------------------------------------------------------------
 # extract_centers
 
@@ -401,6 +426,51 @@ def test_group_non_finite_center_rejected():
                      np.ones((4, 4), dtype=bool))
 
 
+def _threaded_fuse_case():
+    """Labels, instance-grouping inputs and the oracle's instance ids on a
+    grid with many centers, so that many cells list several candidates."""
+    semantic, heatmap, offsets, spec = bench_inputs(96, 128, 24)
+    offsets = offsets + np.random.default_rng(3).normal(0, 6, offsets.shape).astype(np.float32)
+    centers = extract_centers(keypoint_nms(heatmap, 7), 0.1, 200)
+    mask = thing_mask_from_semantic(semantic, spec)
+    return semantic, spec, centers, offsets, mask, group_oracle(centers, offsets, mask)
+
+
+def test_grouping_and_merge_do_not_depend_on_thread_count():
+    semantic, spec, centers, offsets, mask, want = _threaded_fuse_case()
+    assert len(centers) > 10
+    merged = merge_oracle(semantic, want, spec, 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave between numpy calls
+    try:
+        for threads in (1, 2, 3):
+            for block in (1, 300, 1 << 16):  # one row, two rows, the whole grid
+                with mock.patch.object(core, "_block_threads", lambda: threads), \
+                        mock.patch.object(postprocess, "_GROUP_BLOCK", block), \
+                        mock.patch.object(postprocess, "_GROUP_LIST", 5), \
+                        mock.patch.object(postprocess, "_MERGE_BLOCK", block):
+                    got = group_pixels(centers, offsets, mask)
+                    fused = merge_panoptic(semantic, got, spec, 64)
+                assert got.tobytes() == want.tobytes(), (threads, block)
+                assert fused.panoptic.tobytes() == merged.panoptic.tobytes(), (threads, block)
+                assert repr(fused.instances) == repr(merged.instances), (threads, block)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_group_raises_a_late_blocks_non_finite_landing_point(threads):
+    mask = np.ones((40, 40), dtype=bool)
+    offsets = np.zeros((40, 40, 2), dtype=np.float32)
+    offsets[37, 5, 1] = np.nan  # block 37 of one-row blocks
+    for centers in ([InstanceCenter(2, 2)], [InstanceCenter(2, 2), InstanceCenter(30, 30)]):
+        with mock.patch.object(core, "_block_threads", lambda: threads), \
+                mock.patch.object(postprocess, "_GROUP_BLOCK", 40):
+            for _ in range(20):
+                with pytest.raises(ValueError, match="non-finite landing points"):
+                    group_pixels(centers, offsets, mask)
+
+
 @st.composite
 def landing_cell_grouping(draw):
     """Grids whose landing points sit on cell edges, beyond every side of the
@@ -469,7 +539,8 @@ def test_landing_cell_boxes_hold_their_points(side):
 def test_group_peak_allocation_stays_block_local():
     # Per-pixel arrays live one block at a time: a whole-image copy of the
     # thing-pixel indices alone (6.7 MB) would break this bound. Measured:
-    # 7.0 MiB above the output on this input.
+    # 7.3 MiB above the output on this input with one block thread, 8.2
+    # with two.
     semantic, heatmap, offsets, spec = bench_inputs(1025, 2049, 200)
     centers = extract_centers(keypoint_nms(heatmap, 7), 0.1, 200)
     mask = thing_mask_from_semantic(semantic, spec)
@@ -787,12 +858,6 @@ def test_inference_stuff_filter_equals_reference(seed, dtype):
 # scores
 
 
-def _one_instance_result():
-    panoptic = np.full((2, 2), THING[0] * SPEC.label_divisor + 1, dtype=np.int64)
-    record = InstanceRecord(instance_index=1, category=THING[0], area=4)
-    return PanopticResult(panoptic=panoptic, instances=(record,))
-
-
 def _one_instance_inference(semantic, mode, objectness=0.8):
     """panoptic_inference on a 2x2 grid whose one center, of heatmap value
     ``objectness``, claims every thing pixel."""
@@ -830,12 +895,11 @@ def test_score_objectness_times_class_simple():
 
 
 def test_score_labels_equal_onehot_probs():
-    result = _one_instance_result()
     labels = np.full((2, 2), THING[0], dtype=np.int64)
-    labels[1, 1] = STUFF[0]
-    via_labels = postprocess._class_scores(result, labels, SPEC)
-    via_probs = postprocess._class_scores(result, _probs_for(labels), SPEC)
-    assert via_labels == via_probs == {1: 0.75}
+    labels[0, 0] = THING[1]  # outvoted: 3 of the instance's 4 pixels agree
+    via_labels = _one_instance_inference(labels, "class").instances
+    via_probs = _one_instance_inference(_probs_for(labels), "class").instances
+    assert [r.score for r in via_labels] == [r.score for r in via_probs] == [0.75]
 
 
 def test_score_panoptic_untouched():
@@ -871,9 +935,32 @@ def test_member_only_class_scores_equal_oracle(seed):
     spec = make_spec(num_stuff=2, num_things=3)
     rng = np.random.default_rng(seed)
     result, labels, probs = random_scored_result(rng, spec, 24, 20)
-    for semantic in (labels, probs):
-        got = postprocess._class_scores(result, semantic, spec)
-        assert repr(got) == repr(class_scores_oracle(result, semantic, spec))
+    got = postprocess._class_scores(result, probs, spec)
+    assert repr(got) == repr(class_scores_oracle(result, probs, spec))
+
+
+def _label_class_scores(semantic, heatmap, offsets, spec):
+    """The records of ``panoptic_inference`` in class mode on a label map,
+    and their scores by the whole-image oracle."""
+    params = postprocess.PostprocParams(score_mode="class")
+    result = panoptic_inference(semantic, heatmap, offsets, spec, params)
+    want = class_scores_oracle(result, semantic, spec)
+    return result.instances, [want[r.instance_index] for r in result.instances]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pipeline_label_scores_equal_oracle(seed):
+    # The class scores of a label map come from the merge's votes.
+    scene = random_scene(seed, min_size=32, max_size=48)
+    semantic, heatmap, offsets = exact_inputs(scene)
+    semantic = np.where(  # ~30% of labels disagree with the instances
+        np.random.default_rng(seed).random(semantic.shape) < 0.3,
+        np.asarray(scene.spec.category_ids)[seed % scene.spec.num_categories],
+        semantic,
+    )
+    records, want = _label_class_scores(semantic, heatmap, offsets, scene.spec)
+    assert records
+    assert repr([r.score for r in records]) == repr(want)
 
 
 def test_class_scores_sparse_ids_equal_oracle():
@@ -883,9 +970,15 @@ def test_class_scores_sparse_ids_equal_oracle():
     rng = np.random.default_rng(5)
     result, labels, probs = random_scored_result(rng, spec, 12, 12)
     assert any(r.category * spec.label_divisor >= 1 << 20 for r in result.instances)
-    for semantic in (labels, probs):
-        got = postprocess._class_scores(result, semantic, spec)
-        assert repr(got) == repr(class_scores_oracle(result, semantic, spec))
+    got = postprocess._class_scores(result, probs, spec)
+    assert repr(got) == repr(class_scores_oracle(result, probs, spec))
+    # The same divisor through the pipeline on labels.
+    scene = random_scene(5, min_size=32, max_size=48)
+    semantic, heatmap, offsets = exact_inputs(scene)
+    spec = dataclasses.replace(scene.spec, label_divisor=1 << 40)
+    records, want = _label_class_scores(semantic, heatmap, offsets, spec)
+    assert any(r.category * spec.label_divisor >= 1 << 20 for r in records)
+    assert repr([r.score for r in records]) == repr(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -896,8 +989,8 @@ def test_class_scores_sparse_ids_equal_oracle():
     noise=st.booleans(),
 )
 def test_score_instances_equal_oracle(seed, height, width, noise):
-    # The class scores of the scores stage, on maps of any shape, 0xN
-    # included, and on per-pixel noise.
+    # The class scores of the scores stage on probabilities, on maps of any
+    # shape, 0xN included, and on per-pixel noise.
     spec = make_spec(num_stuff=2, num_things=3)
     rng = np.random.default_rng(seed)
     result, labels, probs = random_scored_result(rng, spec, height, width)
@@ -906,18 +999,35 @@ def test_score_instances_equal_oracle(seed, height, width, noise):
         if ids.size:
             panoptic = ids[rng.integers(ids.size, size=result.panoptic.shape)]
             result = PanopticResult(panoptic, result.instances)
-    for semantic in (labels, probs):
-        got = postprocess._class_scores(result, semantic, spec)
-        assert repr(got) == repr(class_scores_oracle(result, semantic, spec))
+    got = postprocess._class_scores(result, probs, spec)
+    assert repr(got) == repr(class_scores_oracle(result, probs, spec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=merge_inputs(),
+    sparse=st.booleans(),
+    block=st.sampled_from([3, postprocess._MERGE_BLOCK]),
+)
+def test_label_scores_from_votes_equal_oracle(case, sparse, block):
+    # Random labels and instance ids, per-pixel noise included: instances
+    # whose pixels hold no thing label win no category and have no record.
+    labels, instance, spec = case
+    if sparse:
+        spec = dataclasses.replace(spec, label_divisor=1 << 40)
+    with mock.patch.object(postprocess, "_MERGE_BLOCK", block):
+        merged = merge_panoptic(labels, instance, spec)
+    want = class_scores_oracle(merged, labels, spec)
+    assert repr(postprocess._label_scores(merged)) == repr(want)
 
 
 def test_class_scores_of_an_id_below_every_run_value():
     # A record whose panoptic id sorts below every id of the map (here a
     # negative category) has no member pixel, not even where the map is 0.
     result = PanopticResult(np.zeros((2, 3), dtype=np.int64), (InstanceRecord(1, -1, 0),))
-    labels = np.zeros((2, 3), dtype=np.int64)
-    got = postprocess._class_scores(result, labels, SPEC)
-    assert got == class_scores_oracle(result, labels, SPEC) == {1: 0.0}
+    probs = _probs_for(np.full((2, 3), STUFF[0]))
+    got = postprocess._class_scores(result, probs, SPEC)
+    assert got == class_scores_oracle(result, probs, SPEC) == {1: 0.0}
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 4096])
@@ -1223,6 +1333,24 @@ def test_inference_rejects_non_finite_offset_at_stuff_pixel():
     offsets[row, col, 1] = np.nan
     with pytest.raises(ValueError, match="offsets contains non-finite values"):
         panoptic_inference(semantic, heatmap, offsets, scene.spec)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_inference_finite_checks_raise_from_any_block(threads):
+    # The heatmap and offsets checks run in blocks of 7 values: a NaN or inf
+    # in the last block is found, and the heatmap's error comes first.
+    scene = random_scene(26, max_size=64)
+    semantic, heatmap, offsets = exact_inputs(scene)
+    row, col = np.argwhere(np.isin(semantic, sorted(scene.spec.stuff_ids)))[-1]
+    bad_heat, bad_offsets = heatmap.copy(), offsets.copy()
+    bad_heat[-1, -1] = np.inf
+    bad_offsets[row, col, 1] = np.nan
+    with mock.patch.object(core, "_block_threads", lambda: threads), \
+            mock.patch.object(postprocess, "_FINITE_BLOCK", 7):
+        for heat, off, field in ((bad_heat, offsets, "heatmap"), (heatmap, bad_offsets, "offsets"),
+                                 (bad_heat, bad_offsets, "heatmap")):
+            with pytest.raises(ValueError, match=f"^{field} contains non-finite values$"):
+                panoptic_inference(semantic, heat, off, scene.spec)
 
 
 # ---------------------------------------------------------------------------

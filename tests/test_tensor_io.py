@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -372,3 +373,50 @@ def test_spec_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SpecFormatError, match="malformed"):
         read_spec(path)
+
+
+_GOOD_CATEGORY = {"id": 1, "name": "car", "is_thing": True}
+
+
+@pytest.mark.parametrize(
+    "category, top, named",
+    [({"is_thing": "false"}, {}, "categories[0]: is_thing 'false' is not true or false"),
+     ({"is_thing": 0.5}, {}, "categories[0]: is_thing 0.5 is not true or false"),
+     ({"is_thing": 1}, {}, "categories[0]: is_thing 1 is not true or false"),
+     ({"id": 1.7}, {}, "categories[0]: id 1.7 is not an integer"),
+     ({"id": "1"}, {}, "categories[0]: id '1' is not an integer"),
+     ({"id": True}, {}, "categories[0]: id True is not an integer"),
+     ({"name": 7}, {}, "categories[0]: name 7 is not a string"),
+     ({}, {"ignore_label": 255.9}, "ignore_label 255.9 is not an integer"),
+     ({}, {"stuff_area_threshold": 2048.5}, "stuff_area_threshold 2048.5 is not an integer"),
+     ({}, {"label_divisor": True}, "label_divisor True is not an integer"),
+     ({}, {"categories": {"id": 1}}, "categories {'id': 1} is not a list")],
+    ids=["is_thing-string", "is_thing-float", "is_thing-int", "id-float", "id-string",
+         "id-bool", "name-int", "ignore_label-float", "stuff_area_threshold-float",
+         "label_divisor-bool", "categories-object"],
+)
+def test_spec_wrong_json_types_named(tmp_path, category, top, named):
+    doc = {"categories": [{**_GOOD_CATEGORY, **category}], "ignore_label": 255,
+           "label_divisor": 1000, "stuff_area_threshold": 0, **top}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpecFormatError) as error:
+        read_spec(path)
+    assert str(error.value) == f"{path}: {named}"
+
+
+def test_spec_wrong_json_type_exits_1_in_every_subcommand(tmp_path, capsys):
+    from panopticore.cli import main
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"categories": [{**_GOOD_CATEGORY, "is_thing": "false"}],
+                                "ignore_label": 255, "stuff_area_threshold": 0}))
+    absent = str(tmp_path / "absent.pdlt")
+    for argv in (["targets", "--panoptic", absent, "--out", str(tmp_path / "t")],
+                 ["fuse", "--semantic", absent, "--heatmap", absent, "--offsets", absent,
+                  "--out", str(tmp_path / "o.pdlt")],
+                 ["eval", "--pred", absent, "--gt", absent]):
+        assert main([*argv, "--spec", str(path)]) == 1
+        assert f"{path}: categories[0]: is_thing 'false' is not true or false" in (
+            capsys.readouterr().err
+        )
