@@ -115,10 +115,13 @@ def cmd_fuse(args) -> int:
         )
     params = _params(postprocess.PostprocParams, args)
     grids = []
-    for path in (args.semantic, args.heatmap, args.offsets):
+    for i, path in enumerate((args.semantic, args.heatmap, args.offsets)):
         grids.append(tensor_io._map_tensor(path))
         if 0 in grids[-1].shape[:2]:
             raise ValueError(f"{path}: empty dims {grids[-1].shape}")
+        # The heatmap, the offsets and probabilities are float32 grids.
+        if (i or grids[-1].ndim == 3) and grids[-1].dtype != np.float32:
+            raise ValueError(f"{path}: expected float32, got {grids[-1].dtype}")
     result = postprocess.panoptic_inference(*grids, spec, params)
     panoptic = result.panoptic
     # The merge writes only ids below (max_known_label + 1) * label_divisor:

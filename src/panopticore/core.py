@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,10 +43,10 @@ _MAX_REPORTED = 100
 # Threads, the caller included, that share the blocks of _run_blocks at most.
 _MAX_BLOCK_THREADS = 4
 _block_pool: tuple[int, int, ThreadPoolExecutor] | None = None  # (pid, workers, pool)
-# _runs splits arrays of _RUN_SPLIT pixels or more (a full map, not one of
-# the merge's 65,536-pixel blocks) into blocks of _RUN_BLOCK pixels.
-_RUN_SPLIT = 1 << 20
-_RUN_BLOCK = 1 << 18
+_pool_thread = threading.local()  # ``marked`` on the pool's own threads
+# Pixels per block of the map-wide passes on _run_blocks: the run scan, the
+# merge and the finiteness checks.
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -248,19 +249,15 @@ def _runs(*flats: np.ndarray, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of each run of the 1-D arrays ``flats`` (all of
     one size): a run ends where any of them changes value and, when
     ``width`` is set, at every multiple of ``width`` (each row start).
-    Arrays of ``_RUN_SPLIT`` pixels or more are scanned in contiguous blocks
-    of ``_RUN_BLOCK`` on :func:`_run_blocks`; the edges are the same."""
+    Arrays longer than one block of ``_BLOCK`` pixels are scanned block by
+    block on :func:`_run_blocks`; the edges are the same."""
     size = flats[0].size
-    if size < _RUN_SPLIT:
+    if size <= _BLOCK:
         edges = _run_edges(flats, width, 0, size)
     else:
-        parts = [None] * -(-size // _RUN_BLOCK)
-
-        def block_body(j: int) -> None:
-            parts[j] = _run_edges(flats, width, j * _RUN_BLOCK, min(size, (j + 1) * _RUN_BLOCK))
-
-        _run_blocks(block_body, len(parts))
-        edges = np.concatenate(parts)
+        edges = np.concatenate(
+            _run_blocks(lambda part: _run_edges(flats, width, part.start, part.stop), size, _BLOCK)
+        )
     return edges[:-1], np.diff(edges)
 
 
@@ -306,35 +303,41 @@ def _block_threads() -> int:
     return max(1, min(_MAX_BLOCK_THREADS, cpus))
 
 
-def _run_blocks(body, count: int) -> None:
-    """``body(j)`` for every j in range(count), on T = min(W, count)
-    threads, W = ``_block_threads()``: the caller takes j = 0 (mod T), as a
-    worker thread would get its own malloc arena, and a pool of W - 1
-    threads the other residues. Each ``body(j)`` must write only its own
-    part of the output, so the bytes do not depend on T. Every block runs
-    under the caller's ``np.errstate``. A thread stops at its first failing
-    block; once all are done, the exception of the lowest failing j is
-    raised, the one the serial loop raises."""
+def _run_blocks(body, total: int, block: int) -> list:
+    """``[body(part) for part in parts]``, where ``parts`` cut range(total)
+    into slices of ``block`` items (the last one shorter), on T = min(W,
+    len(parts)) threads, W = ``_block_threads()``: the caller takes the
+    parts j = 0 (mod T), as a worker thread would get its own malloc arena,
+    and a pool of W - 1 threads the other residues. Each ``body(part)`` must
+    write only its own part of any shared output, so the bytes do not depend
+    on T. Every block runs under the caller's ``np.errstate``. A thread
+    stops at its first failing block; once all are done, the exception of
+    the lowest failing j is raised, the one the serial loop raises. A call
+    made on a pool thread runs its blocks there, in order: a pool thread
+    that waited on the pool could wait for itself."""
     global _block_pool
+    parts = [slice(start, min(start + block, total)) for start in range(0, total, block)]
     workers = _block_threads() - 1
-    threads = min(workers + 1, count)
-    if threads <= 1:
-        for j in range(count):
-            body(j)
-        return
+    threads = min(workers + 1, len(parts))
+    if threads <= 1 or getattr(_pool_thread, "marked", False):
+        return [body(part) for part in parts]
     # Made on first use, not at import; and anew in a forked child, where
     # the parent's pool would count its vanished threads as idle and hang.
     # A call racing this one may make a pool of its own; that pool's
     # threads exit once its tasks are done and it is dropped.
     pool = _block_pool
     if pool is None or pool[:2] != (os.getpid(), workers):
-        pool = _block_pool = (os.getpid(), workers, ThreadPoolExecutor(workers))
+        executor = ThreadPoolExecutor(
+            workers, initializer=setattr, initargs=(_pool_thread, "marked", True)
+        )
+        pool = _block_pool = (os.getpid(), workers, executor)
+    results: list = [None] * len(parts)
     failures: list[tuple[int, Exception]] = []
 
     def residue(first: int) -> None:
-        for j in range(first, count, threads):
+        for j in range(first, len(parts), threads):
             try:
-                body(j)
+                results[j] = body(parts[j])
             except Exception as e:
                 failures.append((j, e))
                 return
@@ -352,6 +355,7 @@ def _run_blocks(body, count: int) -> None:
         future.result()  # what residue does not catch, such as SystemExit
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def segment_table(panoptic: np.ndarray, spec: DatasetSpec) -> SegmentTable:

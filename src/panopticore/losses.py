@@ -134,20 +134,18 @@ def _ce_candidates(
     size = flat_logits.shape[0]
     lower = np.empty(size, dtype=np.float32)
     upper = np.empty(size, dtype=np.float32)
-    fit = np.empty(-(-size // _CE_BLOCK), dtype=bool)
 
-    def filter_block(j: int) -> None:
-        block = slice(j * _CE_BLOCK, (j + 1) * _CE_BLOCK)
+    def filter_block(block: slice) -> bool:
         log_sum, finite = _label_log_sum_exp(flat_logits[block], picked[block])
         lower[block], upper[block] = _loss_bounds(flat_weights[block], log_sum)
-        fit[j] = finite and upper[block].max() < np.inf  # False for NaN too
+        fit = finite and upper[block].max() < np.inf  # False for NaN too
         skip = ignored[block]
         lower[block][skip] = upper[block][skip] = -np.inf
+        return fit
 
     with np.errstate(all="ignore"):
-        _run_blocks(filter_block, fit.size)
-    if not fit.all():
-        return None
+        if not all(_run_blocks(filter_block, size, _CE_BLOCK)):
+            return None
     kth = size - k
     lower.partition(kth)
     rows = np.flatnonzero(upper >= lower[kth])
@@ -166,31 +164,28 @@ def _ce_inputs(
     picked = np.empty(flat_labels.size, dtype=np.int64)
     flat_weights = np.empty(flat_labels.size)
     ignored = np.empty(flat_labels.size, dtype=bool)
-    count = -(-flat_labels.size // _CE_INPUT_BLOCK)
-    not_finite, negative, out_of_range = np.zeros((3, count), dtype=bool)
-    valid = np.zeros(count, dtype=np.int64)
 
-    def block_body(j: int) -> None:
-        block = slice(j * _CE_INPUT_BLOCK, (j + 1) * _CE_INPUT_BLOCK)
+    def block_body(block: slice) -> tuple[bool, bool, int, bool]:
         weight, label, ignore = flat_weights[block], picked[block], ignored[block]
         weight[...] = flat_source[block]
-        not_finite[j] = not np.isfinite(weight).all()
-        negative[j] = (weight < 0).any()
+        not_finite = not np.isfinite(weight).all()
+        negative = (weight < 0).any()
         label[...] = flat_labels[block]
         np.equal(label, ignore_label, out=ignore)
-        valid[j] = ignore.size - np.count_nonzero(ignore)
+        valid = ignore.size - np.count_nonzero(ignore)
         label[ignore] = 0
-        out_of_range[j] = label.min() < 0 or label.max() >= num_classes
+        return not_finite, negative, valid, label.min() < 0 or label.max() >= num_classes
 
-    _run_blocks(block_body, count)
-    if not_finite.any():
+    flags = _run_blocks(block_body, flat_labels.size, _CE_INPUT_BLOCK)
+    not_finite, negative, valid, out_of_range = zip(*flags) if flags else ((),) * 4
+    if any(not_finite):
         raise ValueError("weights must be finite (no NaN or inf)")
-    if negative.any():
+    if any(negative):
         raise ValueError("weights must be >= 0")
-    num_valid = int(valid.sum())
+    num_valid = int(sum(valid))
     if num_valid == 0:
         raise ValueError("all pixels carry the ignore label; loss undefined")
-    if out_of_range.any():
+    if any(out_of_range):
         raise ValueError("labels contain indices outside [0, num_classes)")
     return picked, flat_weights, ignored, num_valid
 
@@ -259,8 +254,7 @@ def weighted_bootstrapped_ce(
         with the same float64 steps per row as a whole-grid softmax; and its
         gradient row into ``gradient``, unless that is None."""
 
-        def block_body(j: int) -> None:
-            part = slice(j * _CE_BLOCK, (j + 1) * _CE_BLOCK)
+        def block_body(part: slice) -> None:
             block = part if rows is None else rows[part]
             # np.take gathers rows about twice as fast as fancy indexing.
             x, log_norm = _shifted_logits(
@@ -275,7 +269,7 @@ def weighted_bootstrapped_ce(
                 probs *= (flat_weights[block] / k)[:, None]
                 gradient[block] = probs
 
-        _run_blocks(block_body, -(-loss.size // _CE_BLOCK))
+        _run_blocks(block_body, loss.size, _CE_BLOCK)
 
     # The filter's bounds hold for float32 logits and C <= 512. With
     # underflow signalled, the full pass would signal it at pixels the

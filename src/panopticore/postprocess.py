@@ -13,8 +13,8 @@
   lookup table also voids small stuff, counted over runs of equal (label,
   instance) pairs
 * scores: on a label map, each instance's votes for its category over its
-  area; on probabilities, ``_class_scores`` (members found per run); then
-  the score mode
+  area; on probabilities, ``_class_scores`` (members found per run of the
+  grouping's instance ids, over the record's area); then the score mode
 
 Everything is integer- or comparison-based, so outputs are bit-identical
 across runs and thread counts. Instance indices are 1-based positions in
@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import core
 from .core import DatasetSpec, InstanceCenter, _run_blocks, _runs, _sums, _unique_index
 
 __all__ = [
@@ -74,16 +75,6 @@ _PEAK_OFFSET_COST = 400
 # channel-major copy (1.2 MiB of float32 at C = 19) and scratch fit a 2 MiB
 # L2 cache; 4096 took ~20% longer at 1025x2049, through per-call overhead.
 _PROB_BLOCK = 16384
-
-# Pixels per block of the merge's two passes on core._run_blocks. Whole-map
-# run arrays were allocated afresh on every call; blocks of 2**16 were too
-# short to gain from a second thread (the merge took 1.6x as long as at
-# 2**18 on a 2-core VM; 2**19 was no faster). It stays below
-# core._RUN_SPLIT, so a block's _runs does not start a runner of its own.
-_MERGE_BLOCK = 1 << 18
-
-# Values per block of the heatmap's and the offsets' finiteness checks.
-_FINITE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -372,9 +363,6 @@ def group_pixels(
     col_box, col_coarse, col_coarse_box = _axis_cells(width, side)
     # Blocks of whole rows of about _GROUP_BLOCK pixels (at least one row).
     block_rows = max(1, _GROUP_BLOCK // max(width, 1))
-    blocks = -(-height // block_rows)
-    marks: list[np.ndarray] = []  # one array of cells hit per thread
-    local = threading.local()
 
     def landing(rows: slice, at: np.ndarray) -> np.ndarray:
         """The (2, len(at)) landing points of the pixels ``at`` of ``rows``."""
@@ -387,33 +375,27 @@ def group_pixels(
         land[1] += band[:, 1].take(at)
         return land
 
-    def land_body(j: int) -> None:
-        rows = slice(j * block_rows, (j + 1) * block_rows)
+    def land_body(rows: slice) -> np.ndarray | None:
         at = np.flatnonzero(thing_mask[rows])
         if not at.size:
-            return
+            return None
         land = landing(rows, at)
         if not np.isfinite(land).all():
             raise ValueError("offsets give non-finite landing points")
         if len(centers) == 1:
             instance_ids[rows].reshape(-1)[at] = 1
-            return
+            return None
         cell = _landing_cells(land, row_box, col_box, side)
         cell += 1
-        hit = getattr(local, "hit", None)
-        if hit is None:  # allocated once per thread and call
-            hit = local.hit = np.zeros(len(row_box) * len(col_box) + 1, dtype=bool)
-            marks.append(hit)
-        hit[cell] = True
         instance_ids[rows].reshape(-1)[at] = cell
+        hit = np.zeros(len(row_box) * len(col_box) + 1, dtype=bool)
+        hit[cell] = True
+        return hit
 
-    _run_blocks(land_body, blocks)
+    marks = [hit for hit in _run_blocks(land_body, height, block_rows) if hit is not None]
     if not marks:  # one center, or no thing pixel
         return instance_ids
-    hit = marks[0]
-    for other in marks[1:]:
-        hit |= other
-    hit = np.flatnonzero(hit)
+    hit = np.flatnonzero(np.logical_or.reduce(marks))
 
     # A coarse cell's list is its row; a lone coarse cell keeps every center.
     coarse_cells = len(row_coarse_box) * len(col_coarse_box)
@@ -448,8 +430,7 @@ def group_pixels(
         listed += kept.size
     store = np.concatenate(stores)
 
-    def resolve_body(j: int) -> None:
-        rows = slice(j * block_rows, (j + 1) * block_rows)
+    def resolve_body(rows: slice) -> None:
         out = instance_ids[rows].reshape(-1)
         ids = code.take(out)
         # One candidate: its index is taken above. More: one (pixels, k)
@@ -471,7 +452,7 @@ def group_pixels(
             ids[todo] = store.take(slot) + 1
         out[...] = ids
 
-    _run_blocks(resolve_body, blocks)
+    _run_blocks(resolve_body, height, block_rows)
     return instance_ids
 
 
@@ -501,8 +482,8 @@ def merge_panoptic(
     negative one (a uint64 id from 2**63 on turns negative as intp, and
     int64's largest wraps when shifted) to its start. The block histograms
     add up to one with a row per id present; the map repeats each run's
-    entry of one lookup table. Both passes over the blocks run on
-    ``core._run_blocks``, each block writing only its own slot and its own
+    entry of one lookup table. Both passes over blocks of ``core._BLOCK``
+    pixels run on ``core._run_blocks``, each block writing only its own
     part of the map. The result's ``category_votes`` are the histogram's
     counts of each record's category.
     """
@@ -519,12 +500,10 @@ def merge_panoptic(
     channel = np.pad(np.where(table.known, table.channel, num + 1), 1, constant_values=num + 1)
     channel = channel.astype(np.min_scalar_type(width))
     flat_semantic, flat_instance = semantic.reshape(-1), instance_ids.reshape(-1)
-    size = _MERGE_BLOCK
-    blocks: list = [None] * -(-max(flat_semantic.size, 1) // size)
+    block = core._BLOCK
 
-    def vote_body(j: int) -> None:
-        labels = flat_semantic[j * size : (j + 1) * size]
-        instance = flat_instance[j * size : (j + 1) * size]
+    def vote_body(part: slice) -> tuple:
+        labels, instance = flat_semantic[part], flat_instance[part]
         starts, lengths = _runs(labels, instance)
         # Codes built in place on the fresh row index.
         present, codes = _unique_index(np.take(instance, starts), instance.size)
@@ -532,10 +511,11 @@ def merge_panoptic(
         shifted = np.add(np.take(labels, starts), 1, dtype=np.intp, casting="unsafe")
         codes += np.take(channel, shifted, mode="clip")
         votes = _sums(codes, lengths, present.size * width).reshape(-1, width)
-        narrow = np.min_scalar_type(votes.size), np.min_scalar_type(size)
-        blocks[j] = (present, votes, codes.astype(narrow[0]), lengths.astype(narrow[1]))
+        narrow = np.min_scalar_type(votes.size), np.min_scalar_type(block)
+        return present, votes, codes.astype(narrow[0]), lengths.astype(narrow[1])
 
-    _run_blocks(vote_body, len(blocks))
+    # An empty map is one empty block, so the histogram has its columns.
+    blocks = _run_blocks(vote_body, max(flat_semantic.size, 1), block)
     present, row = np.unique(np.concatenate([b[0] for b in blocks]), return_inverse=True)
     votes_full = np.zeros((present.size, width), dtype=np.int64)
     np.add.at(votes_full, row, np.concatenate([b[1] for b in blocks]))
@@ -563,13 +543,12 @@ def merge_panoptic(
     panoptic = np.empty(flat_semantic.size, dtype=np.int64)
     block_rows = np.split(row, np.cumsum([b[0].size for b in blocks])[:-1])
 
-    def paint_body(j: int) -> None:
+    def paint_body(part: slice) -> None:
+        j = part.start // block
         _, _, codes, lengths = blocks[j]
-        panoptic[j * size : (j + 1) * size] = np.repeat(
-            np.take(pan_lut[block_rows[j]], codes), lengths
-        )
+        panoptic[part] = np.repeat(np.take(pan_lut[block_rows[j]], codes), lengths)
 
-    _run_blocks(paint_body, len(blocks))
+    _run_blocks(paint_body, flat_semantic.size, block)
 
     # Every pixel of a claimed instance carries its code, so the histogram
     # row sums are exact areas.
@@ -586,43 +565,40 @@ def merge_panoptic(
 
 
 def _class_scores(
-    result: PanopticResult, semantic_probs: np.ndarray, spec: DatasetSpec
+    result: PanopticResult,
+    instance_ids: np.ndarray,
+    semantic_probs: np.ndarray,
+    spec: DatasetSpec,
 ) -> dict[int, float]:
     """Mean probability of each instance's voted category over its pixels,
     on a (H, W, C) probability grid (channels in ascending category-id
-    order). The members of instance k are the pixels holding its panoptic
-    id (voted category * label_divisor + k). They are found per run of the
-    map: a run's id is looked up among the sorted member ids. The member
-    rows are expanded from the runs in ascending order, so they are read
-    and summed in row-major order.
+    order), for the ``merge_panoptic`` result of ``instance_ids``. The merge
+    paints every pixel of a claimed instance with its code, so the members
+    of instance k are the pixels where ``instance_ids`` is k, and its
+    record's area counts them. They are found per run of ``instance_ids``:
+    a run's index looks up its category's channel, -1 for an index without
+    a record. The member rows are expanded from the runs in ascending order,
+    so they are read and summed in row-major order.
     """
     if not result.instances:
         return {}
-    voted = {r.instance_index: r.category for r in result.instances}
-    index, category = np.array(sorted(voted.items()), dtype=np.int64).T
-    flat = result.panoptic.reshape(-1)
+    flat = instance_ids.reshape(-1)
     starts, lengths = _runs(flat)
-    # Member ids in ascending order, with the position of their record.
-    valid = np.flatnonzero((index >= 1) & (index < spec.label_divisor))
-    ids = category[valid] * spec.label_divisor + index[valid]
-    order = np.argsort(ids)
-    sorted_ids, owner_of = np.append(ids[order], 0), valid[order]
     values = np.take(flat, starts)
-    at = np.searchsorted(sorted_ids[:-1], values)
-    member = np.flatnonzero((at < owner_of.size) & (np.take(sorted_ids, at) == values))
-    owner = np.take(owner_of, np.take(at, member))
-    first, lengths = np.take(starts, member), np.take(lengths, member)
-    counts = _sums(owner, lengths, index.size)
+    channel = np.full(int(values.max()) + 1, -1, dtype=np.intp)
+    for record in result.instances:
+        channel[record.instance_index] = spec.table.channel[record.category]
+    member = np.flatnonzero(np.take(channel, values) >= 0)
+    owner, first, lengths = np.take(values, member), np.take(starts, member), np.take(lengths, member)
     num_channels = semantic_probs.shape[2]
     # Pixel j of a run starting at row s reads (s + j) * C + channel.
     base = (first - np.cumsum(lengths) + lengths) * num_channels
-    base += np.take(spec.table.channel[category], owner)
+    base += np.take(channel, owner)
     at_pixels = np.arange(0, lengths.sum() * num_channels, num_channels)
     at_pixels += np.repeat(base, lengths)
     weights = np.take(semantic_probs.reshape(-1), at_pixels)
-    sums = np.bincount(np.repeat(owner, lengths), weights=weights, minlength=index.size)
-    scores = dict(zip(index.tolist(), (sums / np.maximum(counts, 1)).tolist()))
-    return {r.instance_index: scores[r.instance_index] for r in result.instances}
+    sums = np.bincount(np.repeat(owner, lengths), weights=weights, minlength=channel.size)
+    return {r.instance_index: float(sums[r.instance_index]) / r.area for r in result.instances}
 
 
 def _label_scores(result: PanopticResult) -> dict[int, float]:
@@ -702,9 +678,8 @@ def _probability_labels(probs: np.ndarray, ids: np.ndarray) -> np.ndarray:
     id_of_key = np.concatenate((ids[:1], ids[::-1]))
     local = threading.local()
 
-    def block_body(j: int) -> None:
-        start = j * size
-        block = flat[start : start + size]
+    def block_body(part: slice) -> None:
+        block = flat[part]
         n = block.shape[0]
         if fast:
             scratch = getattr(local, "scratch", None)
@@ -732,7 +707,7 @@ def _probability_labels(probs: np.ndarray, ids: np.ndarray) -> np.ndarray:
                 np.equal(major, top, out=hits)
                 np.multiply(hits, keys, out=keyed)
                 np.maximum.reduce(keyed, axis=0, out=best)
-                np.take(id_of_key, best, out=labels[start : start + n])
+                np.take(id_of_key, best, out=labels[part])
                 return
         # A sum that warns (inf - inf, an overflow) ends in the ValueError.
         with np.errstate(invalid="ignore", over="ignore"):
@@ -741,24 +716,19 @@ def _probability_labels(probs: np.ndarray, ids: np.ndarray) -> np.ndarray:
             if not np.isfinite(block).all():
                 raise ValueError("semantic probabilities contain non-finite values")
             raise ValueError("semantic probabilities must sum to 1 per pixel")
-        labels[start : start + n] = ids[block.argmax(axis=1)]
+        labels[part] = ids[block.argmax(axis=1)]
 
-    _run_blocks(block_body, -(-flat.shape[0] // size))
+    _run_blocks(block_body, flat.shape[0], size)
     return labels.reshape(probs.shape[:2])
 
 
 def _check_finite(array: np.ndarray, message: str) -> None:
     """Raise ValueError(``message``) unless every value of ``array`` is
-    finite, checked in blocks of ``_FINITE_BLOCK`` values on
+    finite, checked in blocks of ``core._BLOCK`` values on
     ``core._run_blocks``."""
     flat = array.reshape(-1)
-    size = _FINITE_BLOCK
-
-    def block_body(j: int) -> None:
-        if not np.isfinite(flat[j * size : (j + 1) * size]).all():
-            raise ValueError(message)
-
-    _run_blocks(block_body, -(-flat.size // size))
+    if not all(_run_blocks(lambda part: np.isfinite(flat[part]).all(), flat.size, core._BLOCK)):
+        raise ValueError(message)
 
 
 def panoptic_inference(
@@ -827,7 +797,7 @@ def _inference_stages(
     if mode != "objectness" and semantic.ndim == 2:
         classes = _label_scores(result)
     elif mode != "objectness":
-        classes = _class_scores(result, semantic, spec)
+        classes = _class_scores(result, instance_ids, semantic, spec)
     scored = []
     for record in result.instances:
         center = centers[record.instance_index - 1]

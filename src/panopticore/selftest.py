@@ -32,7 +32,7 @@ __all__ = [
     "inference_oracle",
     "random_merge_inputs",
     "random_inference_case",
-    "random_scored_result",
+    "random_probabilities",
     "exact_inputs",
     "round_trip_pq",
     "random_valid_map",
@@ -421,43 +421,15 @@ def inference_oracle(
     return postprocess.PanopticResult(merged.panoptic, tuple(records))
 
 
-def random_scored_result(
-    rng: np.random.Generator, spec: DatasetSpec, height: int = 16, width: int = 16
-) -> tuple[postprocess.PanopticResult, np.ndarray, np.ndarray]:
-    """A panoptic result to score, with labels and a probability grid for it.
-
-    The map is :func:`random_valid_map`; the records cover its thing
-    instances, some with another thing category (no member pixels), plus
-    indices with no pixels at all, which may reach past ``label_divisor``. Labels disagree with the map on ~30% of
-    pixels, and probabilities are float32 rows normalised to sum to 1.
-    """
-    panoptic = random_valid_map(rng, spec, height, width)
-    div = spec.label_divisor
-    things = sorted(spec.thing_ids)
-    records = {}
-    for pid in np.unique(panoptic).tolist():
-        category, index = divmod(pid, div)
-        if category in spec.thing_ids and index:
-            if rng.random() < 0.2:
-                category = things[int(rng.integers(len(things)))]
-            records[index] = category
-    for index in rng.integers(1, min(div, 1000) + 10, size=2).tolist():
-        records.setdefault(index, things[int(rng.integers(len(things)))])
-    instances = tuple(
-        postprocess.InstanceRecord(instance_index=k, category=c, area=0)
-        for k, c in records.items()
-    )
-    ids = np.asarray(spec.category_ids)
-    labels = np.where(
-        rng.random(panoptic.shape) < 0.3,
-        ids[rng.integers(ids.size, size=panoptic.shape)],
-        panoptic // div,
-    )
-    # Magnitudes spread over ~2**-60..1, so float64 sums of them round and
-    # their value depends on the summation order.
-    probs = np.exp2(-60 * rng.random(panoptic.shape + (ids.size,))).astype(np.float32)
-    probs /= probs.sum(axis=2, keepdims=True)
-    return postprocess.PanopticResult(panoptic, instances), labels, probs
+def random_probabilities(
+    rng: np.random.Generator, shape: tuple[int, ...], channels: int
+) -> np.ndarray:
+    """A float32 probability grid of ``shape`` + (``channels``,), each row
+    normalised to sum to 1. Magnitudes spread over ~2**-60..1, so float64
+    sums of them round and their value depends on the summation order."""
+    probs = np.exp2(-60 * rng.random(tuple(shape) + (channels,))).astype(np.float32)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -788,19 +760,20 @@ def _check_bootstrapped_ce(seed: int = 0, cases: int = 60) -> str:
 
 
 def _check_class_scores(seed: int = 0, cases: int = 100) -> str:
-    """Class scores == the whole-image oracle, bit for bit: member-only
-    ``_class_scores`` on probabilities, and the merge's votes on labels."""
+    """Class scores == the whole-image oracle, bit for bit, on the merge of
+    random labels and instance ids: member-only ``_class_scores`` on
+    probabilities, and the merge's votes on the labels."""
     spec = make_spec(num_stuff=2, num_things=3)
     rng = np.random.default_rng(seed)
     for i in range(cases):
-        result, labels, probs = random_scored_result(rng, spec)
-        if repr(postprocess._class_scores(result, probs, spec)) != repr(
-            class_scores_oracle(result, probs, spec)
-        ):
-            return f"case {i}: class scores on probabilities differ from the oracle"
         kind = ("blocks", "noise", "flat")[i % 3]
         labels, instance = random_merge_inputs(rng, spec, 16, 16, kind)
         merged = postprocess.merge_panoptic(labels, instance, spec)
+        probs = random_probabilities(rng, labels.shape, spec.num_categories)
+        if repr(postprocess._class_scores(merged, instance, probs, spec)) != repr(
+            class_scores_oracle(merged, probs, spec)
+        ):
+            return f"case {i}: class scores on probabilities over {kind} ids differ from the oracle"
         if repr(postprocess._label_scores(merged)) != repr(
             class_scores_oracle(merged, labels, spec)
         ):

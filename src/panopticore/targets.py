@@ -136,13 +136,12 @@ def encode_offsets(table: SegmentTable) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.zeros((height, width, 2), dtype=np.float32)
     cols = np.arange(width, dtype=np.float64)
 
-    def band_body(j: int) -> None:
-        band = slice(j * _OFFSET_BAND, (j + 1) * _OFFSET_BAND)
+    def band_body(band: slice) -> None:
         segment = table.inverse[band]
         # inverse indexes ids, so "clip" never clips; it keeps take from
         # buffering its out= array, which "raise" does.
         mask = np.take(table.thing_instance, segment, out=thing_mask[band], mode="clip")
-        rows = np.arange(band.start, band.start + len(segment), dtype=np.float64)
+        rows = np.arange(band.start, band.stop, dtype=np.float64)
         # The float64 difference, rounded once to float32; +0.0 stays
         # outside the mask.
         delta = np.take(table.center_rows, segment)
@@ -152,7 +151,7 @@ def encode_offsets(table: SegmentTable) -> tuple[np.ndarray, np.ndarray]:
         delta -= cols
         np.copyto(offsets[band, :, 1], delta, where=mask)
 
-    _run_blocks(band_body, -(-height // _OFFSET_BAND))
+    _run_blocks(band_body, height, _OFFSET_BAND)
     return offsets, thing_mask
 
 

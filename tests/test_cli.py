@@ -1,21 +1,25 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panopticore import cli
 from panopticore.cli import TARGET_FILES, main
 from panopticore.losses import l1_offset_loss, mse_heatmap_loss
 from panopticore.postprocess import panoptic_inference
-from panopticore.selftest import bootstrapped_ce_oracle
-from panopticore.synth import bench_inputs, bench_logits, random_scene
+from panopticore.selftest import bootstrapped_ce_oracle, random_valid_map
+from panopticore.synth import bench_inputs, bench_logits, make_spec, random_scene
 from panopticore.targets import encode_targets
 from panopticore.tensor_io import read_tensor, write_spec, write_tensor
 
@@ -249,6 +253,32 @@ def test_fuse_empty_grid_exit_1_writes_nothing(scene_files, capsys, field, shape
     assert not out.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("field", ["heatmap", "offsets", "probabilities"])
+def test_fuse_integer_grid_exit_1_writes_nothing(scene_files, capsys, field):
+    # Each is a float32 grid: an integer one, such as the u16 labels given as
+    # the heatmap or a u16 one-hot grid as probabilities, is rejected.
+    scene, gt_path, spec_path, tmp = scene_files
+    targets_dir = tmp / "targets"
+    assert run_targets(gt_path, spec_path, targets_dir) == 0
+    semantic = read_tensor(targets_dir / TARGET_FILES["semantic"])
+    if field == "probabilities":
+        channel = scene.spec.table.channel[semantic]
+        channel[channel == scene.spec.num_categories] = 0  # the ignore label
+        grid = np.eye(scene.spec.num_categories, dtype=np.uint16)[channel]
+        path = targets_dir / TARGET_FILES["semantic"]
+    elif field == "heatmap":
+        grid, path = semantic, targets_dir / TARGET_FILES["heatmap"]
+    else:
+        path = targets_dir / TARGET_FILES["offsets"]
+        grid = np.abs(read_tensor(path)).astype(np.uint32)
+    write_tensor(grid, path)
+    capsys.readouterr()
+    out, report = tmp / "o.pdlt", tmp / "r.json"
+    assert run_fuse(targets_dir, spec_path, out, report) == 1
+    assert f"{path}: expected float32, got {grid.dtype}" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
 def test_fuse_uint32_scan_only_where_ids_can_exceed_it(tmp_path, capsys):
     # With label_divisor 2**31 and ignore label 255, ids may pass uint32's
     # range: thing category 1 fits (2**31 + k), category 3 does not.
@@ -289,7 +319,7 @@ def test_fuse_bytes_do_not_depend_on_block_threads(tmp_path, monkeypatch):
     outputs = set()
     for threads in (1, 2, 3):
         monkeypatch.setattr(cli.postprocess, "_GROUP_BLOCK", 256)
-        monkeypatch.setattr(cli.postprocess, "_MERGE_BLOCK", 512)
+        monkeypatch.setattr("panopticore.core._BLOCK", 512)
         monkeypatch.setattr("panopticore.core._block_threads", lambda: threads)
         out, report = tmp_path / f"o{threads}.pdlt", tmp_path / f"r{threads}.json"
         assert main(["fuse", "--semantic", str(tmp_path / "sem.pdlt"), "--heatmap",
@@ -1050,3 +1080,181 @@ def test_cli_import_leaves_scipy_and_selftest_out():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# The CLI boundary: one fault in one input
+
+
+# The faults each subcommand's inputs can carry. "empty" and "side-1" are
+# shapes with a 0 side, and with a trailing side of 1 where a 2-D map or
+# another side is due; "spec-*" are spec fields of the wrong type and a
+# negative category id; "index-*" replace a --pred-scores row's instance
+# index, so that the map's instance has no score.
+_BOUNDARY_FAULTS = {
+    "targets": ("spec-type", "spec-negative-id", "dtype-code", "rank", "empty", "side-1",
+                "nan", "unknown-id", "largest-id"),
+    "fuse": ("spec-type", "spec-negative-id", "dtype-code", "rank", "empty", "side-1",
+             "nan", "inf", "-inf", "unknown-id", "largest-id", "integer-grid"),
+    "eval": ("spec-type", "spec-negative-id", "dtype-code", "rank", "empty", "side-1",
+             "nan", "unknown-id", "largest-id", "score-type", "score-nan", "index-negative",
+             "index-large"),
+}
+# Each .pdlt input: its flag, and the names a message may give it besides its path.
+_BOUNDARY_GRIDS = {
+    "targets": {"panoptic": ("panoptic",)},
+    "fuse": {"semantic": ("semantic", "probabilit"), "heatmap": ("heatmap",),
+             "offsets": ("offsets",)},
+    "eval": {"pred": ("pred",), "gt": ("gt",)},
+}
+
+
+def _boundary_inputs(command, seed, height, width, probabilities):
+    """The valid inputs of ``command`` on a random map: the spec document,
+    each grid by flag, and eval's --pred-scores document."""
+    spec = make_spec(num_stuff=2, num_things=2)
+    rng = np.random.default_rng(seed)
+    panoptic = random_valid_map(rng, spec, height, width)
+    panoptic[0, 0] = 3 * spec.label_divisor + 1  # at least one thing instance
+    spec_doc = {"categories": [{"id": c.id, "name": c.name, "is_thing": c.is_thing}
+                               for c in spec.categories],
+                "ignore_label": spec.ignore_label, "label_divisor": spec.label_divisor,
+                "stuff_area_threshold": spec.stuff_area_threshold}
+    if command == "targets":
+        return spec, spec_doc, {"panoptic": panoptic.astype(np.uint32)}, None
+    if command == "eval":
+        gt = panoptic.astype(np.uint32)
+        pred = np.roll(gt, 1, axis=1)
+        category, index = np.divmod(np.unique(pred), spec.label_divisor)
+        things = {int(k) for c, k in zip(category, index) if c in spec.thing_ids and k}
+        rows = [{"instance_index": k, "score": 0.5 + 0.01 * k} for k in sorted(things)]
+        return spec, spec_doc, {"pred": pred, "gt": gt}, {"instances": rows}
+    bundle = encode_targets(panoptic, spec)
+    semantic = bundle.semantic_labels.astype(np.uint16)
+    if probabilities:
+        semantic = _one_hot_probs(semantic, spec)
+    heatmap = np.clip(bundle.heatmap + rng.normal(0, 0.1, bundle.heatmap.shape), 0, 1)
+    grids = {"semantic": semantic, "heatmap": heatmap.astype(np.float32),
+             "offsets": bundle.offsets}
+    return spec, spec_doc, grids, None
+
+
+def _put_boundary_fault(fault, spec, spec_doc, grids, scores, data):
+    """Put ``fault`` into one input, drawn with ``data``: returns the flag
+    of the input it went into, and for the header faults the byte to patch
+    (offset, value)."""
+    if fault == "spec-type":
+        field, value = data.draw(st.sampled_from([
+            ("label_divisor", "1000"), ("ignore_label", 2.5), ("categories", {}),
+            ("stuff_area_threshold", None), ("is_thing", 1), ("id", "0"), ("name", 7)]))
+        entry = spec_doc["categories"][0] if field in ("is_thing", "id", "name") else spec_doc
+        entry[field] = value
+        return "spec", None
+    if fault == "spec-negative-id":
+        spec_doc["categories"][0]["id"] = -1
+        return "spec", None
+    if fault.startswith(("score", "index")):
+        row = data.draw(st.sampled_from(scores["instances"]))
+        key, value = {"score-type": ("score", "0.5"), "score-nan": ("score", math.nan),
+                      "index-negative": ("instance_index", -1),
+                      "index-large": ("instance_index", 2**70)}[fault]
+        row[key] = value
+        return "pred-scores", None
+    names = sorted(grids)
+    if fault in ("nan", "inf", "-inf"):
+        names = [n for n in names if grids[n].dtype == np.float32] or names
+    elif fault in ("unknown-id", "largest-id"):
+        names = [n for n in names if grids[n].dtype != np.float32]
+    elif fault == "integer-grid":
+        names = [n for n in names if grids[n].dtype == np.float32]
+    name = data.draw(st.sampled_from(names))
+    grid = grids[name]
+    if fault == "dtype-code":
+        return name, (6, data.draw(st.sampled_from([0, 4, 255])))
+    if fault == "rank":
+        return name, (7, data.draw(st.sampled_from([0, 1, 4])))
+    if fault == "empty":
+        side = data.draw(st.sampled_from([0, 1]))
+        grids[name] = np.delete(grid, np.s_[:], axis=side)
+    elif fault == "side-1":
+        grids[name] = grid[..., :1] if grid.ndim == 3 else grid[..., None]
+    elif fault in ("nan", "inf", "-inf"):
+        grids[name] = grid.astype(np.float32)  # an id map becomes a float one
+        grids[name].reshape(-1)[data.draw(st.integers(0, grid.size - 1))] = float(fault)
+    elif fault == "integer-grid":
+        grids[name] = np.abs(grid).astype(data.draw(st.sampled_from([np.uint16, np.uint32])))
+    else:
+        value = np.iinfo(grid.dtype).max
+        if fault == "unknown-id":  # category 77 is neither a category nor the ignore label
+            value = 77 * spec.label_divisor + 1 if grid.dtype == np.uint32 else 77
+        grids[name] = grid.copy()
+        grids[name].reshape(-1)[data.draw(st.integers(0, grid.size - 1))] = value
+    return name, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_BOUNDARY_FAULTS)),
+    seed=st.integers(0, 2**16),
+    height=st.integers(1, 6),
+    width=st.integers(1, 6),
+    data=st.data(),
+)
+def test_cli_boundary_fault_exits_1_or_2_naming_the_file(command, seed, height, width, data):
+    fault = data.draw(st.sampled_from((None,) + _BOUNDARY_FAULTS[command]))
+    # fuse reads probabilities or label ids; an id fault needs the ids.
+    probabilities = fault not in ("unknown-id", "largest-id") and data.draw(st.booleans())
+    spec, spec_doc, grids, scores = _boundary_inputs(command, seed, height, width, probabilities)
+    faulted, patch = None, None
+    if fault:
+        faulted, patch = _put_boundary_fault(fault, spec, spec_doc, grids, scores, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {"spec": tmp / "spec.json", "pred-scores": tmp / "scores.json"}
+        paths["spec"].write_text(json.dumps(spec_doc, allow_nan=True))
+        if scores is not None:
+            paths["pred-scores"].write_text(json.dumps(scores, allow_nan=True))
+        for name, grid in grids.items():
+            paths[name] = tmp / f"{name}.pdlt"
+            write_tensor(grid, paths[name])
+        if patch:
+            raw = bytearray(paths[faulted].read_bytes())
+            raw[patch[0]] = patch[1]
+            paths[faulted].write_bytes(bytes(raw))
+        outputs = {"targets": [tmp / "out"], "fuse": [tmp / "out.pdlt", tmp / "report.json"],
+                   "eval": [tmp / "report.json"]}[command]
+        argv = [command, "--spec", str(paths["spec"])]
+        argv += [a for name in grids for a in (f"--{name}", str(paths[name]))]
+        if command == "eval":
+            argv += ["--mode", "all", "--pred-scores", str(paths["pred-scores"])]
+        argv += [a for flag, p in zip(("--out", "--report"), outputs) for a in (flag, str(p))]
+        if command == "eval":
+            argv[-2] = "--report"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stderr(io.StringIO()) as err, \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        if fault:
+            assert code in (1, 2), (fault, faulted, err.getvalue())
+            names = (str(paths[faulted]),) + _BOUNDARY_GRIDS[command].get(faulted, ())
+            assert any(n in err.getvalue() for n in names), (fault, faulted, err.getvalue())
+            assert not any(p.exists() for p in outputs), (fault, faulted)
+            return
+        assert code == 0, err.getvalue()
+        if command == "targets":
+            bundle = encode_targets(grids["panoptic"], spec)
+            for name, want in (("heatmap", bundle.heatmap), ("offsets", bundle.offsets),
+                               ("weights", bundle.semantic_weights)):
+                assert read_tensor(outputs[0] / TARGET_FILES[name]).tobytes() == want.tobytes()
+        elif command == "fuse":
+            result = panoptic_inference(grids["semantic"], grids["heatmap"], grids["offsets"], spec)
+            assert read_tensor(outputs[0]).tobytes() == result.panoptic.astype(np.uint32).tobytes()
+            report = json.loads(outputs[1].read_text())
+            assert report["num_instances"] == len(result.instances)
+        else:
+            from panopticore import metrics
+
+            report = json.loads(outputs[0].read_text())["aggregate"]
+            want = cli._pq_payload(metrics.panoptic_quality(grids["pred"], grids["gt"], spec))
+            assert report["pq"] == json.loads(json.dumps(want))

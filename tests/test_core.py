@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
 import sys
+import threading
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -420,7 +425,7 @@ def _run_maps(size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     lengths = rng.geometric(1 / 40, size=size // 10 + 2)
     first = np.repeat(rng.integers(0, 6, lengths.size), lengths)[:size].astype(np.uint32)
     second = np.repeat(rng.integers(0, 3, lengths.size), lengths[::-1])[:size].astype(np.int64)
-    block = core._RUN_BLOCK
+    block = core._BLOCK
     first[block - 7 : block + 9], second[block - 7 : block + 9] = 9, 9
     first[2 * block - 3 : 2 * block], first[2 * block : 2 * block + 3] = 7, 8
     second[2 * block - 3 : 2 * block], second[2 * block : 2 * block + 3] = 7, 8
@@ -440,7 +445,10 @@ def test_blocked_run_scan_equals_one_block(monkeypatch, size, width, threads):
     real_run_blocks = core._run_blocks
     monkeypatch.setattr(core, "_block_threads", lambda: threads)
     monkeypatch.setattr(
-        core, "_run_blocks", lambda body, count: blocks.append(count) or real_run_blocks(body, count)
+        core,
+        "_run_blocks",
+        lambda body, total, block: blocks.append(-(-total // block))
+        or real_run_blocks(body, total, block),
     )
     for flats in ((first,), (first, second), (second, first)):
         for w in (0, width):
@@ -450,9 +458,87 @@ def test_blocked_run_scan_equals_one_block(monkeypatch, size, width, threads):
                                (one_block[:-1], np.diff(one_block))):
                 assert a.dtype == b.dtype == c.dtype
                 assert a.tobytes() == b.tobytes() == c.tobytes()
-    # Below 2^20 pixels one block, from it on blocks of _RUN_BLOCK.
-    want = [] if size < 1 << 20 else [-(-size // core._RUN_BLOCK)] * 6
+    # Up to _BLOCK pixels one block, beyond it blocks of _BLOCK.
+    want = [] if size <= core._BLOCK else [-(-size // core._BLOCK)] * 6
     assert blocks == want
+
+
+# ---------------------------------------------------------------------------
+# block runner
+
+
+def test_block_runner_runs_every_block_once_caller_takes_residue_zero():
+    for threads in (1, 2, 3):
+        for count in (1, 2, 3, 10):
+            ran = []
+            def body(part):
+                ran.append((part.start, threading.current_thread() is threading.main_thread()))
+            with mock.patch.object(core, "_block_threads", lambda: threads):
+                core._run_blocks(body, count, 1)
+            assert sorted(j for j, _ in ran) == list(range(count))
+            used = min(threads, count)
+            assert all(in_caller == (j % used == 0) for j, in_caller in ran)
+
+
+def test_block_runner_one_thread_or_one_block_makes_no_pool():
+    with mock.patch.object(core, "_block_pool", None):
+        with mock.patch.object(core, "_block_threads", lambda: 1):
+            core._run_blocks(lambda part: None, 5, 1)
+        with mock.patch.object(core, "_block_threads", lambda: 3):
+            core._run_blocks(lambda part: None, 4, 4)
+        assert core._block_pool is None
+        with mock.patch.object(core, "_block_threads", lambda: 2):
+            core._run_blocks(lambda part: None, 2, 1)
+        assert core._block_pool is not None
+
+
+def test_block_threads_is_capped_by_the_cpus_available():
+    for system, want in (
+        (SimpleNamespace(sched_getaffinity=lambda pid: set(range(64))), 4),
+        (SimpleNamespace(sched_getaffinity=lambda pid: {5}), 1),
+        (SimpleNamespace(cpu_count=lambda: 3), 3),  # no affinity call
+        (SimpleNamespace(cpu_count=lambda: None), 1),
+    ):
+        with mock.patch.object(core, "os", system):
+            assert core._block_threads() == want
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("total, block", [(0, 4), (1, 4), (10, 4), (12, 4), (7, 1)])
+def test_block_runner_returns_each_blocks_result_in_order(threads, total, block):
+    with mock.patch.object(core, "_block_threads", lambda: threads):
+        got = core._run_blocks(lambda part: (part.start, part.stop), total, block)
+    assert got == [(start, min(start + block, total)) for start in range(0, total, block)]
+
+
+_NESTED_RUNNER_CALLS = """
+from unittest import mock
+from panopticore import core
+
+def nested():
+    return core._run_blocks(
+        lambda outer: core._run_blocks(lambda inner: (outer.start, inner.start), 4, 1), 4, 1
+    )
+
+with mock.patch.object(core, "_block_threads", lambda: 1):
+    serial = nested()
+assert serial == [[(i, j) for j in range(4)] for i in range(4)], serial
+for threads in (2, 3, 4):
+    with mock.patch.object(core, "_block_threads", lambda: threads):
+        assert nested() == serial, threads
+"""
+
+
+def test_block_runner_nested_call_equals_the_serial_result():
+    # A pool thread that waited on the pool for a nested call could hang the
+    # pool, so the calls run in a fresh interpreter under a timeout.
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _NESTED_RUNNER_CALLS], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_eval_report_bytes_do_not_depend_on_block_threads(tmp_path, monkeypatch):

@@ -1,9 +1,7 @@
 import math
 import multiprocessing
 import sys
-import threading
 import warnings
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -244,42 +242,6 @@ def test_ce_bytes_do_not_depend_on_thread_count(dtype):
                 assert got.gradient.tobytes() == want.gradient.tobytes(), (threads, block)
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_block_runner_runs_every_block_once_caller_takes_residue_zero():
-    for threads in (1, 2, 3):
-        for count in (1, 2, 3, 10):
-            ran = []
-            def body(j):
-                ran.append((j, threading.current_thread() is threading.main_thread()))
-            with mock.patch.object(core, "_block_threads", lambda: threads):
-                core._run_blocks(body, count)
-            assert sorted(j for j, _ in ran) == list(range(count))
-            used = min(threads, count)
-            assert all(in_caller == (j % used == 0) for j, in_caller in ran)
-
-
-def test_block_runner_one_thread_or_one_block_makes_no_pool():
-    with mock.patch.object(core, "_block_pool", None):
-        with mock.patch.object(core, "_block_threads", lambda: 1):
-            core._run_blocks(lambda j: None, 5)
-        with mock.patch.object(core, "_block_threads", lambda: 3):
-            core._run_blocks(lambda j: None, 1)
-        assert core._block_pool is None
-        with mock.patch.object(core, "_block_threads", lambda: 2):
-            core._run_blocks(lambda j: None, 2)
-        assert core._block_pool is not None
-
-
-def test_ce_threads_is_capped_by_the_cpus_available():
-    for system, want in (
-        (SimpleNamespace(sched_getaffinity=lambda pid: set(range(64))), 4),
-        (SimpleNamespace(sched_getaffinity=lambda pid: {5}), 1),
-        (SimpleNamespace(cpu_count=lambda: 3), 3),  # no affinity call
-        (SimpleNamespace(cpu_count=lambda: None), 1),
-    ):
-        with mock.patch.object(core, "os", system):
-            assert core._block_threads() == want
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in subtract")

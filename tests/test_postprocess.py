@@ -16,7 +16,6 @@ from panopticore import cli, core, losses, metrics, postprocess, targets, tensor
 from panopticore.core import InstanceCenter
 from panopticore.postprocess import (
     SCORE_MODES,
-    InstanceRecord,
     PanopticResult,
     extract_centers,
     group_pixels,
@@ -37,7 +36,7 @@ from panopticore.selftest import (
     probability_labels_oracle,
     random_inference_case,
     random_merge_inputs,
-    random_scored_result,
+    random_probabilities,
     random_valid_map,
 )
 from panopticore.synth import bench_inputs, make_spec, random_scene
@@ -448,7 +447,7 @@ def test_grouping_and_merge_do_not_depend_on_thread_count():
                 with mock.patch.object(core, "_block_threads", lambda: threads), \
                         mock.patch.object(postprocess, "_GROUP_BLOCK", block), \
                         mock.patch.object(postprocess, "_GROUP_LIST", 5), \
-                        mock.patch.object(postprocess, "_MERGE_BLOCK", block):
+                        mock.patch.object(core, "_BLOCK", block):
                     got = group_pixels(centers, offsets, mask)
                     fused = merge_panoptic(semantic, got, spec, 64)
                 assert got.tobytes() == want.tobytes(), (threads, block)
@@ -651,7 +650,7 @@ def _unknown_ids():
     yield np.uint64, "huge", 2**63 + 1
 
 
-@pytest.mark.parametrize("block", [3, postprocess._MERGE_BLOCK])
+@pytest.mark.parametrize("block", [3, core._BLOCK])
 @pytest.mark.parametrize(
     "dtype, value", [(d, v) for d, _, v in _unknown_ids()], ids=[
         f"{np.dtype(d).name}-{case}" for d, case, _ in _unknown_ids()
@@ -660,7 +659,7 @@ def _unknown_ids():
 def test_merge_rejects_unknown_ids_in_every_dtype(monkeypatch, dtype, value, block):
     # The unknown id sits in the last pixel: with blocks of 3 pixels, only
     # the last block holds it.
-    monkeypatch.setattr(postprocess, "_MERGE_BLOCK", block)
+    monkeypatch.setattr(core, "_BLOCK", block)
     semantic = np.zeros((4, 6), dtype=dtype)
     semantic[:2, :3] = 2  # a thing
     semantic[3, :2] = _SMALL_SPEC.ignore_label
@@ -703,7 +702,7 @@ def merge_inputs(draw):
 @given(
     case=merge_inputs(),
     threshold=st.sampled_from([0, 1, 2048, "area", "area + 1"]),
-    block=st.sampled_from([3, 16, postprocess._MERGE_BLOCK]),
+    block=st.sampled_from([3, 16, core._BLOCK]),
     data=st.data(),
 )
 def test_merge_equals_pixel_oracle(case, threshold, block, data):
@@ -713,7 +712,7 @@ def test_merge_equals_pixel_oracle(case, threshold, block, data):
         areas = [int(np.count_nonzero(unfiltered == c * spec.label_divisor)) for c in spec.stuff_ids]
         area = data.draw(st.sampled_from([a for a in areas if a] or [0]))
         threshold = area + (threshold == "area + 1")
-    with mock.patch.object(postprocess, "_MERGE_BLOCK", block):
+    with mock.patch.object(core, "_BLOCK", block):
         got = merge_panoptic(labels, instance, spec, stuff_area_threshold=threshold)
     want = merge_oracle(labels, instance, spec, threshold)
     assert got.panoptic.dtype == want.panoptic.dtype
@@ -930,13 +929,22 @@ def test_score_non_finite_probabilities_named():
         _one_instance_inference(probs, "class")
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_member_only_class_scores_equal_oracle(seed):
+def _merged_class_scores(seed, height, width, kind):
+    """``_class_scores`` and the whole-image oracle on the merge of
+    :func:`random_merge_inputs` and :func:`random_probabilities`."""
     spec = make_spec(num_stuff=2, num_things=3)
     rng = np.random.default_rng(seed)
-    result, labels, probs = random_scored_result(rng, spec, 24, 20)
-    got = postprocess._class_scores(result, probs, spec)
-    assert repr(got) == repr(class_scores_oracle(result, probs, spec))
+    labels, instance = random_merge_inputs(rng, spec, height, width, kind)
+    merged = merge_panoptic(labels, instance, spec)
+    probs = random_probabilities(rng, labels.shape, spec.num_categories)
+    got = postprocess._class_scores(merged, instance, probs, spec)
+    return got, class_scores_oracle(merged, probs, spec)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_member_only_class_scores_equal_oracle(seed):
+    got, want = _merged_class_scores(seed, 24, 20, ("blocks", "noise", "flat")[seed % 3])
+    assert repr(got) == repr(want)
 
 
 def _label_class_scores(semantic, heatmap, offsets, spec):
@@ -964,15 +972,8 @@ def test_pipeline_label_scores_equal_oracle(seed):
 
 
 def test_class_scores_sparse_ids_equal_oracle():
-    # A label_divisor too large for a lookup table over the panoptic ids.
-    spec = make_spec(num_stuff=2, num_things=3)
-    spec = dataclasses.replace(spec, label_divisor=1 << 40)
-    rng = np.random.default_rng(5)
-    result, labels, probs = random_scored_result(rng, spec, 12, 12)
-    assert any(r.category * spec.label_divisor >= 1 << 20 for r in result.instances)
-    got = postprocess._class_scores(result, probs, spec)
-    assert repr(got) == repr(class_scores_oracle(result, probs, spec))
-    # The same divisor through the pipeline on labels.
+    # A label_divisor too large for a lookup table over the panoptic ids,
+    # through the pipeline on labels.
     scene = random_scene(5, min_size=32, max_size=48)
     semantic, heatmap, offsets = exact_inputs(scene)
     spec = dataclasses.replace(scene.spec, label_divisor=1 << 40)
@@ -986,28 +987,20 @@ def test_class_scores_sparse_ids_equal_oracle():
     seed=st.integers(0, 2**32 - 1),
     height=st.integers(0, 20),
     width=st.integers(0, 20),
-    noise=st.booleans(),
+    kind=st.sampled_from(["blocks", "noise", "flat"]),
 )
-def test_score_instances_equal_oracle(seed, height, width, noise):
-    # The class scores of the scores stage on probabilities, on maps of any
-    # shape, 0xN included, and on per-pixel noise.
-    spec = make_spec(num_stuff=2, num_things=3)
-    rng = np.random.default_rng(seed)
-    result, labels, probs = random_scored_result(rng, spec, height, width)
-    if noise:  # every pixel its own run
-        ids = np.unique(result.panoptic)
-        if ids.size:
-            panoptic = ids[rng.integers(ids.size, size=result.panoptic.shape)]
-            result = PanopticResult(panoptic, result.instances)
-    got = postprocess._class_scores(result, probs, spec)
-    assert repr(got) == repr(class_scores_oracle(result, probs, spec))
+def test_score_instances_equal_oracle(seed, height, width, kind):
+    # The class scores of the scores stage on probabilities, on merges of
+    # any shape, 0xN included, and of per-pixel noise.
+    got, want = _merged_class_scores(seed, height, width, kind)
+    assert repr(got) == repr(want)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     case=merge_inputs(),
     sparse=st.booleans(),
-    block=st.sampled_from([3, postprocess._MERGE_BLOCK]),
+    block=st.sampled_from([3, core._BLOCK]),
 )
 def test_label_scores_from_votes_equal_oracle(case, sparse, block):
     # Random labels and instance ids, per-pixel noise included: instances
@@ -1015,19 +1008,10 @@ def test_label_scores_from_votes_equal_oracle(case, sparse, block):
     labels, instance, spec = case
     if sparse:
         spec = dataclasses.replace(spec, label_divisor=1 << 40)
-    with mock.patch.object(postprocess, "_MERGE_BLOCK", block):
+    with mock.patch.object(core, "_BLOCK", block):
         merged = merge_panoptic(labels, instance, spec)
     want = class_scores_oracle(merged, labels, spec)
     assert repr(postprocess._label_scores(merged)) == repr(want)
-
-
-def test_class_scores_of_an_id_below_every_run_value():
-    # A record whose panoptic id sorts below every id of the map (here a
-    # negative category) has no member pixel, not even where the map is 0.
-    result = PanopticResult(np.zeros((2, 3), dtype=np.int64), (InstanceRecord(1, -1, 0),))
-    probs = _probs_for(np.full((2, 3), STUFF[0]))
-    got = postprocess._class_scores(result, probs, SPEC)
-    assert got == class_scores_oracle(result, probs, SPEC) == {1: 0.0}
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 4096])
@@ -1346,7 +1330,7 @@ def test_inference_finite_checks_raise_from_any_block(threads):
     bad_heat[-1, -1] = np.inf
     bad_offsets[row, col, 1] = np.nan
     with mock.patch.object(core, "_block_threads", lambda: threads), \
-            mock.patch.object(postprocess, "_FINITE_BLOCK", 7):
+            mock.patch.object(core, "_BLOCK", 7):
         for heat, off, field in ((bad_heat, offsets, "heatmap"), (heatmap, bad_offsets, "offsets"),
                                  (bad_heat, bad_offsets, "heatmap")):
             with pytest.raises(ValueError, match=f"^{field} contains non-finite values$"):
